@@ -18,7 +18,7 @@ bottoms out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import compiler, terms, typesys
 
@@ -44,9 +44,30 @@ class Mark:
 
 @dataclass(frozen=True)
 class RegSnapshot:
-    """Heap-independent copy of the live registers, restorable later."""
+    """Heap-independent copy of the live registers, restorable later.
+
+    ``roots`` holds the contents of registers ``live`` read back as terms.
+    The constructor flattens and compiles them once into query code that
+    rebuilds every root with its sharing (``code``), plus the scratch
+    register holding each root (``root_regs``).  Restoring only executes
+    that code; a snapshot with no live registers, such as a chart edge's
+    head, is built with ``build_snapshot``.
+
+    Flattening numbers registers in first-visit order over ordered arcs
+    and emits one equation per node, so ``code`` and ``root_regs`` are a
+    canonical form: two snapshots compare and hash equal exactly when
+    their live registers match and their roots are isomorphic
+    (``terms.iso_roots``).  The parser uses snapshots as duplicate keys.
+    """
     live: tuple[int, ...]
-    roots: tuple
+    roots: tuple = field(compare=False)
+    code: tuple = field(init=False, repr=False)
+    root_regs: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        eqs = terms.flatten(terms.MRS(list(self.roots)))
+        object.__setattr__(self, "code", tuple(compiler.compile_query(eqs)))
+        object.__setattr__(self, "root_regs", tuple(eqs.roots))
 
 
 class MachineState:
@@ -345,10 +366,14 @@ class MachineState:
     def build(self, roots) -> list[int]:
         """Build term graphs on the heap via query code, in a scratch
         register file; sharing between the given roots is preserved."""
-        eqs = terms.flatten(terms.MRS(list(roots)))
+        return self.build_snapshot(RegSnapshot((), tuple(roots)))
+
+    def build_snapshot(self, snap: RegSnapshot) -> list[int]:
+        """Execute a snapshot's compiled code in a scratch register file;
+        returns the address of each root."""
         scratch = {}
-        self.execute(compiler.compile_query(eqs), scratch)
-        return [scratch[r] for r in eqs.roots]
+        self.execute(snap.code, scratch)
+        return [scratch[r] for r in snap.root_regs]
 
     def build_term(self, term) -> int:
         return self.build([term])[0]
@@ -407,8 +432,7 @@ class MachineState:
         return RegSnapshot(live, tuple(roots))
 
     def restore_regs(self, snap: RegSnapshot):
-        addrs = self.build(snap.roots)
-        self.regs = dict(zip(snap.live, addrs))
+        self.regs = dict(zip(snap.live, self.build_snapshot(snap)))
 
     # -- inspection -------------------------------------------------------------
 

@@ -2,27 +2,34 @@
 
 The chart is an (n+1) x (n+1) table of edge sets.  An active edge is a
 rule with its first ``dot`` body elements already matched; instead of heap
-pointers it carries a register snapshot (extracted terms), so edges stay
-valid after the heap is rewound.  A complete edge is just its head term.
+pointers it carries a register snapshot, so edges stay valid after the
+heap is rewound.  A complete edge is its head term.  Every edge is
+compiled once, when it is made: a snapshot holds the query code that
+rebuilds its registers, and a complete edge holds a one-root snapshot of
+its head.
 
 Combining an active edge ending at k with a complete edge spanning (k, j)
-replays the snapshot onto the heap, builds a fresh copy of the complete
-head, points the next body element's root register at it, and executes
-that element's program code.  Whatever the outcome, the heap is rewound to
-the checkpoint afterwards; results leave only as extracted terms.
+executes the active edge's code to restore its registers, executes the
+complete edge's code to build a fresh copy of its head, points the next
+body element's root register at it, and executes that element's program
+code.  Whatever the outcome, the heap is rewound to the checkpoint
+afterwards; results leave only as extracted terms.
 
 The agenda holds edges, not only complete ones: a popped complete edge is
 tried against the active edges in cells (k,k) down to (0,k), and a popped
 active edge against the complete edges to its right.  Without the second
 scan, an active edge created after some complete edge was popped would
 never meet it.  Duplicate edges (same cell, rule, dot, and isomorphic
-saved structures) are dropped, so the chart grows to a fixed point.
+saved structures) are dropped, so the chart grows to a fixed point.  A
+snapshot's compiled code is a canonical form of its structures, so
+duplicates are found by a set lookup on a key built from it, not by
+comparing structures.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import machine, terms
 
@@ -58,6 +65,11 @@ class ActiveEdge:
             return self.info.frag_starts[self.dot]
         return self.info.head_start
 
+    @property
+    def key(self):
+        """Equal for two edges exactly when one duplicates the other."""
+        return (self.i, self.j, self.info.rule_id, self.dot, self.snapshot)
+
 
 @dataclass(eq=False)
 class CompleteEdge:
@@ -65,6 +77,15 @@ class CompleteEdge:
     j: int
     source: str             # rule label or lexical entry label
     head: object
+    snapshot: machine.RegSnapshot = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.snapshot = machine.RegSnapshot((), (self.head,))
+
+    @property
+    def key(self):
+        """Equal for two edges exactly when one duplicates the other."""
+        return (self.i, self.j, self.source, self.snapshot)
 
 
 class Chart:
@@ -148,15 +169,16 @@ class ChartParser:
         n = len(words)
         chart = Chart(n)
         agenda = deque()
+        seen = set()
         items = 0
 
         def add(edge, enqueue=True):
             nonlocal items
-            cell = chart.cells.setdefault((edge.i, edge.j), [])
-            for e in cell:
-                if _same_edge(e, edge):
-                    return
-            cell.append(edge)
+            key = edge.key
+            if key in seen:
+                return
+            seen.add(key)
+            chart.cells.setdefault((edge.i, edge.j), []).append(edge)
             items += 1
             if items > self.max_items:
                 raise LimitExceeded("chart item", self.max_items)
@@ -193,7 +215,7 @@ class ChartParser:
                                 add(new)
 
         heads = [e.head for e in chart.cell(0, n)
-                 if isinstance(e, CompleteEdge) and self._start_compatible(m, e.head)]
+                 if isinstance(e, CompleteEdge) and self._start_compatible(m, e)]
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
     def _combine(self, m, active, complete):
@@ -205,7 +227,7 @@ class ChartParser:
         new = None
         try:
             m.restore_regs(active.snapshot)
-            head_addr = m.build_term(complete.head)
+            head_addr = m.build_snapshot(complete.snapshot)[0]
             r = info.body_root_regs[active.dot]
             if info.body_root_shared[active.dot]:
                 # this element's root was already built by an earlier one
@@ -226,22 +248,34 @@ class ChartParser:
         except machine.UnifyFailure:
             new = None
         m.undo(mark)
-        if before is not None and m.heap != before:
-            raise machine.MachineError("undo left the heap changed")
+        if before is not None:
+            _check_undo(m, mark, before)
         return new
 
-    def _start_compatible(self, m, head):
-        """True when the start term subsumes *head*: unifying the two
-        gives back something isomorphic to *head*."""
+    def _start_compatible(self, m, edge):
+        """True when the start term subsumes the complete *edge*'s head:
+        unifying the two gives back something isomorphic to the head."""
         mark = m.checkpoint()
+        before = list(m.heap) if self.verify_undo else None
         try:
             a_start = m.build_term(self.grammar.start)
-            a_head = m.build_term(head)
+            a_head = m.build_snapshot(edge.snapshot)[0]
             if not m.unify(a_start, a_head):
                 return False
-            return terms.iso(m.extract(a_head), head)
+            return terms.iso(m.extract(a_head), edge.head)
         finally:
             m.undo(mark)
+            if before is not None:
+                _check_undo(m, mark, before)
+
+
+def _check_undo(m, mark, before):
+    """Raise unless undoing to *mark* restored the heap to *before* cell
+    for cell and cut the trail and the stack back to the mark."""
+    if m.heap != before:
+        raise machine.MachineError("undo left the heap changed")
+    if len(m.trail) != mark.trail or len(m.stack) != mark.stack:
+        raise machine.MachineError("undo left the trail or the stack longer than its mark")
 
 
 def _fragment_range(info, dot):
@@ -250,13 +284,3 @@ def _fragment_range(info, dot):
     start = info.frag_starts[dot]
     nxt = info.frag_starts[dot + 1] if dot + 1 < info.body_len else info.head_start
     return start, nxt - 2
-
-
-def _same_edge(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ActiveEdge):
-        return (a.info is b.info and a.dot == b.dot
-                and a.snapshot.live == b.snapshot.live
-                and terms.iso_roots(list(a.snapshot.roots), list(b.snapshot.roots)))
-    return a.source == b.source and terms.iso(a.head, b.head)

@@ -186,3 +186,156 @@ def test_combine_rewinds_heap_even_on_success(toy_grammar):
     failing = CompleteEdge(0, 1, "lex_w2", parse_term("d", h))
     assert p._combine(m, active, failing) is None
     assert m.heap == before
+
+
+# -- pinned behaviour ---------------------------------------------------------------
+
+PINNED = [
+    ("toy_grammar", "w1 w2", 7, 5, 1, """\
+(0,0):
+  rule0 @ 0
+(0,1):
+  lex_w1: a(d2,d)
+  rule0 @ 1
+(0,2):
+  rule0: a(d2,d)
+  rule0 @ 1
+(1,1):
+  rule0 @ 0
+(1,2):
+  lex_w2: d"""),
+    ("toy_grammar", "w2 w1", 5, 3, 0, """\
+(0,0):
+  rule0 @ 0
+(0,1):
+  lex_w2: d
+(1,1):
+  rule0 @ 0
+(1,2):
+  lex_w1: a(d2,d)
+  rule0 @ 1"""),
+    # (0,2) holds two active edges per rule: one has consumed the lexical
+    # a(d2,d), the other the derived b(d,d), so neither duplicates the other
+    ("ambiguous_grammar", "w1 w2", 14, 10, 2, """\
+(0,0):
+  rule0 @ 0
+  rule1 @ 0
+(0,1):
+  lex_w1: a(d2,d)
+  rule0 @ 1
+  rule1 @ 1
+(0,2):
+  rule0: a(d2,d)
+  rule1: b(d,d)
+  rule0 @ 1
+  rule1 @ 1
+  rule0 @ 1
+  rule1 @ 1
+(1,1):
+  rule0 @ 0
+  rule1 @ 0
+(1,2):
+  lex_w2: d"""),
+    ("chain_grammar", "p x", 9, 5, 1, """\
+(0,0):
+  rule0 @ 0
+  rule1 @ 0
+(0,1):
+  lex_p: tp
+  rule0: tq
+  rule1 @ 1
+(0,2):
+  rule1: ts
+(1,1):
+  rule0 @ 0
+  rule1 @ 0
+(1,2):
+  lex_x: tx"""),
+    ("self_feeding_grammar", "q", 3, 2, 2, """\
+(0,0):
+  rule0 @ 0
+(0,1):
+  lex_q: tq
+  rule0: tq"""),
+    ("self_feeding_grammar", "q q", 6, 4, 0, """\
+(0,0):
+  rule0 @ 0
+(0,1):
+  lex_q: tq
+  rule0: tq
+(1,1):
+  rule0 @ 0
+(1,2):
+  lex_q: tq
+  rule0: tq"""),
+]
+
+
+@pytest.mark.parametrize("fixture,sentence,items,pops,heads,dump", PINNED)
+def test_pinned_parses(request, fixture, sentence, items, pops, heads, dump):
+    g = request.getfixturevalue(fixture)
+    result = ChartParser(g, verify_undo=True).parse(sentence.split())
+    assert (result.items, result.pops, len(result.heads)) == (items, pops, heads)
+    assert result.chart.dump() == dump
+
+
+def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
+    h = toy_grammar.hierarchy
+    p = ChartParser(toy_grammar, verify_undo=True)
+    m = machine.MachineState(h)
+    info = toy_grammar.code.rules[0]
+    start = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
+    # a complete edge may be built from any term, tags and all
+    mid = p._combine(m, start, CompleteEdge(0, 1, "lex_w1", parse_term("a(d2,#5 d)", h)))
+    done = p._combine(m, mid, CompleteEdge(1, 2, "lex_w2", parse_term("d", h)))
+    assert isinstance(done, CompleteEdge) and done.source == "rule0"
+    assert terms.print_term(done.head) == "a(d2,d)"
+    chart = p.parse(["w1", "w2"]).chart
+    assert mid.key in {e.key for e in chart.cell(0, 1)}
+    assert done.key in {e.key for e in chart.cell(0, 2)}
+    assert p._start_compatible(m, done)
+    assert m.heap == [] and m.trail == [] and m.stack == []
+
+
+# -- verify_undo ----------------------------------------------------------------------
+
+def _undo_keeping_top_cell(m, mark):
+    while len(m.trail) > mark.trail:
+        a, old = m.trail.pop()
+        m.heap[a] = old
+    del m.heap[mark.heap + 1:]
+    del m.stack[mark.stack:]
+
+
+def _undo_keeping_trail(m, mark):
+    for a, old in reversed(m.trail[mark.trail:]):
+        m.heap[a] = old
+    del m.heap[mark.heap:]
+    del m.stack[mark.stack:]
+
+
+def _undo_keeping_stack(m, mark):
+    machine.MachineState.undo(m, mark)
+    m.stack.append(("copy", 0))
+
+
+@pytest.mark.parametrize("broken", [_undo_keeping_top_cell, _undo_keeping_trail,
+                                    _undo_keeping_stack])
+def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
+    h = toy_grammar.hierarchy
+    p = ChartParser(toy_grammar, verify_undo=True)
+    info = toy_grammar.code.rules[0]
+    active = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
+    complete = CompleteEdge(0, 1, "lex_w1", parse_term("a(d2,d)", h))
+    m = machine.MachineState(h)
+    monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
+    with pytest.raises(machine.MachineError, match="undo left"):
+        p._combine(m, active, complete)
+    m = machine.MachineState(h)
+    monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
+    with pytest.raises(machine.MachineError, match="undo left"):
+        p._start_compatible(m, complete)
+    # without the check the same breakage goes unnoticed
+    m = machine.MachineState(h)
+    monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
+    assert isinstance(ChartParser(toy_grammar)._combine(m, active, complete), ActiveEdge)

@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
 
+import oracle
 from tfsam import terms
+from tfsam.machine import STR, VAR, MachineState, RegSnapshot
 from tfsam.terms import (
-    BackRef, MostGeneral, Node, flatten, iso, iso_roots, most_general_term,
+    MRS, BackRef, MostGeneral, Node, flatten, iso, iso_roots, most_general_term,
     parse_mrs, parse_term, print_mrs, print_term, well_typed_check,
 )
 
@@ -244,3 +249,65 @@ def test_most_general_term_cuts_off_at_loop(loop_hierarchy):
     h = loop_hierarchy
     assert iso(most_general_term(h, "t"), parse_term("t(~t)", h))
     assert iso(most_general_term(h, "u"), parse_term("u(t(~t))", h))
+
+
+# -- compiled code as a canonical key --------------------------------------------
+
+def _key(roots):
+    return RegSnapshot((), tuple(roots))
+
+
+def _retagged(roots, h, prefix):
+    """An isomorphic copy of an MRS, re-parsed from its printed form with
+    every tag renamed."""
+    text = re.sub(r"#(\w+)", rf"#{prefix}\1", print_mrs(MRS(list(roots))))
+    return parse_mrs(text, h).roots
+
+
+def test_key_covers_root_and_live_registers(example_hierarchy):
+    # same equations, so the same code, but the second root shares the
+    # first's argument in one structure and the third root does in the other
+    h = example_hierarchy
+    x = _key(parse_mrs("a(bot,#1 d), #1, d", h).roots)
+    y = _key(parse_mrs("a(bot,#1 d), d, #1", h).roots)
+    assert x.code == y.code
+    assert x.root_regs != y.root_regs
+    assert x != y
+    d = parse_term("d", h)
+    assert RegSnapshot((1,), (d,)) != RegSnapshot((2,), (d,))
+
+
+def test_key_equal_exactly_when_iso():
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        h, _ = oracle.random_hierarchy(rng, allow_loops=True)
+        for _ in range(6):
+            a, b = oracle.random_pair(rng, h)
+            m = MachineState(h)
+            root = m.build_term(a)
+            nodes = [i for i, c in enumerate(m.heap) if c is not None and c[0] in (STR, VAR)]
+            addrs = [root] + rng.choices(nodes, k=rng.randint(1, 3))
+            addrs.append(m.build_term(b))
+            mrs = m.extract_multi(addrs)
+            perm = addrs[:]
+            rng.shuffle(perm)
+            alone = _retagged([m.extract(addrs[1])], h, "s")
+            cases = [
+                ([a], [b]),
+                ([a], _retagged([a], h, "x")),
+                ([a], [oracle.canonical(h, a)]),
+                ([oracle.canonical(h, a)], [oracle.canonical(h, _retagged([a], h, "y")[0])]),
+                ([a, b], [b, a]),
+                (mrs, _retagged(mrs, h, "z")),
+                (mrs, m.extract_multi(perm)),
+                (mrs, mrs[:1] + alone + mrs[2:]),
+                (mrs, mrs[:-1]),
+            ]
+            for x, y in cases:
+                same = iso_roots(x, y)
+                assert (_key(x) == _key(y)) == same, (print_mrs(MRS(x)), print_mrs(MRS(y)))
+                assert len({_key(x), _key(y)}) == (1 if same else 2)
+                seen[same] += 1
+    assert sum(seen.values()) >= 1000
+    assert min(seen.values()) >= 300
