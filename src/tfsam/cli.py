@@ -34,6 +34,10 @@ def main(argv=None) -> int:
     except parser.LimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the term parser, flatten and extract recurse once per nesting level
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
 
 
 def cmd_check(args) -> int:

@@ -110,7 +110,6 @@ class RuleInfo:
     body_root_regs: list[int]
     body_root_shared: list[bool]  # root register already bound by an earlier fragment
     head_root_reg: int
-    mrs: MRS
 
 
 @dataclass
@@ -201,7 +200,7 @@ def compile_rule_with_info(rule: MRS, rule_id, label, base) -> tuple[list, RuleI
     end = base + len(out)
     out.append(EndRule())
     info = RuleInfo(rule_id, label, base, body_len, frag_starts, head_start, end,
-                    eqs.roots[:body_len], shared, eqs.roots[body_len], rule)
+                    eqs.roots[:body_len], shared, eqs.roots[body_len])
     return out, info
 
 

@@ -9,11 +9,11 @@ through the trail, so any prefix of work can be undone exactly.
 
 Unifying two nodes looks up the precomputed plan for their pair of types,
 builds the result skeleton at the top of the heap, binds both operands to
-it, and then walks the argument pairs the plan scheduled on the global
-stack.  Binding both operands before recursing is what makes unification
-of cyclic structures terminate: when a cycle leads back to the pair being
-unified, both sides dereference to the same skeleton and the recursion
-bottoms out.
+it, and then settles the argument pairs the plan scheduled, depth first,
+from a worklist instead of recursing.  Binding both operands before their
+arguments is what makes unification of cyclic structures terminate: when
+a cycle leads back to the pair being unified, both sides dereference to
+the same skeleton and the pair is already settled.
 """
 
 from __future__ import annotations
@@ -218,13 +218,10 @@ class MachineState:
         r = self.regs if regs is None else regs
         if not self.stack:
             raise MachineError("unify_value on an empty stack")
+        if xi not in r:
+            raise MachineError(f"register X{xi} is unset")
         action, addr = self.stack.pop()
-        if action == "copy" and self.heap[addr] == (REF, addr):
-            self._set(addr, (REF, r[xi]))
-        else:
-            # a copy cell can be bound by a nested unification (through a
-            # cycle) before its action is popped; merge instead of overwrite
-            self._unify(addr, r[xi], set())
+        self._unify([(action, addr, r[xi])])
 
     # -- plans ---------------------------------------------------------------
 
@@ -268,64 +265,66 @@ class MachineState:
 
     def unify(self, a1, a2) -> bool:
         try:
-            self._unify(a1, a2, set())
+            self._unify([("unify", a1, a2)])
             return True
         except UnifyFailure:
             return False
 
-    def _unify(self, a1, a2, memo):
-        a1 = self.deref(a1)
-        a2 = self.deref(a2)
-        if a1 == a2:
-            return
-        c1 = self.cell(a1)
-        c2 = self.cell(a2)
-        if c1[0] is REF:
-            self.bind(a1, a2)
-            return
-        if c2[0] is REF:
-            self.bind(a2, a1)
-            return
-        # an unexpanded most-general structure of type t subsumes every
-        # well-typed structure whose type is at least t, so VAR cells can
-        # often be bound without materializing anything; expansion happens
-        # only when the other side must genuinely be retyped
-        if c1[0] is VAR and c2[0] is VAR:
-            t = self._join(c1[1], c2[1])
-            self._set(a1, (VAR, t))
-            self.bind(a2, a1)
-            return
-        if c1[0] is VAR:
-            if self._join(c1[1], c2[1]) == c2[1]:
+    def _unify(self, work):
+        """Settle a worklist of ``(action, cell, address)`` items until it is
+        empty.  An item settles when popped, not when pushed, since an earlier
+        item can bind a pending copy cell through a cycle: a ``"copy"`` cell
+        still unbound is pointed at the address, any other item unifies both.
+        A node pair's argument entries move from the stack to the worklist
+        reversed, so they settle depth first and in argument order."""
+        while work:
+            action, a1, a2 = work.pop()
+            if action == "copy" and self.heap[a1] == (REF, a1):
+                self._set(a1, (REF, a2))
+                continue
+            a1 = self.deref(a1)
+            a2 = self.deref(a2)
+            if a1 == a2:
+                continue
+            c1 = self.cell(a1)
+            c2 = self.cell(a2)
+            if c1[0] is REF:
                 self.bind(a1, a2)
-                return
-            base = self.build_most_general_fs(c1[1])
-            self.bind(a1, base)
-            a1, c1 = base, self.cell(base)
-        elif c2[0] is VAR:
-            if self._join(c1[1], c2[1]) == c1[1]:
+                continue
+            if c2[0] is REF:
                 self.bind(a2, a1)
-                return
-            base = self.build_most_general_fs(c2[1])
-            self.bind(a2, base)
-            a2, c2 = base, self.cell(base)
-        pair = (a1, a2) if a1 < a2 else (a2, a1)
-        if pair in memo:
-            return
-        memo.add(pair)
-        t1 = c1[1]
-        self.exec_plan(self.h.plan(t1, c2[1]), a2)
-        # bind the left operand to the result before walking arguments;
-        # cycles back into this pair then dereference to the same address
-        self.bind(a1, self.deref(a2))
-        for i in range(1, self.h.arity(t1) + 1):
-            action, cell = self.stack.pop()
-            if action == "copy" and self.heap[cell] == (REF, cell):
-                self._set(cell, (REF, a1 + i))
-            else:
-                # see exec_unify_value: a pending copy cell may have been
-                # bound through a cycle and then has to be unified
-                self._unify(cell, a1 + i, memo)
+                continue
+            # an unexpanded most-general structure of type t subsumes every
+            # well-typed structure whose type is at least t, so VAR cells can
+            # often be bound without materializing anything; expansion happens
+            # only when the other side must genuinely be retyped
+            if c1[0] is VAR and c2[0] is VAR:
+                t = self._join(c1[1], c2[1])
+                self._set(a1, (VAR, t))
+                self.bind(a2, a1)
+                continue
+            if c1[0] is VAR:
+                if self._join(c1[1], c2[1]) == c2[1]:
+                    self.bind(a1, a2)
+                    continue
+                base = self.build_most_general_fs(c1[1])
+                self.bind(a1, base)
+                a1, c1 = base, self.cell(base)
+            elif c2[0] is VAR:
+                if self._join(c1[1], c2[1]) == c1[1]:
+                    self.bind(a2, a1)
+                    continue
+                base = self.build_most_general_fs(c2[1])
+                self.bind(a2, base)
+                a2, c2 = base, self.cell(base)
+            self.exec_plan(self.h.plan(c1[1], c2[1]), a2)
+            # bind the left operand to the result before settling arguments;
+            # cycles back into this pair then dereference to the same address
+            self.bind(a1, self.deref(a2))
+            n = self.h.arity(c1[1])
+            for i in range(n, 0, -1):
+                work.append(self.stack[-i] + (a1 + i,))
+            del self.stack[len(self.stack) - n:]
 
     def _join(self, t1, t2) -> int:
         t = self.h.lub(t1, t2)

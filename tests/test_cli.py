@@ -1,11 +1,16 @@
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tfsam.cli import main
 
-from conftest import EXAMPLE_SPEC, TOY_GRAMMAR
+from conftest import EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -111,6 +116,17 @@ def test_unify_rejects_unknown_type(capsys, spec_file):
     assert "unknown type 'zz'" in err
 
 
+def test_unify_rejects_deep_nesting_without_traceback(capsys, tmp_path):
+    p = tmp_path / "loop.tfs"
+    p.write_text(LOOP_SPEC, encoding="utf-8")
+    deep = "t(" * 2000 + "~t" + ")" * 2000
+    code, out, err = run(capsys, "unify", str(p), deep, "~t")
+    assert code == 1
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+    assert "Traceback" not in err
+
+
 def test_unify_works_on_grammar_file(capsys, toy_file):
     code, out, _ = run(capsys, "unify", toy_file, "d1", "d")
     assert code == 0
@@ -166,3 +182,24 @@ def test_module_entry_point(spec_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "9 types, valid" in proc.stdout
+
+
+def test_readme_transcript(capsys, tmp_path, monkeypatch):
+    """Every ``$ tfsam`` line of the README's command-line section prints
+    the lines written under it, against the README's own grammar."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    grammar_text = next(body for lang, body in blocks if lang == "text")
+    transcript = next(body for _, body in blocks if "$ tfsam" in body)
+    (tmp_path / "toy.grammar").write_text(grammar_text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = re.findall(r"^\$ tfsam (.*)\n((?:.+\n)*)", transcript, re.M)
+    assert commands
+    for line, expected in commands:
+        argv, _, head = line.partition(" | head -")
+        code, out, err = run(capsys, *shlex.split(argv))
+        lines = out.splitlines()
+        if head:
+            lines = lines[:int(head)]
+        assert (code, err) == (0, ""), line
+        assert lines == expected.splitlines(), line

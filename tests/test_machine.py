@@ -143,6 +143,9 @@ def test_bad_accesses_are_reported(example_hierarchy):
     m.exec_put_node("a", 2, 1)
     with pytest.raises(MachineError, match="before it was written"):
         m.cell(m.reg(1) + 1)
+    m.stack.append(("copy", 0))
+    with pytest.raises(MachineError, match="register X7 is unset"):
+        m.exec_unify_value(7)
 
 
 # -- dereferencing ----------------------------------------------------------------
@@ -258,6 +261,42 @@ def test_unify_result_contains_introduced_features(example_hierarchy):
     out = oracle.machine_unify(h, parse_term("a(d2,d)", h),
                                parse_term("b(e(d,d1),d)", h))
     assert iso(out, parse_term("c(d2,e(d,d1),d,bot)", h))
+
+
+def build_chain(m, typ, depth):
+    """Build typ(typ(...~t)) with *depth* typ nodes from hand-written
+    equations, since the term parser and flatten recurse per level."""
+    eqs = terms.EquationSet(
+        [terms.Equation(i, typ, (i + 1,)) for i in range(1, depth + 1)]
+        + [terms.Equation(depth + 1, "~t", ())], [1], [depth + 1])
+    regs = {}
+    m.execute(compiler.compile_query(eqs), regs)
+    return regs[1]
+
+
+@pytest.mark.parametrize("entry", ["unify", "unify_value"])
+def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
+    h = loop_hierarchy
+    depth = 10_000
+    m = fresh(h)
+    left = build_chain(m, "t", depth)
+    right = build_chain(m, "u", depth)
+    if entry == "unify":
+        assert m.unify(left, right)
+    else:
+        m.stack.append(("unify", left))
+        m.exec_instr(UnifyValue(1), {1: right})
+    assert m.stack == []
+    # walk the result iteratively: extract recurses per level
+    for a in (left, right):
+        a = m.deref(a)
+        nodes = 0
+        while m.cell(a)[0] is STR:
+            assert m.cell(a)[1] == h.tid("u")
+            nodes += 1
+            a = m.deref(a + 1)
+        assert nodes == depth
+        assert m.cell(a) == (VAR, h.tid("t"))
 
 
 # -- unexpanded structures ----------------------------------------------------------
