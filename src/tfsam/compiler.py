@@ -17,6 +17,13 @@ with one register numbering for the whole rule, so reentrancies that span
 rule elements simply reuse registers.  A lexical entry compiles to query
 code only.  Input words compile to query code with an advance in front of
 each word.
+
+``compile_grammar`` also links, once, the code the parser runs: every
+body element's program code, the head's query code and every lexical
+entry's query code, each against the grammar's hierarchy
+(``machine.link``: type names become ids and arities are checked).  The
+parser executes those linked pieces as they are and never slices the
+code area.
 """
 
 from __future__ import annotations
@@ -110,6 +117,10 @@ class RuleInfo:
     body_root_regs: list[int]
     body_root_shared: list[bool]  # root register already bound by an earlier fragment
     head_root_reg: int
+    # program code of each body element and query code of the head, without
+    # the control instructions; linked by compile_grammar
+    body_code: list = field(default_factory=list, compare=False, repr=False)
+    head_code: object = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -121,6 +132,7 @@ class LexEntry:
     length: int
     root_reg: int
     term: object
+    code: object = field(default=(), compare=False, repr=False)  # linked query code
 
 
 @dataclass
@@ -186,21 +198,25 @@ def compile_rule_with_info(rule: MRS, rule_id, label, base) -> tuple[list, RuleI
     seen = set()
     frag_starts = []
     shared = []
+    body_code = []
     for m in range(body_len):
         frag_starts.append(base + len(out))
         shared.append(eqs.roots[m] in seen)
         frag = EquationSet(eqs.equations[bounds[m]:bounds[m + 1]], [eqs.roots[m]], [])
-        out.extend(compile_program(frag, seen))
+        body_code.append(compile_program(frag, seen))
+        out.extend(body_code[-1])
         out.append(MoveDot())
         out.append(NextItem())
     head_start = base + len(out)
     head = EquationSet(eqs.equations[bounds[body_len]:bounds[body_len + 1]],
                        [eqs.roots[body_len]], [])
-    out.extend(compile_query(head))
+    head_code = compile_query(head)
+    out.extend(head_code)
     end = base + len(out)
     out.append(EndRule())
     info = RuleInfo(rule_id, label, base, body_len, frag_starts, head_start, end,
-                    eqs.roots[:body_len], shared, eqs.roots[body_len])
+                    eqs.roots[:body_len], shared, eqs.roots[body_len],
+                    body_code, head_code)
     return out, info
 
 
@@ -217,12 +233,17 @@ def compile_input(words: MRS) -> list:
 
 
 def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
-    """Compile rule MRSs and lexical entries into one labeled code area."""
+    """Compile rule MRSs and lexical entries into one labeled code area,
+    and link the pieces the parser executes against *hierarchy*."""
+    from .machine import link     # the machine imports this module
+
     code = CodeArea()
     for i, rule in enumerate(rules):
         label = f"rule{i}"
         code.add_label(label)
         instrs, info = compile_rule_with_info(rule, i, label, len(code.instrs))
+        info.body_code = [link(frag, hierarchy) for frag in info.body_code]
+        info.head_code = link(info.head_code, hierarchy)
         code.extend(instrs)
         code.rules.append(info)
     for word, entries in lexicon.items():
@@ -233,7 +254,8 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
             instrs = compile_query(terms.flatten(term))
             code.extend(instrs)
             code.lexicon.setdefault(word, []).append(
-                LexEntry(word, k, label, start, len(instrs), 1, term))
+                LexEntry(word, k, label, start, len(instrs), 1, term,
+                         link(instrs, hierarchy)))
     return code
 
 

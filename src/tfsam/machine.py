@@ -14,6 +14,14 @@ from a worklist instead of recursing.  Binding both operands before their
 arguments is what makes unification of cyclic structures terminate: when
 a cycle leads back to the pair being unified, both sides dereference to
 the same skeleton and the pair is already settled.
+
+Instructions are linked before they run: ``link`` resolves every type name
+to its id, checks every arity against the hierarchy and builds the node
+cells once, and ``execute`` runs the resulting flat ops in a single
+dispatch loop.  The grammar's code is linked when it is compiled and a
+register snapshot's code the first time it is built; a plain instruction
+list is linked on entry to ``execute``, so nothing runs unless all of it
+links.
 """
 
 from __future__ import annotations
@@ -42,6 +50,78 @@ class Mark:
     stack: int
 
 
+# Opcodes of linked code.  A linked op is a tuple (opcode, a, b, c) whose
+# operands are ready to use: c is the register an op sets or reads, and
+#   PUT_NODE       a = the node's cells: its STR cell, then an empty slot
+#                      per feature;
+#   PUT_VAR        a = the VAR cell;
+#   PUT_ARC        a = the node's register, b = the arc's offset,
+#                  c = the target's register;
+#   GET_STRUCTURE  a = the STR cell to build if the register is unbound
+#                      (its type id also selects the plan),
+#                  b = the type's arity.
+PUT_NODE, PUT_VAR, PUT_ARC, GET_STRUCTURE, UNIFY_VARIABLE, UNIFY_VALUE = range(6)
+
+
+class Linked:
+    """Instructions linked against one hierarchy: one op per instruction."""
+    __slots__ = ("ops", "h")
+
+    def __init__(self, ops, h):
+        self.ops = ops
+        self.h = h
+
+    def __len__(self):
+        return len(self.ops)
+
+
+def link(instrs, h) -> Linked:
+    """Link compiled instructions against hierarchy *h*.
+
+    Type names become ids, node cells are built, and put_node and
+    get_structure arities are checked against the hierarchy, once.  Control
+    instructions are refused here, so code that links runs without any
+    further checks on the instructions themselves.  Every freshly compiled
+    snapshot is linked, so this loop is kept lean: it dispatches on the
+    exact class, several times faster than ``match``, and looks names up
+    in the hierarchy's table directly."""
+    ids = h.ids
+    arities = h.arities
+    ops = []
+    append = ops.append
+    try:
+        for ins in instrs:
+            cls = type(ins)
+            if cls is compiler.PutArc:
+                append((PUT_ARC, ins.reg, ins.offset, ins.target))
+            elif cls is compiler.PutNode:
+                t = ids[ins.type]
+                if ins.arity != arities[t]:
+                    raise _arity_error("put_node", ins)
+                append((PUT_NODE, ((STR, t),) + (None,) * ins.arity, None, ins.reg))
+            elif cls is compiler.GetStructure:
+                t = ids[ins.type]
+                if ins.arity != arities[t]:
+                    raise _arity_error("get_structure", ins)
+                append((GET_STRUCTURE, (STR, t), ins.arity, ins.reg))
+            elif cls is compiler.UnifyVariable:
+                append((UNIFY_VARIABLE, None, None, ins.reg))
+            elif cls is compiler.UnifyValue:
+                append((UNIFY_VALUE, None, None, ins.reg))
+            elif cls is compiler.PutVar:
+                append((PUT_VAR, (VAR, ids[ins.type]), None, ins.reg))
+            else:
+                raise MachineError(f"instruction {ins!r} is only valid under the parser")
+    except KeyError:
+        h.tid(ins.type)       # an unknown type name: raises the hierarchy's SpecError
+        raise
+    return Linked(tuple(ops), h)
+
+
+def _arity_error(op, ins):
+    return MachineError(f"{op} arity {ins.arity} does not match arity({ins.type})")
+
+
 @dataclass(frozen=True)
 class RegSnapshot:
     """Heap-independent copy of the live registers, restorable later.
@@ -49,9 +129,11 @@ class RegSnapshot:
     ``roots`` holds the contents of registers ``live`` read back as terms.
     The constructor flattens and compiles them once into query code that
     rebuilds every root with its sharing (``code``), plus the scratch
-    register holding each root (``root_regs``).  Restoring only executes
-    that code; a snapshot with no live registers, such as a chart edge's
-    head, is built with ``build_snapshot``.
+    register holding each root (``root_regs``).  The first machine to
+    build the snapshot links that code and the snapshot keeps it
+    (``linked``), so restoring it again only executes it; a snapshot with
+    no live registers, such as a chart edge's head, is built with
+    ``build_snapshot``.
 
     Flattening numbers registers in first-visit order over ordered arcs
     and emits one equation per node, so ``code`` and ``root_regs`` are a
@@ -63,11 +145,23 @@ class RegSnapshot:
     roots: tuple = field(compare=False)
     code: tuple = field(init=False, repr=False)
     root_regs: tuple[int, ...] = field(init=False)
+    linked: Linked | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         eqs = terms.flatten(terms.MRS(list(self.roots)))
         object.__setattr__(self, "code", tuple(compiler.compile_query(eqs)))
         object.__setattr__(self, "root_regs", tuple(eqs.roots))
+
+    def linked_for(self, h) -> Linked:
+        """``code`` linked against *h*, kept for the next build.  Empty
+        code is not kept, so an empty snapshot that lives as long as its
+        module holds no hierarchy."""
+        code = self.linked
+        if code is None or code.h is not h:
+            code = link(self.code, h)
+            if self.code:
+                object.__setattr__(self, "linked", code)
+        return code
 
 
 class MachineState:
@@ -141,59 +235,81 @@ class MachineState:
 
     # -- instruction execution ------------------------------------------------
 
-    def execute(self, instrs, regs=None):
-        for ins in instrs:
-            self.exec_instr(ins, regs)
+    def execute(self, code, regs=None):
+        """Run *code* in register file *regs* (the machine's own by default).
+
+        *code* is either ``Linked`` code or a plain instruction list, which
+        is linked first; either way every instruction is checked against
+        the hierarchy before the first one writes anything."""
+        if type(code) is not Linked:
+            code = link(code, self.h)
+        elif code.h is not self.h:
+            raise MachineError("code was linked against another hierarchy")
+        r = self.regs if regs is None else regs
+        heap = self.heap
+        trail = self.trail
+        stack = self.stack
+        for op, a, b, c in code.ops:
+            if op == PUT_ARC:
+                try:
+                    addr = r[a] + b
+                    target = r[c]
+                except KeyError:
+                    raise MachineError("put_arc register is unset") from None
+                trail.append((addr, heap[addr]))
+                heap[addr] = (REF, target)
+            elif op == PUT_NODE:
+                r[c] = len(heap)
+                heap.extend(a)
+            elif op == GET_STRUCTURE:
+                self._get_structure(a, b, c, r)
+            elif op == UNIFY_VARIABLE:
+                if not stack:
+                    raise MachineError("unify_variable on an empty stack")
+                r[c] = stack.pop()[1]
+            elif op == UNIFY_VALUE:
+                if not stack:
+                    raise MachineError("unify_value on an empty stack")
+                if c not in r:
+                    raise MachineError(f"register X{c} is unset")
+                action, addr = stack.pop()
+                self._unify([(action, addr, r[c])])
+            elif op == PUT_VAR:
+                r[c] = len(heap)
+                heap.append(a)
 
     def exec_instr(self, ins, regs=None) -> None:
-        r = self.regs if regs is None else regs
-        match ins:
-            case compiler.PutNode(t, n, xi):
-                self.exec_put_node(t, n, xi, r)
-            case compiler.PutVar(t, xi):
-                r[xi] = len(self.heap)
-                self.heap.append((VAR, self.h.tid(t)))
-            case compiler.PutArc(xi, k, xj):
-                self.exec_put_arc(xi, k, xj, r)
-            case compiler.GetStructure(t, n, xi):
-                self.exec_get_structure(t, n, xi, r)
-            case compiler.UnifyVariable(xi):
-                self.exec_unify_variable(xi, r)
-            case compiler.UnifyValue(xi):
-                self.exec_unify_value(xi, r)
-            case _:
-                raise MachineError(f"instruction {ins!r} is only valid under the parser")
+        self.execute([ins], regs)
 
     def exec_put_node(self, t, n, xi, regs=None):
-        r = self.regs if regs is None else regs
-        tid = self.h.tid(t)
-        if n != self.h.arity(tid):
-            raise MachineError(f"put_node arity {n} does not match arity({t})")
-        r[xi] = len(self.heap)
-        self.heap.append((STR, tid))
-        self.heap.extend([None] * n)
+        self.execute([compiler.PutNode(t, n, xi)], regs)
 
     def exec_put_arc(self, xi, k, xj, regs=None):
-        r = self.regs if regs is None else regs
-        if xi not in r or xj not in r:
-            raise MachineError("put_arc register is unset")
-        self._set(r[xi] + k, (REF, r[xj]))
+        self.execute([compiler.PutArc(xi, k, xj)], regs)
 
     def exec_get_structure(self, t, n, xi, regs=None):
-        r = self.regs if regs is None else regs
-        tid = self.h.tid(t)
-        if n != self.h.arity(tid):
-            raise MachineError(f"get_structure arity {n} does not match arity({t})")
+        self.execute([compiler.GetStructure(t, n, xi)], regs)
+
+    def exec_unify_variable(self, xi, regs=None):
+        self.execute([compiler.UnifyVariable(xi)], regs)
+
+    def exec_unify_value(self, xi, regs=None):
+        self.execute([compiler.UnifyValue(xi)], regs)
+
+    def _get_structure(self, node, n, xi, r):
+        """The get_structure op: match register *xi* against a node whose
+        STR cell is *node* and whose type has *n* features."""
         if xi not in r:
             raise MachineError(f"register X{xi} is unset")
         addr = self.deref(r[xi])
         r[xi] = addr
         c = self.cell(addr)
         if c[0] is REF:
-            # value not known yet: build the most general skeleton of t and
-            # schedule a copy action per argument, popped in argument order
+            # value not known yet: build the most general skeleton of the
+            # type and schedule a copy action per argument, popped in
+            # argument order
             base = len(self.heap)
-            self.heap.append((STR, tid))
+            self.heap.append(node)
             for j in range(1, n + 1):
                 self.heap.append((REF, base + j))
             for j in range(n, 0, -1):
@@ -205,23 +321,7 @@ class MachineState:
             self.bind(addr, base)
             addr = base
             c = self.cell(addr)
-        self.exec_plan(self.h.plan(tid, c[1]), addr)
-
-    def exec_unify_variable(self, xi, regs=None):
-        r = self.regs if regs is None else regs
-        if not self.stack:
-            raise MachineError("unify_variable on an empty stack")
-        _, addr = self.stack.pop()
-        r[xi] = addr
-
-    def exec_unify_value(self, xi, regs=None):
-        r = self.regs if regs is None else regs
-        if not self.stack:
-            raise MachineError("unify_value on an empty stack")
-        if xi not in r:
-            raise MachineError(f"register X{xi} is unset")
-        action, addr = self.stack.pop()
-        self._unify([(action, addr, r[xi])])
+        self.exec_plan(self.h.plans[node[1]][c[1]], addr)
 
     # -- plans ---------------------------------------------------------------
 
@@ -233,7 +333,7 @@ class MachineState:
             raise UnifyFailure(
                 f"{self.h.tname(plan.left)} and {self.h.tname(plan.right)} "
                 f"have no upper bound")
-        if plan.result == plan.right and self.h.arity(plan.left) == 0:
+        if plan.result == plan.right and self.h.arities[plan.left] == 0:
             return
         base = len(self.heap)
         self.heap.append((STR, plan.result))
@@ -317,11 +417,11 @@ class MachineState:
                 base = self.build_most_general_fs(c2[1])
                 self.bind(a2, base)
                 a2, c2 = base, self.cell(base)
-            self.exec_plan(self.h.plan(c1[1], c2[1]), a2)
+            self.exec_plan(self.h.plans[c1[1]][c2[1]], a2)
             # bind the left operand to the result before settling arguments;
             # cycles back into this pair then dereference to the same address
             self.bind(a1, self.deref(a2))
-            n = self.h.arity(c1[1])
+            n = self.h.arities[c1[1]]
             for i in range(n, 0, -1):
                 work.append(self.stack[-i] + (a1 + i,))
             del self.stack[len(self.stack) - n:]
@@ -342,7 +442,7 @@ class MachineState:
             return self._build_eager(tid, frozenset())
         base = len(self.heap)
         self.heap.append((STR, tid))
-        for v in self.h.approp_list(tid):
+        for v in self.h.approps[tid]:
             self.heap.append((VAR, v))
         return base
 
@@ -352,7 +452,7 @@ class MachineState:
                 f"appropriateness loop at type {self.h.tname(tid)}; "
                 f"eager expansion cannot terminate")
         base = len(self.heap)
-        vals = self.h.approp_list(tid)
+        vals = self.h.approps[tid]
         self.heap.append((STR, tid))
         self.heap.extend([None] * len(vals))
         for k, v in enumerate(vals, start=1):
@@ -371,7 +471,7 @@ class MachineState:
         """Execute a snapshot's compiled code in a scratch register file;
         returns the address of each root."""
         scratch = {}
-        self.execute(snap.code, scratch)
+        self.execute(snap.linked_for(self.h), scratch)
         return [scratch[r] for r in snap.root_regs]
 
     def build_term(self, term) -> int:
@@ -383,47 +483,55 @@ class MachineState:
     def extract_multi(self, addrs) -> list:
         """Read dereferenced graphs back as normal-form terms.
 
-        Nodes reachable more than once get tags, numbered in first-visit
-        order; sharing across the given roots is kept.  VAR cells read
-        back as the most general term of their type, self-references as
-        the most general term of bot.
+        Nodes reachable more than once get tags, numbered in the order
+        they are first met again; sharing across the given roots is kept.
+        VAR cells read back as the most general term of their type,
+        self-references as the most general term of bot.  Both passes
+        walk the graph depth first from an explicit stack, so a result of
+        any depth can be read.
         """
-        shared = []
+        h = self.h
+        arities = h.arities
+        deref = self.deref
+        cell = self.cell
+        tags = {}
         visited = set()
         for root in addrs:
-            stack = [self.deref(root)]
+            stack = [deref(root)]
             while stack:
                 a = stack.pop()
                 if a in visited:
-                    if a not in shared:
-                        shared.append(a)
+                    if a not in tags:
+                        tags[a] = str(len(tags) + 1)
                     continue
                 visited.add(a)
-                c = self.cell(a)
+                c = cell(a)
                 if c[0] is STR:
-                    n = self.h.arity(c[1])
-                    for k in range(n, 0, -1):
-                        stack.append(self.deref(a + k))
-        tags = {a: str(i + 1) for i, a in enumerate(shared)}
+                    for k in range(arities[c[1]], 0, -1):
+                        stack.append(deref(a + k))
+        # each stack entry is (argument list of the parent, address); a
+        # node's arguments are popped, and so appended, in argument order
         built = {}
-
-        def read(a):
-            if a in built:
-                return terms.BackRef(tags[a])
-            c = self.cell(a)
-            if c[0] is STR:
-                node = terms.Node(self.h.tname(c[1]), [], tags.get(a))
-                built[a] = node
-                n = self.h.arity(c[1])
-                node.args = [read(self.deref(a + k)) for k in range(1, n + 1)]
-                return node
-            t = terms.most_general_term(self.h, c[1]) if c[0] is VAR \
-                else terms.most_general_term(self.h, "bot")
-            t.tag = tags.get(a)
-            built[a] = t
-            return t
-
-        return [read(self.deref(root)) for root in addrs]
+        out = []
+        for root in addrs:
+            stack = [(out, root)]
+            while stack:
+                args, a = stack.pop()
+                a = deref(a)
+                if a in built:
+                    args.append(terms.BackRef(tags[a]))
+                    continue
+                c = cell(a)
+                if c[0] is STR:
+                    t = terms.Node(h.names[c[1]], [], tags.get(a))
+                    for k in range(arities[c[1]], 0, -1):
+                        stack.append((t.args, a + k))
+                else:
+                    t = terms.most_general_term(h, c[1] if c[0] is VAR else typesys.BOT)
+                    t.tag = tags.get(a)
+                built[a] = t
+                args.append(t)
+        return out
 
     def snapshot_regs(self) -> RegSnapshot:
         live = tuple(sorted(i for i, a in self.regs.items() if a is not None))

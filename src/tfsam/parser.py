@@ -6,7 +6,10 @@ pointers it carries a register snapshot, so edges stay valid after the
 heap is rewound.  A complete edge is its head term.  Every edge is
 compiled once, when it is made: a snapshot holds the query code that
 rebuilds its registers, and a complete edge holds a one-root snapshot of
-its head.
+its head.  That code is linked to type ids the first time it runs and
+kept linked; rule and lexicon code comes linked from ``compile_grammar``,
+one piece per body element, head and lexical entry, so the parser never
+slices the code area.
 
 Combining an active edge ending at k with a complete edge spanning (k, j)
 executes the active edge's code to restore its registers, executes the
@@ -144,7 +147,7 @@ class ChartParser:
                 raise UnknownWordError(w, i)
             for entry in entries:
                 scratch = {}
-                m.execute(code.instrs[entry.start:entry.start + entry.length], scratch)
+                m.execute(entry.code, scratch)
                 head = m.extract(scratch[entry.root_reg])
                 seeds.append(CompleteEdge(i, i + 1, entry.label, head))
         return self._run(m, words, seeds)
@@ -235,12 +238,10 @@ class ChartParser:
                     raise machine.UnifyFailure
             else:
                 m.set_reg(r, head_addr)
-            code = self.grammar.code.instrs
-            start, stop = _fragment_range(info, active.dot)
-            m.execute(code[start:stop])
+            m.execute(info.body_code[active.dot])
             dot = active.dot + 1
             if dot == info.body_len:
-                m.execute(code[info.head_start:info.end])
+                m.execute(info.head_code)
                 head = m.extract(m.reg(info.head_root_reg))
                 new = CompleteEdge(active.i, complete.j, info.label, head)
             else:
@@ -276,11 +277,3 @@ def _check_undo(m, mark, before):
         raise machine.MachineError("undo left the heap changed")
     if len(m.trail) != mark.trail or len(m.stack) != mark.stack:
         raise machine.MachineError("undo left the trail or the stack longer than its mark")
-
-
-def _fragment_range(info, dot):
-    """Addresses of body fragment *dot*'s program code, excluding the
-    move_dot/next_item pair that follows it."""
-    start = info.frag_starts[dot]
-    nxt = info.frag_starts[dot + 1] if dot + 1 < info.body_len else info.head_start
-    return start, nxt - 2

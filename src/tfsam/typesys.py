@@ -14,7 +14,9 @@ a step-by-step unification plan.
 
 Types and features are interned to dense integer ids at validation time;
 all per-type and per-pair tables are indexed by those ids.  Most methods
-of TypeHierarchy accept either an id or a name.
+of TypeHierarchy accept either an id or a name; the machine, which only
+holds ids, indexes the tables ``plans``, ``arities`` and ``approps``
+directly.
 """
 
 from __future__ import annotations
@@ -166,17 +168,17 @@ class TypeHierarchy:
         return self._lub[self.tid(a)][self.tid(b)]
 
     def plan(self, left, right) -> UnifyPlan:
-        return self._plans[self.tid(left)][self.tid(right)]
+        return self.plans[self.tid(left)][self.tid(right)]
 
     def features(self, t) -> tuple[str, ...]:
         return self._features[self.tid(t)]
 
     def arity(self, t) -> int:
-        return len(self._features[self.tid(t)])
+        return self.arities[self.tid(t)]
 
     def approp_list(self, t) -> tuple[int, ...]:
         """Value-type ids aligned with features(t)."""
-        return self._approp[self.tid(t)]
+        return self.approps[self.tid(t)]
 
     def approp(self, t, feature) -> int | None:
         tn = self.tid(t)
@@ -184,7 +186,7 @@ class TypeHierarchy:
             k = self._features[tn].index(feature)
         except ValueError:
             return None
-        return self._approp[tn][k]
+        return self.approps[tn][k]
 
     def introducer(self, feature) -> int:
         return self._introducer[feature]
@@ -321,9 +323,10 @@ class TypeHierarchy:
             features.append(tuple(fs))
             approp.append(tuple(vals))
         self._features = features
-        self._approp = approp
+        self.approps = approp
+        self.arities = [len(fs) for fs in features]
 
-        self._plans = [[self._make_plan(a, b) for b in range(n)] for a in range(n)]
+        self.plans = [[self._make_plan(a, b) for b in range(n)] for a in range(n)]
 
     def _make_plan(self, left, right):
         result = self._lub[left][right]
@@ -339,7 +342,7 @@ class TypeHierarchy:
             elif f in lf:
                 steps.append(LeftOnly())
             else:
-                steps.append(Introduced(self._approp[result][k]))
+                steps.append(Introduced(self.approps[result][k]))
         return UnifyPlan(left, right, result, tuple(steps))
 
 

@@ -1,3 +1,4 @@
+import os
 import re
 import shlex
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import tfsam
 from tfsam.cli import main
 
 from conftest import EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
@@ -93,12 +95,41 @@ def test_unify_fail_is_an_answer(capsys, spec_file):
     assert out.strip() == "FAIL"
 
 
-def test_unify_dump_heap(capsys, spec_file):
-    code, out, _ = run(capsys, "unify", spec_file, "d", "d", "--dump-heap")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "d"
-    assert lines[1] == "0: STR d"
+# full --dump-heap output, pinned so that no change to the machine moves a
+# cell unnoticed; keyed by (spec, left, right, path compression)
+DUMPED_HEAPS = {
+    ("example", "d", "d", True): ["d", "0: STR d"],
+    ("example", "d", "d", False): ["d", "0: STR d"],
+    ("example", "a(#1 d1,#1)", "b(b(#2 d,#2),d)", True): [
+        "c(#2 d1,b(#1 d,#1),#2,bot)",
+        "0: REF 4", "1: REF 3", "2: REF 3", "3: STR d1", "4: STR c", "5: REF 3",
+        "6: REF 9", "7: REF 3", "8: VAR bot", "9: STR b", "10: REF 12",
+        "11: REF 12", "12: STR d"],
+    ("example", "a(#1 d1,#1)", "b(b(#2 d,#2),d)", False): [
+        "c(#2 d1,b(#1 d,#1),#2,bot)",
+        "0: REF 4", "1: REF 3", "2: REF 3", "3: STR d1", "4: STR c", "5: REF 1",
+        "6: REF 9", "7: REF 2", "8: VAR bot", "9: STR b", "10: REF 12",
+        "11: REF 10", "12: STR d"],
+    ("loop", "#1 t(t(#1))", "#1 t(#1)", True): [
+        "#1 t(#1)",
+        "0: REF 6", "1: REF 2", "2: REF 6", "3: REF 6", "4: REF 6", "5: REF 6",
+        "6: STR t", "7: REF 6"],
+    ("loop", "#1 t(t(#1))", "#1 t(#1)", False): [
+        "#1 t(#1)",
+        "0: REF 4", "1: REF 2", "2: REF 6", "3: REF 0", "4: REF 6", "5: REF 1",
+        "6: STR t", "7: REF 5"],
+}
+
+
+def test_unify_dump_heap(capsys, spec_file, tmp_path):
+    loop_file = tmp_path / "loop.types"
+    loop_file.write_text(LOOP_SPEC, encoding="utf-8")
+    files = {"example": spec_file, "loop": str(loop_file)}
+    for (spec, left, right, compress), expected in DUMPED_HEAPS.items():
+        flags = [] if compress else ["--no-path-compression"]
+        code, out, err = run(capsys, "unify", files[spec], left, right, "--dump-heap", *flags)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == expected, (spec, left, right, compress)
 
 
 def test_unify_rejects_ill_typed_term(capsys, spec_file):
@@ -178,8 +209,11 @@ def test_parse_without_path_compression(capsys, toy_file):
 
 
 def test_module_entry_point(spec_file):
+    # the child imports the same tfsam as this test, installed or not
+    src = str(Path(tfsam.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "tfsam.cli", "check", spec_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "9 types, valid" in proc.stdout
 

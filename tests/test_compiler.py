@@ -1,6 +1,6 @@
 import pytest
 
-from tfsam import compiler, terms
+from tfsam import compiler, machine, terms
 from tfsam.compiler import (
     Advance, CompileError, EndRule, GetStructure, MoveDot, NextItem, PutArc,
     PutNode, PutVar, StartRule, UnifyValue, UnifyVariable, assemble,
@@ -141,6 +141,24 @@ def test_grammar_code_area_labels(toy_grammar):
     assert w1.root_reg == 1
     assert code.instrs[w1.start] == PutNode("a", 2, 1)
     assert w1.length == 5
+
+
+def test_grammar_links_the_code_the_parser_runs(toy_grammar):
+    # each rule element's code is its stretch of the code area without the
+    # control instructions, linked against the grammar's hierarchy
+    code = toy_grammar.code
+    h = toy_grammar.hierarchy
+    info = code.rules[0]
+    ends = [start - 2 for start in info.frag_starts[1:]] + [info.head_start - 2]
+    stretches = [code.instrs[a:b] for a, b in zip(info.frag_starts, ends)]
+    stretches.append(code.instrs[info.head_start:info.end])
+    pieces = info.body_code + [info.head_code]
+    pieces += [e.code for entries in code.lexicon.values() for e in entries]
+    stretches += [code.instrs[e.start:e.start + e.length]
+                  for entries in code.lexicon.values() for e in entries]
+    for piece, stretch in zip(pieces, stretches, strict=True):
+        assert isinstance(piece, machine.Linked) and piece.h is h
+        assert piece.ops == machine.link(stretch, h).ops
 
 
 def test_grammar_numbers_homonyms(example_hierarchy):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracle
-from tfsam import compiler, machine, terms
+from tfsam import compiler, machine, terms, typesys
 from tfsam.compiler import GetStructure, PutNode, StartRule, UnifyValue, UnifyVariable
 from tfsam.machine import REF, STR, VAR, MachineError, MachineState
 from tfsam.terms import flatten, iso, iso_roots, parse_term
@@ -126,6 +126,43 @@ def test_control_instructions_refuse_direct_execution(example_hierarchy):
                 compiler.EndRule(), compiler.Advance()]:
         with pytest.raises(MachineError, match="only valid under the parser"):
             m.exec_instr(ins)
+
+
+@pytest.mark.parametrize("prefix", ["query", "program"])
+@pytest.mark.parametrize("bad, error, match", [
+    (PutNode("a", 1, 9), MachineError, "put_node arity 1 does not match arity"),
+    (GetStructure("a", 3, 9), MachineError, "get_structure arity 3 does not match arity"),
+    (compiler.PutVar("zz", 9), typesys.SpecError, "unknown type 'zz'"),
+    (StartRule(1), MachineError, "only valid under the parser"),
+])
+def test_linking_checks_every_instruction_before_any_runs(example_hierarchy, prefix,
+                                                          bad, error, match):
+    # the earlier instructions would write cells and registers if they ran
+    h = example_hierarchy
+    m = fresh(h)
+    m.set_reg(1, m.build_term(parse_term("b(b(#1 d,#1),d)", h)))
+    compile_ = compiler.compile_query if prefix == "query" else compiler.compile_program
+    code = compile_(flatten(parse_term("b(b(#1 d,#1),d)", h))) + [bad]
+    before = (list(m.heap), list(m.trail), dict(m.regs), list(m.stack))
+    with pytest.raises(error, match=match):
+        m.execute(code)
+    assert (m.heap, m.trail, m.regs, m.stack) == before
+    scratch = {1: m.reg(1)}
+    with pytest.raises(error, match=match):
+        m.execute(code, scratch)
+    assert (m.heap, m.trail, m.regs, m.stack) == before
+    assert scratch == {1: m.reg(1)}
+
+
+def test_linked_code_runs_only_on_its_own_hierarchy(example_hierarchy, loop_hierarchy):
+    code = compiler.compile_query(flatten(parse_term("d", example_hierarchy)))
+    linked = machine.link(code, example_hierarchy)
+    assert len(linked) == len(code)
+    m = fresh(example_hierarchy)
+    m.execute(linked)
+    assert m.dump() == "0: STR d"
+    with pytest.raises(MachineError, match="another hierarchy"):
+        fresh(loop_hierarchy).execute(linked)
 
 
 def test_bad_accesses_are_reported(example_hierarchy):
@@ -287,7 +324,7 @@ def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
         m.stack.append(("unify", left))
         m.exec_instr(UnifyValue(1), {1: right})
     assert m.stack == []
-    # walk the result iteratively: extract recurses per level
+    # walk the result on the heap iteratively
     for a in (left, right):
         a = m.deref(a)
         nodes = 0
@@ -297,6 +334,15 @@ def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
             a = m.deref(a + 1)
         assert nodes == depth
         assert m.cell(a) == (VAR, h.tid("t"))
+    # read both results back: extraction walks from a stack as well
+    for a in (left, right):
+        t = m.extract(a)
+        nodes = 0
+        while t.type == "u":
+            nodes += 1
+            (t,) = t.args
+        assert nodes == depth
+        assert terms.print_term(t) == "t(~t)"
 
 
 # -- unexpanded structures ----------------------------------------------------------

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
 from tfsam import grammar, machine, parser, terms
 from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, UnknownWordError
 from tfsam.terms import iso, parse_term
 
-from conftest import EXAMPLE_SPEC
+from conftest import EXAMPLE_SPEC, TOY_GRAMMAR
 
 
 def test_toy_parse_accepts(toy_grammar):
@@ -339,3 +342,18 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     m = machine.MachineState(h)
     monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
     assert isinstance(ChartParser(toy_grammar)._combine(m, active, complete), ActiveEdge)
+
+
+def test_no_hierarchy_outlives_its_grammar():
+    # linked code holds its hierarchy, so nothing that lives longer than
+    # the grammar, such as the module's empty snapshot, may keep any
+    g = grammar.load_grammar(TOY_GRAMMAR)
+    result = ChartParser(g).parse(["w1", "w2"])
+    assert result.accepted
+    result = ChartParser(g).parse_terms([parse_term("a(d2,d1)", g.hierarchy),
+                                         parse_term("d1", g.hierarchy)])
+    assert result.accepted
+    ref = weakref.ref(g.hierarchy)
+    del g, result
+    gc.collect()
+    assert ref() is None
