@@ -8,22 +8,22 @@ against the heap) compile to one get_structure per equation followed by
 unify_variable for a register's first textual occurrence and unify_value
 for later ones; first-seen tracking spans the whole compiled fragment.
 
-A rule compiles to
+A rule compiles to pieces: the program code of each body element and
+the query code of the head, with one register numbering for the whole
+rule, so reentrancies that span rule elements simply reuse registers.  A
+lexical entry compiles to query code only.  The pieces are the rule:
+``compile_grammar`` links each of them, once, against the grammar's
+hierarchy (``machine.link``: type names become ids and arities are
+checked), and the parser executes those linked pieces as they are.
+
+The listing wraps a rule's pieces in control instructions,
 
     start_rule n; <program code body 1>; move_dot; next_item; ...
     <program code body n>; move_dot; next_item; <query code head>; end_rule
 
-with one register numbering for the whole rule, so reentrancies that span
-rule elements simply reuse registers.  A lexical entry compiles to query
-code only.  Input words compile to query code with an advance in front of
-each word.
-
-``compile_grammar`` also links, once, the code the parser runs: every
-body element's program code, the head's query code and every lexical
-entry's query code, each against the grammar's hierarchy
-(``machine.link``: type names become ids and arities are checked).  The
-parser executes those linked pieces as they are and never slices the
-code area.
+which mark where the parser moves the dot and starts a new item; nothing
+executes them.  ``CodeArea.instrs`` holds the listing of every rule and
+lexical entry, and its labels are the only addresses into it.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ class UnifyValue:
 
 
 @dataclass(frozen=True)
-class Advance:
-    pass
-
-
-@dataclass(frozen=True)
 class StartRule:
     body_len: int
 
@@ -102,25 +97,20 @@ class EndRule:
 
 
 Instruction = (PutNode | PutVar | PutArc | GetStructure | UnifyVariable
-               | UnifyValue | Advance | StartRule | MoveDot | NextItem | EndRule)
+               | UnifyValue | StartRule | MoveDot | NextItem | EndRule)
 
 
 @dataclass
 class RuleInfo:
     rule_id: int
     label: str
-    start: int                    # address of start_rule
-    body_len: int
-    frag_starts: list[int]        # first instruction of each body fragment
-    head_start: int               # first instruction of the head's query code
-    end: int                      # address of end_rule
     body_root_regs: list[int]
     body_root_shared: list[bool]  # root register already bound by an earlier fragment
     head_root_reg: int
     # program code of each body element and query code of the head, without
     # the control instructions; linked by compile_grammar
-    body_code: list = field(default_factory=list, compare=False, repr=False)
-    head_code: object = field(default=(), compare=False, repr=False)
+    body_code: list = field(compare=False, repr=False)
+    head_code: object = field(compare=False, repr=False)
 
 
 @dataclass
@@ -128,11 +118,9 @@ class LexEntry:
     word: str
     index: int
     label: str
-    start: int
-    length: int
     root_reg: int
     term: object
-    code: object = field(default=(), compare=False, repr=False)  # linked query code
+    code: object = field(compare=False, repr=False)  # linked query code
 
 
 @dataclass
@@ -183,79 +171,64 @@ def compile_program(eqs: EquationSet, seen=None) -> list:
 
 
 def compile_rule(rule: MRS) -> list:
-    instrs, _ = compile_rule_with_info(rule, rule_id=0, label="rule0", base=0)
-    return instrs
+    """The listing of one rule."""
+    info = compile_rule_with_info(rule, rule_id=0, label="rule0")
+    return rule_listing(info.body_code, info.head_code)
 
 
-def compile_rule_with_info(rule: MRS, rule_id, label, base) -> tuple[list, RuleInfo]:
+def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
+    """Compile a rule to its pieces, unlinked: the program code of each
+    body element and the query code of the head."""
     if not rule.is_rule or len(rule.roots) < 2:
         raise CompileError("a rule needs at least one body element and a head")
     eqs = terms.flatten(rule)
     bounds = [0] + eqs.boundaries
     body_len = len(rule.roots) - 1
 
-    out = [StartRule(body_len)]
     seen = set()
-    frag_starts = []
     shared = []
     body_code = []
     for m in range(body_len):
-        frag_starts.append(base + len(out))
         shared.append(eqs.roots[m] in seen)
         frag = EquationSet(eqs.equations[bounds[m]:bounds[m + 1]], [eqs.roots[m]], [])
         body_code.append(compile_program(frag, seen))
-        out.extend(body_code[-1])
-        out.append(MoveDot())
-        out.append(NextItem())
-    head_start = base + len(out)
     head = EquationSet(eqs.equations[bounds[body_len]:bounds[body_len + 1]],
                        [eqs.roots[body_len]], [])
-    head_code = compile_query(head)
-    out.extend(head_code)
-    end = base + len(out)
-    out.append(EndRule())
-    info = RuleInfo(rule_id, label, base, body_len, frag_starts, head_start, end,
-                    eqs.roots[:body_len], shared, eqs.roots[body_len],
-                    body_code, head_code)
-    return out, info
+    return RuleInfo(rule_id, label, eqs.roots[:body_len], shared, eqs.roots[body_len],
+                    body_code, compile_query(head))
 
 
-def compile_input(words: MRS) -> list:
-    """Query code for an input structure, one advance in front of each word.
-
-    Each word is flattened on its own, so registers restart at X1 per word.
-    """
-    out = []
-    for root in words.roots:
-        out.append(Advance())
-        out.extend(compile_query(terms.flatten(root)))
-    return out
+def rule_listing(body_code, head_code) -> list:
+    """Wrap a rule's unlinked pieces in the control instructions."""
+    out = [StartRule(len(body_code))]
+    for piece in body_code:
+        out += piece
+        out += [MoveDot(), NextItem()]
+    return out + head_code + [EndRule()]
 
 
 def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
-    """Compile rule MRSs and lexical entries into one labeled code area,
-    and link the pieces the parser executes against *hierarchy*."""
+    """Compile rule MRSs and lexical entries into one labeled listing, and
+    link the pieces the parser executes against *hierarchy*."""
     from .machine import link     # the machine imports this module
 
     code = CodeArea()
     for i, rule in enumerate(rules):
         label = f"rule{i}"
         code.add_label(label)
-        instrs, info = compile_rule_with_info(rule, i, label, len(code.instrs))
+        info = compile_rule_with_info(rule, i, label)
+        code.extend(rule_listing(info.body_code, info.head_code))
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
-        code.extend(instrs)
         code.rules.append(info)
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):
             label = f"lex_{word}" if len(entries) == 1 else f"lex_{word}_{k + 1}"
             code.add_label(label)
-            start = len(code.instrs)
             instrs = compile_query(terms.flatten(term))
             code.extend(instrs)
             code.lexicon.setdefault(word, []).append(
-                LexEntry(word, k, label, start, len(instrs), 1, term,
-                         link(instrs, hierarchy)))
+                LexEntry(word, k, label, 1, term, link(instrs, hierarchy)))
     return code
 
 
@@ -275,8 +248,6 @@ def format_instruction(ins) -> str:
             return f"unify_variable X{r}"
         case UnifyValue(r):
             return f"unify_value X{r}"
-        case Advance():
-            return "advance"
         case StartRule(n):
             return f"start_rule {n}"
         case MoveDot():
@@ -307,58 +278,3 @@ def disassemble(code) -> str:
         lines.append(f"{name}:")
     return "\n".join(lines)
 
-
-def assemble(text) -> CodeArea:
-    """Parse a disassembly listing back into a code area (labels only)."""
-    code = CodeArea()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if line.endswith(":"):
-            code.add_label(line[:-1])
-            continue
-        op, _, rest = line.partition(" ")
-        args = rest.replace(" ", "")
-        code.instrs.append(_parse_instruction(op, args, line))
-    return code
-
-
-def _parse_instruction(op, args, line):
-    def reg(s):
-        if not s.startswith("X"):
-            raise CompileError(f"bad register {s!r} in {line!r}")
-        return int(s[1:])
-
-    try:
-        match op:
-            case "put_node" | "get_structure":
-                typed, r = args.split(",")
-                t, n = typed.split("/")
-                cls = PutNode if op == "put_node" else GetStructure
-                return cls(t, int(n), reg(r))
-            case "put_var":
-                t, r = args.split(",")
-                return PutVar(t, reg(r))
-            case "put_arc":
-                r, k, j = args.split(",")
-                return PutArc(reg(r), int(k), reg(j))
-            case "unify_variable":
-                return UnifyVariable(reg(args))
-            case "unify_value":
-                return UnifyValue(reg(args))
-            case "advance":
-                return Advance()
-            case "start_rule":
-                return StartRule(int(args))
-            case "move_dot":
-                return MoveDot()
-            case "next_item":
-                return NextItem()
-            case "end_rule":
-                return EndRule()
-    except CompileError:
-        raise
-    except Exception as e:
-        raise CompileError(f"cannot parse instruction {line!r}: {e}") from None
-    raise CompileError(f"unknown instruction {op!r} in {line!r}")

@@ -278,24 +278,6 @@ class MachineState:
                 r[c] = len(heap)
                 heap.append(a)
 
-    def exec_instr(self, ins, regs=None) -> None:
-        self.execute([ins], regs)
-
-    def exec_put_node(self, t, n, xi, regs=None):
-        self.execute([compiler.PutNode(t, n, xi)], regs)
-
-    def exec_put_arc(self, xi, k, xj, regs=None):
-        self.execute([compiler.PutArc(xi, k, xj)], regs)
-
-    def exec_get_structure(self, t, n, xi, regs=None):
-        self.execute([compiler.GetStructure(t, n, xi)], regs)
-
-    def exec_unify_variable(self, xi, regs=None):
-        self.execute([compiler.UnifyVariable(xi)], regs)
-
-    def exec_unify_value(self, xi, regs=None):
-        self.execute([compiler.UnifyValue(xi)], regs)
-
     def _get_structure(self, node, n, xi, r):
         """The get_structure op: match register *xi* against a node whose
         STR cell is *node* and whose type has *n* features."""

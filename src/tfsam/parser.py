@@ -8,8 +8,8 @@ compiled once, when it is made: a snapshot holds the query code that
 rebuilds its registers, and a complete edge holds a one-root snapshot of
 its head.  That code is linked to type ids the first time it runs and
 kept linked; rule and lexicon code comes linked from ``compile_grammar``,
-one piece per body element, head and lexical entry, so the parser never
-slices the code area.
+one piece per body element, head and lexical entry, and the parser never
+reads the listing.
 
 Combining an active edge ending at k with a complete edge spanning (k, j)
 executes the active edge's code to restore its registers, executes the
@@ -60,13 +60,6 @@ class ActiveEdge:
     info: object            # RuleInfo of the rule being matched
     dot: int                # body elements already matched
     snapshot: machine.RegSnapshot
-
-    @property
-    def to_see(self):
-        """Code address where matching resumes."""
-        if self.dot < self.info.body_len:
-            return self.info.frag_starts[self.dot]
-        return self.info.head_start
 
     @property
     def key(self):
@@ -240,7 +233,7 @@ class ChartParser:
                 m.set_reg(r, head_addr)
             m.execute(info.body_code[active.dot])
             dot = active.dot + 1
-            if dot == info.body_len:
+            if dot == len(info.body_code):
                 m.execute(info.head_code)
                 head = m.extract(m.reg(info.head_root_reg))
                 new = CompleteEdge(active.i, complete.j, info.label, head)

@@ -307,49 +307,45 @@ def flatten(t) -> EquationSet:
     Registers are numbered from X1 in first-visit order: a node's
     arguments are numbered left to right when its equation is emitted,
     then each new argument is flattened in turn.  Numbering and tag scope
-    are continuous across the roots of an MRS.
+    are continuous across the roots of an MRS.  The nodes still to emit
+    wait on an explicit stack, so a term of any depth can be flattened.
     """
     roots = t.roots if isinstance(t, MRS) else [t]
     defs = {}
     for r in roots:
         _collect_tags(r, defs)
-    reg_of = {}
-    next_reg = [1]
+    reg_of = {}          # id(node) -> register, given when the node is first met
     equations = []
-    scheduled = set()
-
-    def assign(x):
-        node = defs[x.tag] if isinstance(x, BackRef) else x
-        key = id(node)
-        if key not in reg_of:
-            reg_of[key] = next_reg[0]
-            next_reg[0] += 1
-        return reg_of[key], node
-
-    def emit(node, reg):
-        if isinstance(node, MostGeneral):
-            equations.append(Equation(reg, "~" + node.type, ()))
-            return
-        arg_regs = []
-        pending = []
-        for a in node.args:
-            r, n = assign(a)
-            arg_regs.append(r)
-            if id(n) not in scheduled:
-                scheduled.add(id(n))
-                pending.append((n, r))
-        equations.append(Equation(reg, node.type, tuple(arg_regs)))
-        for n, r in pending:
-            emit(n, r)
-
     root_regs = []
     boundaries = []
-    for r in roots:
-        reg, node = assign(r)
-        root_regs.append(reg)
-        if id(node) not in scheduled:
-            scheduled.add(id(node))
-            emit(node, reg)
+    for root in roots:
+        if type(root) is BackRef:
+            root = defs[root.tag]
+        root_reg = reg_of.get(id(root))
+        if root_reg is None:
+            root_reg = reg_of[id(root)] = len(reg_of) + 1
+            # each entry is (node, register); a node's new arguments are
+            # pushed reversed, so they are emitted in argument order, each
+            # with everything first met under it
+            stack = [(root, root_reg)]
+            while stack:
+                node, reg = stack.pop()
+                if type(node) is MostGeneral:
+                    equations.append(Equation(reg, "~" + node.type, ()))
+                    continue
+                arg_regs = []
+                pending = []
+                for a in node.args:
+                    if type(a) is BackRef:
+                        a = defs[a.tag]
+                    r = reg_of.get(id(a))
+                    if r is None:
+                        r = reg_of[id(a)] = len(reg_of) + 1
+                        pending.append((a, r))
+                    arg_regs.append(r)
+                equations.append(Equation(reg, node.type, tuple(arg_regs)))
+                stack += reversed(pending)
+        root_regs.append(root_reg)
         boundaries.append(len(equations))
     return EquationSet(equations, root_regs, boundaries)
 

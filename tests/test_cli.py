@@ -10,9 +10,11 @@ import pytest
 import tfsam
 from tfsam.cli import main
 
+import conftest
 from conftest import EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -62,19 +64,37 @@ def test_missing_file(capsys):
     assert "error:" in err
 
 
-def test_compile_summary(capsys, toy_file):
+def readme_grammar():
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    return next(body for lang, body in blocks if lang == "text")
+
+
+GRAMMARS = {"readme": readme_grammar(), "toy": conftest.TOY_GRAMMAR,
+            "ambiguous": conftest.AMBIGUOUS_GRAMMAR, "chain": conftest.CHAIN_GRAMMAR,
+            "self_feeding": conftest.SELF_FEEDING_GRAMMAR}
+
+
+def check_compile_goldens(capsys, tmp_path, suffix, *flags):
+    """``tfsam compile`` prints golden/<grammar>.<suffix>.txt byte for byte
+    for the README grammar and each test grammar."""
+    for name, text in GRAMMARS.items():
+        p = tmp_path / f"{name}.grammar"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "compile", str(p), *flags)
+        assert (code, err) == (0, ""), name
+        assert out == (GOLDEN / f"{name}.{suffix}.txt").read_text(encoding="utf-8"), name
+
+
+def test_compile_summary(capsys, toy_file, tmp_path):
     code, out, _ = run(capsys, "compile", toy_file)
     assert code == 0
     assert out.strip() == "22 instructions, 1 rules, 2 lexical entries"
+    check_compile_goldens(capsys, tmp_path, "compile")
 
 
-def test_compile_disasm(capsys, toy_file):
-    code, out, _ = run(capsys, "compile", toy_file, "--disasm")
-    assert code == 0
-    assert "rule0:" in out
-    assert "lex_w1:" in out
-    assert "get_structure a/2,X1" in out
-    assert "end_rule" in out
+def test_compile_disasm(capsys, tmp_path):
+    check_compile_goldens(capsys, tmp_path, "disasm", "--disasm")
 
 
 def test_unify_success(capsys, spec_file):
@@ -218,14 +238,18 @@ def test_module_entry_point(spec_file):
     assert "9 types, valid" in proc.stdout
 
 
+def test_public_names_resolve():
+    # __all__ must not outlive a name the package no longer has
+    assert [name for name in tfsam.__all__ if getattr(tfsam, name, None) is None] == []
+
+
 def test_readme_transcript(capsys, tmp_path, monkeypatch):
     """Every ``$ tfsam`` line of the README's command-line section prints
     the lines written under it, against the README's own grammar."""
     blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"),
                         re.M | re.S)
-    grammar_text = next(body for lang, body in blocks if lang == "text")
     transcript = next(body for _, body in blocks if "$ tfsam" in body)
-    (tmp_path / "toy.grammar").write_text(grammar_text, encoding="utf-8")
+    (tmp_path / "toy.grammar").write_text(readme_grammar(), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     commands = re.findall(r"^\$ tfsam (.*)\n((?:.+\n)*)", transcript, re.M)
     assert commands

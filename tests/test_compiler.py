@@ -2,10 +2,10 @@ import pytest
 
 from tfsam import compiler, machine, terms
 from tfsam.compiler import (
-    Advance, CompileError, EndRule, GetStructure, MoveDot, NextItem, PutArc,
-    PutNode, PutVar, StartRule, UnifyValue, UnifyVariable, assemble,
-    compile_grammar, compile_input, compile_program, compile_query,
-    compile_rule_with_info, disassemble,
+    CompileError, EndRule, GetStructure, MoveDot, NextItem, PutArc, PutNode,
+    PutVar, StartRule, UnifyValue, UnifyVariable, compile_grammar,
+    compile_program, compile_query, compile_rule, compile_rule_with_info,
+    disassemble, rule_listing,
 )
 from tfsam.terms import flatten, parse_mrs, parse_term
 
@@ -63,73 +63,51 @@ def test_program_seen_set_spans_fragments(example_hierarchy):
 
 def test_rule_layout(example_hierarchy):
     rule = parse_mrs("a(bot,#3 d), d => a(d2,#3)", example_hierarchy)
-    instrs, info = compile_rule_with_info(rule, rule_id=0, label="rule0", base=0)
-    assert instrs == [
-        StartRule(2),
-        GetStructure("a", 2, 1),
-        UnifyVariable(2),
-        UnifyVariable(3),
-        GetStructure("bot", 0, 2),
-        GetStructure("d", 0, 3),
-        MoveDot(),
-        NextItem(),
-        GetStructure("d", 0, 4),
-        MoveDot(),
-        NextItem(),
+    info = compile_rule_with_info(rule, rule_id=0, label="rule0")
+    assert info.body_code == [
+        [GetStructure("a", 2, 1),
+         UnifyVariable(2),
+         UnifyVariable(3),
+         GetStructure("bot", 0, 2),
+         GetStructure("d", 0, 3)],
+        [GetStructure("d", 0, 4)],
+    ]
+    assert info.head_code == [
         PutNode("a", 2, 5),
         PutNode("d2", 0, 6),
         PutArc(5, 1, 6),
         PutArc(5, 2, 3),   # reentrancy with the first body element
-        EndRule(),
     ]
-    assert info.start == 0
-    assert info.body_len == 2
-    assert info.frag_starts == [1, 8]
-    assert info.head_start == 11
-    assert info.end == 15
     assert info.body_root_regs == [1, 4]
     assert info.body_root_shared == [False, False]
     assert info.head_root_reg == 5
-
-
-def test_rule_layout_respects_base_offset(example_hierarchy):
-    rule = parse_mrs("a(bot,#3 d), d => a(d2,#3)", example_hierarchy)
-    _, info = compile_rule_with_info(rule, rule_id=1, label="rule1", base=40)
-    assert info.start == 40
-    assert info.frag_starts == [41, 48]
-    assert info.head_start == 51
-    assert info.end == 55
+    # the listing wraps the same pieces in the control instructions
+    assert compile_rule(rule) == [
+        StartRule(2),
+        *info.body_code[0],
+        MoveDot(),
+        NextItem(),
+        *info.body_code[1],
+        MoveDot(),
+        NextItem(),
+        *info.head_code,
+        EndRule(),
+    ]
 
 
 def test_rule_marks_body_root_bound_by_earlier_fragment(example_hierarchy):
     rule = parse_mrs("#1 a(bot,d), #1 => a(d2,d)", example_hierarchy)
-    instrs, info = compile_rule_with_info(rule, 0, "rule0", base=0)
+    info = compile_rule_with_info(rule, 0, "rule0")
     assert info.body_root_regs == [1, 1]
     assert info.body_root_shared == [False, True]
     # the second fragment has no equations of its own
-    assert instrs[info.frag_starts[1]:info.frag_starts[1] + 2] == [
-        MoveDot(), NextItem(),
-    ]
+    assert info.body_code[1] == []
 
 
 def test_rule_needs_body_and_head(example_hierarchy):
     not_a_rule = parse_mrs("d, d1", example_hierarchy)
     with pytest.raises(CompileError, match="body"):
-        compile_rule_with_info(not_a_rule, 0, "r", 0)
-
-
-def test_input_words_are_independent(example_hierarchy):
-    words = parse_mrs("a(d2,d), d", example_hierarchy)
-    assert compile_input(words) == [
-        Advance(),
-        PutNode("a", 2, 1),
-        PutNode("d2", 0, 2),
-        PutNode("d", 0, 3),
-        PutArc(1, 1, 2),
-        PutArc(1, 2, 3),
-        Advance(),
-        PutNode("d", 0, 1),
-    ]
+        compile_rule_with_info(not_a_rule, 0, "r")
 
 
 def test_grammar_code_area_labels(toy_grammar):
@@ -139,26 +117,32 @@ def test_grammar_code_area_labels(toy_grammar):
     assert [info.label for info in code.rules] == ["rule0"]
     w1 = code.lexicon["w1"][0]
     assert w1.root_reg == 1
-    assert code.instrs[w1.start] == PutNode("a", 2, 1)
-    assert w1.length == 5
+    assert code.instrs[code.labels["lex_w1"]] == PutNode("a", 2, 1)
+    assert len(w1.code) == 5
+    assert code.labels["lex_w2"] == code.labels["lex_w1"] + 5
 
 
 def test_grammar_links_the_code_the_parser_runs(toy_grammar):
-    # each rule element's code is its stretch of the code area without the
-    # control instructions, linked against the grammar's hierarchy
+    # each rule element's and lexical entry's code is its compiled piece,
+    # linked against the grammar's hierarchy; the listing wraps the same
+    # pieces, each rule's in its control instructions
     code = toy_grammar.code
     h = toy_grammar.hierarchy
-    info = code.rules[0]
-    ends = [start - 2 for start in info.frag_starts[1:]] + [info.head_start - 2]
-    stretches = [code.instrs[a:b] for a, b in zip(info.frag_starts, ends)]
-    stretches.append(code.instrs[info.head_start:info.end])
-    pieces = info.body_code + [info.head_code]
-    pieces += [e.code for entries in code.lexicon.values() for e in entries]
-    stretches += [code.instrs[e.start:e.start + e.length]
-                  for entries in code.lexicon.values() for e in entries]
-    for piece, stretch in zip(pieces, stretches, strict=True):
+    linked, pieces, listing = [], [], []
+    for rule, info in zip(toy_grammar.rules, code.rules, strict=True):
+        fresh = compile_rule_with_info(rule, info.rule_id, info.label)
+        linked += info.body_code + [info.head_code]
+        pieces += fresh.body_code + [fresh.head_code]
+        listing += rule_listing(fresh.body_code, fresh.head_code)
+    for word, entries in toy_grammar.lexicon.items():
+        for entry, term in zip(code.lexicon[word], entries, strict=True):
+            linked.append(entry.code)
+            pieces.append(compile_query(flatten(term)))
+            listing += pieces[-1]
+    for piece, instrs in zip(linked, pieces, strict=True):
         assert isinstance(piece, machine.Linked) and piece.h is h
-        assert piece.ops == machine.link(stretch, h).ops
+        assert piece.ops == machine.link(instrs, h).ops
+    assert code.instrs == listing
 
 
 def test_grammar_numbers_homonyms(example_hierarchy):
@@ -179,19 +163,3 @@ def test_disassemble_golden(example_hierarchy):
         "get_structure d1/0,X2"
     )
 
-
-def test_disassemble_assemble_round_trip(toy_grammar):
-    listing = disassemble(toy_grammar.code)
-    code = assemble(listing)
-    assert code.instrs == toy_grammar.code.instrs
-    assert code.labels == toy_grammar.code.labels
-    assert disassemble(code) == listing
-
-
-def test_assemble_rejects_garbage():
-    with pytest.raises(CompileError, match="unknown instruction"):
-        assemble("jump X1")
-    with pytest.raises(CompileError, match="bad register"):
-        assemble("unify_value Y1")
-    with pytest.raises(CompileError, match="cannot parse"):
-        assemble("put_node a,X1")

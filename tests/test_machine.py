@@ -4,7 +4,8 @@ import pytest
 
 import oracle
 from tfsam import compiler, machine, terms, typesys
-from tfsam.compiler import GetStructure, PutNode, StartRule, UnifyValue, UnifyVariable
+from tfsam.compiler import (GetStructure, PutArc, PutNode, StartRule, UnifyValue,
+                            UnifyVariable)
 from tfsam.machine import REF, STR, VAR, MachineError, MachineState
 from tfsam.terms import flatten, iso, iso_roots, parse_term
 
@@ -117,15 +118,15 @@ def test_program_code_fails_on_clash(example_hierarchy):
 def test_put_node_arity_must_match(example_hierarchy):
     m = fresh(example_hierarchy)
     with pytest.raises(MachineError, match="arity"):
-        m.exec_put_node("a", 1, 1)
+        m.execute([PutNode("a", 1, 1)])
 
 
 def test_control_instructions_refuse_direct_execution(example_hierarchy):
     m = fresh(example_hierarchy)
     for ins in [StartRule(1), compiler.MoveDot(), compiler.NextItem(),
-                compiler.EndRule(), compiler.Advance()]:
+                compiler.EndRule()]:
         with pytest.raises(MachineError, match="only valid under the parser"):
-            m.exec_instr(ins)
+            m.execute([ins])
 
 
 @pytest.mark.parametrize("prefix", ["query", "program"])
@@ -172,17 +173,17 @@ def test_bad_accesses_are_reported(example_hierarchy):
     with pytest.raises(MachineError, match="register X5 is unset"):
         m.reg(5)
     with pytest.raises(MachineError, match="empty stack"):
-        m.exec_unify_variable(1)
+        m.execute([UnifyVariable(1)])
     with pytest.raises(MachineError, match="empty stack"):
-        m.exec_unify_value(1)
+        m.execute([UnifyValue(1)])
     with pytest.raises(MachineError, match="unset"):
-        m.exec_put_arc(1, 1, 2)
-    m.exec_put_node("a", 2, 1)
+        m.execute([PutArc(1, 1, 2)])
+    m.execute([PutNode("a", 2, 1)])
     with pytest.raises(MachineError, match="before it was written"):
         m.cell(m.reg(1) + 1)
     m.stack.append(("copy", 0))
     with pytest.raises(MachineError, match="register X7 is unset"):
-        m.exec_unify_value(7)
+        m.execute([UnifyValue(7)])
 
 
 # -- dereferencing ----------------------------------------------------------------
@@ -300,14 +301,16 @@ def test_unify_result_contains_introduced_features(example_hierarchy):
     assert iso(out, parse_term("c(d2,e(d,d1),d,bot)", h))
 
 
-def build_chain(m, typ, depth):
+def build_chain(m, typ, depth, cyclic=False):
     """Build typ(typ(...~t)) with *depth* typ nodes from hand-written
-    equations, since the term parser and flatten recurse per level."""
-    eqs = terms.EquationSet(
-        [terms.Equation(i, typ, (i + 1,)) for i in range(1, depth + 1)]
-        + [terms.Equation(depth + 1, "~t", ())], [1], [depth + 1])
+    equations, since the term parser recurses per level.  A *cyclic* chain
+    ends in a pointer back to its first node instead of ~t."""
+    eqs = [terms.Equation(i, typ, (i + 1,)) for i in range(1, depth)]
+    eqs.append(terms.Equation(depth, typ, (1,) if cyclic else (depth + 1,)))
+    if not cyclic:
+        eqs.append(terms.Equation(depth + 1, "~t", ()))
     regs = {}
-    m.execute(compiler.compile_query(eqs), regs)
+    m.execute(compiler.compile_query(terms.EquationSet(eqs, [1], [len(eqs)])), regs)
     return regs[1]
 
 
@@ -322,7 +325,7 @@ def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
         assert m.unify(left, right)
     else:
         m.stack.append(("unify", left))
-        m.exec_instr(UnifyValue(1), {1: right})
+        m.execute([UnifyValue(1)], {1: right})
     assert m.stack == []
     # walk the result on the heap iteratively
     for a in (left, right):
@@ -343,6 +346,30 @@ def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
             (t,) = t.args
         assert nodes == depth
         assert terms.print_term(t) == "t(~t)"
+
+
+def test_snapshot_of_deep_chain_without_recursion(loop_hierarchy):
+    # flattening a snapshot's roots walks from a stack, like unify and
+    # extract; cyclic chains, since a ~t leaf reads back one level deeper
+    h = loop_hierarchy
+    depth = 10_000
+    m = fresh(h)
+    left = build_chain(m, "t", depth, cyclic=True)
+    assert m.unify(left, build_chain(m, "u", depth, cyclic=True))
+    m.set_reg(1, left)
+    expected = m.extract(left)
+    snap = m.snapshot_regs()
+    assert len(snap.code) == 2 * depth
+    other = fresh(h)
+    other.restore_regs(snap)
+    restored = other.extract(other.reg(1))
+    assert iso(restored, expected)
+    nodes = 0
+    while isinstance(restored, terms.Node):
+        assert restored.type == "u"
+        nodes += 1
+        (restored,) = restored.args
+    assert nodes == depth and isinstance(restored, terms.BackRef)
 
 
 # -- unexpanded structures ----------------------------------------------------------

@@ -50,13 +50,6 @@ def test_initial_chart_contents(toy_grammar):
     assert [e.source for e in lexical] == ["lex_w1"]
 
 
-def test_active_edge_resume_addresses(toy_grammar):
-    info = toy_grammar.code.rules[0]
-    assert ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT).to_see == info.frag_starts[0]
-    assert ActiveEdge(0, 1, info, 1, parser.EMPTY_SNAPSHOT).to_see == info.frag_starts[1]
-    assert ActiveEdge(0, 2, info, 2, parser.EMPTY_SNAPSHOT).to_see == info.head_start
-
-
 def test_unary_chain_edge_meets_later_complete(chain_grammar):
     # rule tq, tx => ts can only advance past tx after the unary rule
     # tp => tq has produced tq, by which time tx has left the agenda
