@@ -35,7 +35,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the term parser and printer recurse once per nesting level
+        # the term parser recurses once per nesting level
         print("error: input nested too deeply", file=sys.stderr)
         return 1
 

@@ -223,7 +223,9 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
         code.rules.append(info)
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):
-            label = f"lex_{word}" if len(entries) == 1 else f"lex_{word}_{k + 1}"
+            # a word is a name, so the dot keeps homonyms' labels apart
+            # from every other word's
+            label = f"lex_{word}" if len(entries) == 1 else f"lex_{word}.{k + 1}"
             code.add_label(label)
             instrs = compile_query(terms.flatten(term))
             code.extend(instrs)

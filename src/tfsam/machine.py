@@ -18,15 +18,18 @@ the same skeleton and the pair is already settled.
 Instructions are linked before they run: ``link`` resolves every type name
 to its id, checks every arity against the hierarchy and builds the node
 cells once, and ``execute`` runs the resulting flat ops in a single
-dispatch loop.  The grammar's code is linked when it is compiled and a
-register snapshot's code the first time it is built; a plain instruction
-list is linked on entry to ``execute``, so nothing runs unless all of it
-links.
+dispatch loop.  The grammar's code is linked when it is compiled; a
+plain instruction list is linked on entry to ``execute``, so nothing runs
+unless all of it links.
+
+Structures leave the heap as copies of its cells (``RegSnapshot``), not
+as code: a chart edge is such a copy, and restoring it appends the cells
+again, rebased to the top of the heap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import compiler, terms, typesys
 
@@ -81,10 +84,10 @@ def link(instrs, h) -> Linked:
     Type names become ids, node cells are built, and put_node and
     get_structure arities are checked against the hierarchy, once.  Control
     instructions are refused here, so code that links runs without any
-    further checks on the instructions themselves.  Every freshly compiled
-    snapshot is linked, so this loop is kept lean: it dispatches on the
-    exact class, several times faster than ``match``, and looks names up
-    in the hierarchy's table directly."""
+    further checks on the instructions themselves.  Every term built from
+    query code is linked first, so this loop is kept lean: it dispatches
+    on the exact class, several times faster than ``match``, and looks
+    names up in the hierarchy's table directly."""
     ids = h.ids
     arities = h.arities
     ops = []
@@ -124,44 +127,25 @@ def _arity_error(op, ins):
 
 @dataclass(frozen=True)
 class RegSnapshot:
-    """Heap-independent copy of the live registers, restorable later.
+    """Heap-independent copy of the structures in registers ``live``.
 
-    ``roots`` holds the contents of registers ``live`` read back as terms.
-    The constructor flattens and compiles them once into query code that
-    rebuilds every root with its sharing (``code``), plus the scratch
-    register holding each root (``root_regs``).  The first machine to
-    build the snapshot links that code and the snapshot keeps it
-    (``linked``), so restoring it again only executes it; a snapshot with
-    no live registers, such as a chart edge's head, is built with
-    ``build_snapshot``.
+    ``cells`` holds every cell reachable from those registers,
+    dereferenced, in first-visit order over ordered arcs, with each REF
+    cell's address rebased to 0: a node is its STR cell followed by one
+    REF per arc, a VAR cell stays unexpanded and an unbound cell is a REF
+    to itself.  ``roots`` holds the offset of each register's structure.
+    Restoring the copy appends the cells at the top of the heap, adding
+    the base to every REF.
 
-    Flattening numbers registers in first-visit order over ordered arcs
-    and emits one equation per node, so ``code`` and ``root_regs`` are a
-    canonical form: two snapshots compare and hash equal exactly when
-    their live registers match and their roots are isomorphic
-    (``terms.iso_roots``).  The parser uses snapshots as duplicate keys.
+    The walk visits nodes in an order fixed by the structure alone, so
+    the copy is a canonical form: two snapshots compare and hash equal
+    exactly when their live registers match and their structures are
+    isomorphic, sharing across registers included.  The parser uses
+    snapshots as chart edges and as their duplicate keys.
     """
     live: tuple[int, ...]
-    roots: tuple = field(compare=False)
-    code: tuple = field(init=False, repr=False)
-    root_regs: tuple[int, ...] = field(init=False)
-    linked: Linked | None = field(init=False, default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        eqs = terms.flatten(terms.MRS(list(self.roots)))
-        object.__setattr__(self, "code", tuple(compiler.compile_query(eqs)))
-        object.__setattr__(self, "root_regs", tuple(eqs.roots))
-
-    def linked_for(self, h) -> Linked:
-        """``code`` linked against *h*, kept for the next build.  Empty
-        code is not kept, so an empty snapshot that lives as long as its
-        module holds no hierarchy."""
-        code = self.linked
-        if code is None or code.h is not h:
-            code = link(self.code, h)
-            if self.code:
-                object.__setattr__(self, "linked", code)
-        return code
+    cells: tuple
+    roots: tuple[int, ...]
 
 
 class MachineState:
@@ -447,14 +431,17 @@ class MachineState:
     def build(self, roots) -> list[int]:
         """Build term graphs on the heap via query code, in a scratch
         register file; sharing between the given roots is preserved."""
-        return self.build_snapshot(RegSnapshot((), tuple(roots)))
+        eqs = terms.flatten(terms.MRS(list(roots)))
+        scratch = {}
+        self.execute(compiler.compile_query(eqs), scratch)
+        return [scratch[r] for r in eqs.roots]
 
     def build_snapshot(self, snap: RegSnapshot) -> list[int]:
-        """Execute a snapshot's compiled code in a scratch register file;
-        returns the address of each root."""
-        scratch = {}
-        self.execute(snap.linked_for(self.h), scratch)
-        return [scratch[r] for r in snap.root_regs]
+        """Append a snapshot's cells to the heap; returns the address of
+        each root."""
+        base = len(self.heap)
+        self.heap.extend([(REF, c[1] + base) if c[0] is REF else c for c in snap.cells])
+        return [base + o for o in snap.roots]
 
     def build_term(self, term) -> int:
         return self.build([term])[0]
@@ -468,57 +455,73 @@ class MachineState:
         Nodes reachable more than once get tags, numbered in the order
         they are first met again; sharing across the given roots is kept.
         VAR cells read back as the most general term of their type,
-        self-references as the most general term of bot.  Both passes
-        walk the graph depth first from an explicit stack, so a result of
-        any depth can be read.
+        self-references as the most general term of bot.  The graph is
+        walked depth first from an explicit stack, so a result of any
+        depth can be read.
         """
         h = self.h
         arities = h.arities
         deref = self.deref
-        cell = self.cell
-        tags = {}
-        visited = set()
-        for root in addrs:
-            stack = [deref(root)]
-            while stack:
-                a = stack.pop()
-                if a in visited:
-                    if a not in tags:
-                        tags[a] = str(len(tags) + 1)
-                    continue
-                visited.add(a)
-                c = cell(a)
-                if c[0] is STR:
-                    for k in range(arities[c[1]], 0, -1):
-                        stack.append(deref(a + k))
-        # each stack entry is (argument list of the parent, address); a
-        # node's arguments are popped, and so appended, in argument order
         built = {}
+        tags = 0
         out = []
-        for root in addrs:
-            stack = [(out, root)]
-            while stack:
-                args, a = stack.pop()
-                a = deref(a)
-                if a in built:
-                    args.append(terms.BackRef(tags[a]))
-                    continue
-                c = cell(a)
-                if c[0] is STR:
-                    t = terms.Node(h.names[c[1]], [], tags.get(a))
-                    for k in range(arities[c[1]], 0, -1):
-                        stack.append((t.args, a + k))
-                else:
-                    t = terms.most_general_term(h, c[1] if c[0] is VAR else typesys.BOT)
-                    t.tag = tags.get(a)
-                built[a] = t
-                args.append(t)
+        # each stack entry is (argument list of the parent, address); the
+        # roots, and a node's arguments, are popped, and so appended, in order
+        stack = [(out, a) for a in reversed(addrs)]
+        while stack:
+            args, a = stack.pop()
+            a = deref(a)
+            t = built.get(a)
+            if t is not None:
+                if t.tag is None:
+                    tags += 1
+                    t.tag = str(tags)
+                args.append(terms.BackRef(t.tag))
+                continue
+            c = self.cell(a)
+            if c[0] is STR:
+                t = terms.Node(h.names[c[1]], [])
+                for k in range(arities[c[1]], 0, -1):
+                    stack.append((t.args, a + k))
+            else:
+                t = terms.most_general_term(h, c[1] if c[0] is VAR else typesys.BOT)
+            built[a] = t
+            args.append(t)
         return out
 
-    def snapshot_regs(self) -> RegSnapshot:
-        live = tuple(sorted(i for i, a in self.regs.items() if a is not None))
-        roots = self.extract_multi([self.regs[i] for i in live])
-        return RegSnapshot(live, tuple(roots))
+    def snapshot_regs(self, live) -> RegSnapshot:
+        """Copy the structures in registers *live*, walking from an
+        explicit stack (see ``RegSnapshot``)."""
+        heap = self.heap
+        arities = self.h.arities
+        offset = {}             # dereferenced heap address -> offset in the copy
+        cells = []
+        roots = []
+        # each stack entry is (the arc cell of the copy that points at the
+        # address, or -1 for a root, address); roots, and a node's arcs,
+        # are popped in order, so each root is copied before the next
+        stack = [(-1, self.regs[i]) for i in reversed(live)]
+        while stack:
+            arc, a = stack.pop()
+            c = heap[a]
+            while c[0] is REF and c[1] != a:
+                a = c[1]
+                c = heap[a]
+            o = offset.get(a)
+            if o is None:
+                o = offset[a] = len(cells)
+                if c[0] is STR:
+                    n = arities[c[1]]
+                    cells.append(c)
+                    cells.extend([None] * n)
+                    stack.extend([(o + k, a + k) for k in range(n, 0, -1)])
+                else:
+                    cells.append((REF, o) if c[0] is REF else c)
+            if arc < 0:
+                roots.append(o)
+            else:
+                cells[arc] = (REF, o)
+        return RegSnapshot(tuple(live), tuple(cells), tuple(roots))
 
     def restore_regs(self, snap: RegSnapshot):
         self.regs = dict(zip(snap.live, self.build_snapshot(snap)))

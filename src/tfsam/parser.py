@@ -1,22 +1,21 @@
 """Bottom-up chart parser driving the abstract machine.
 
 The chart is an (n+1) x (n+1) table of edge sets.  An active edge is a
-rule with its first ``dot`` body elements already matched; instead of heap
-pointers it carries a register snapshot, so edges stay valid after the
-heap is rewound.  A complete edge is its head term.  Every edge is
-compiled once, when it is made: a snapshot holds the query code that
-rebuilds its registers, and a complete edge holds a one-root snapshot of
-its head.  That code is linked to type ids the first time it runs and
-kept linked; rule and lexicon code comes linked from ``compile_grammar``,
-one piece per body element, head and lexical entry, and the parser never
-reads the listing.
+rule with its first ``dot`` body elements already matched; a complete
+edge is a finished head.  Instead of heap pointers an edge carries a copy
+of heap cells (``machine.RegSnapshot``): an active edge of its registers,
+a complete edge of its head alone.  Edges thus stay valid after the heap
+is rewound, and a head is read back as a term only where it is printed or
+checked against the start term.  Rule and lexicon code comes linked from
+``compile_grammar``, one piece per body element, head and lexical entry,
+and the parser never reads the listing.
 
 Combining an active edge ending at k with a complete edge spanning (k, j)
-executes the active edge's code to restore its registers, executes the
-complete edge's code to build a fresh copy of its head, points the next
-body element's root register at it, and executes that element's program
-code.  Whatever the outcome, the heap is rewound to the checkpoint
-afterwards; results leave only as extracted terms.
+appends the active edge's copy to the heap to restore its registers,
+appends the complete edge's copy as a fresh instance of its head, points
+the next body element's root register at it, and executes that element's
+program code.  Whatever the outcome, the heap is rewound to the
+checkpoint afterwards; a new edge leaves only as a copy.
 
 The agenda holds edges, not only complete ones: a popped complete edge is
 tried against the active edges in cells (k,k) down to (0,k), and a popped
@@ -24,9 +23,8 @@ active edge against the complete edges to its right.  Without the second
 scan, an active edge created after some complete edge was popped would
 never meet it.  Duplicate edges (same cell, rule, dot, and isomorphic
 saved structures) are dropped, so the chart grows to a fixed point.  A
-snapshot's compiled code is a canonical form of its structures, so
-duplicates are found by a set lookup on a key built from it, not by
-comparing structures.
+copy is a canonical form of its structures, so duplicates are found by a
+set lookup on a key built from it, not by comparing structures.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import machine, terms
 
-EMPTY_SNAPSHOT = machine.RegSnapshot((), ())
+EMPTY_SNAPSHOT = machine.RegSnapshot((), (), ())
 
 
 class UnknownWordError(Exception):
@@ -72,11 +70,14 @@ class CompleteEdge:
     i: int
     j: int
     source: str             # rule label or lexical entry label
-    head: object
-    snapshot: machine.RegSnapshot = field(init=False, repr=False)
+    snapshot: machine.RegSnapshot   # a copy of the head alone
+    h: object = field(repr=False)   # the hierarchy of the copy's type ids
 
-    def __post_init__(self):
-        self.snapshot = machine.RegSnapshot((), (self.head,))
+    @property
+    def head(self):
+        """The head, read back from its copy as a term."""
+        m = machine.MachineState(self.h)
+        return m.extract(m.build_snapshot(self.snapshot)[0])
 
     @property
     def key(self):
@@ -95,11 +96,8 @@ class Chart:
     def dump(self) -> str:
         lines = []
         for i, j in sorted(self.cells):
-            edges = self.cells[(i, j)]
-            if not edges:
-                continue
             lines.append(f"({i},{j}):")
-            for e in edges:
+            for e in self.cells[(i, j)]:
                 if isinstance(e, ActiveEdge):
                     lines.append(f"  {e.info.label} @ {e.dot}")
                 else:
@@ -139,10 +137,10 @@ class ChartParser:
             if not entries:
                 raise UnknownWordError(w, i)
             for entry in entries:
-                scratch = {}
-                m.execute(entry.code, scratch)
-                head = m.extract(scratch[entry.root_reg])
-                seeds.append(CompleteEdge(i, i + 1, entry.label, head))
+                m.regs = {}
+                m.execute(entry.code)
+                seeds.append(CompleteEdge(i, i + 1, entry.label,
+                                          m.snapshot_regs([entry.root_reg]), m.h))
         return self._run(m, words, seeds)
 
     def parse_terms(self, roots) -> ParseResult:
@@ -153,8 +151,8 @@ class ChartParser:
         m = self._machine()
         seeds = []
         for i, root in enumerate(roots):
-            head = m.extract(m.build_term(root))
-            seeds.append(CompleteEdge(i, i + 1, f"input{i}", head))
+            m.regs = {0: m.build_term(root)}
+            seeds.append(CompleteEdge(i, i + 1, f"input{i}", m.snapshot_regs([0]), m.h))
         return self._run(m, [terms.print_term(r) for r in roots], seeds)
 
     def _machine(self):
@@ -220,7 +218,6 @@ class ChartParser:
         info = active.info
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
-        new = None
         try:
             m.restore_regs(active.snapshot)
             head_addr = m.build_snapshot(complete.snapshot)[0]
@@ -235,10 +232,10 @@ class ChartParser:
             dot = active.dot + 1
             if dot == len(info.body_code):
                 m.execute(info.head_code)
-                head = m.extract(m.reg(info.head_root_reg))
-                new = CompleteEdge(active.i, complete.j, info.label, head)
+                new = CompleteEdge(active.i, complete.j, info.label,
+                                   m.snapshot_regs([info.head_root_reg]), m.h)
             else:
-                new = ActiveEdge(active.i, complete.j, info, dot, m.snapshot_regs())
+                new = ActiveEdge(active.i, complete.j, info, dot, m.snapshot_regs(sorted(m.regs)))
         except machine.UnifyFailure:
             new = None
         m.undo(mark)

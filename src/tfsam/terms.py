@@ -227,15 +227,30 @@ def _referenced_tags(t):
 
 
 def _print(t, tags):
-    if isinstance(t, BackRef):
-        return f"#{t.tag}"
-    if isinstance(t, MostGeneral):
-        prefix = f"#{t.tag} " if t.tag and t.tag in tags else ""
-        return f"{prefix}~{t.type}"
-    prefix = f"#{t.tag} " if t.tag and t.tag in tags else ""
-    if t.args:
-        return f"{prefix}{t.type}({','.join(_print(a, tags) for a in t.args)})"
-    return f"{prefix}{t.type}"
+    """*t* as text.  Written from an explicit stack that holds terms still
+    to print and punctuation still to write, so a term of any depth prints."""
+    out = []
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, BackRef):
+            out.append(f"#{x.tag}")
+        else:
+            if x.tag and x.tag in tags:
+                out.append(f"#{x.tag} ")
+            if isinstance(x, MostGeneral):
+                out.append(f"~{x.type}")
+            elif x.args:
+                out.append(f"{x.type}(")
+                stack.append(")")
+                for k in range(len(x.args) - 1, 0, -1):
+                    stack += (x.args[k], ",")
+                stack.append(x.args[0])
+            else:
+                out.append(x.type)
+    return "".join(out)
 
 
 # -- well-typedness ----------------------------------------------------------

@@ -150,8 +150,18 @@ def test_grammar_numbers_homonyms(example_hierarchy):
     lexicon = {"w": [parse_term("d", example_hierarchy),
                      parse_term("d1", example_hierarchy)]}
     code = compile_grammar(example_hierarchy, rules, lexicon)
-    assert [e.label for e in code.lexicon["w"]] == ["lex_w_1", "lex_w_2"]
+    assert [e.label for e in code.lexicon["w"]] == ["lex_w.1", "lex_w.2"]
     assert [e.index for e in code.lexicon["w"]] == [0, 1]
+
+
+def test_homonym_labels_leave_room_for_other_words(example_hierarchy):
+    # two entries for w once took the label of w_1's only entry
+    h = example_hierarchy
+    lexicon = {"w": [parse_term("d", h), parse_term("d1", h)], "w_1": [parse_term("d2", h)]}
+    code = compile_grammar(h, [parse_mrs("d => d", h)], lexicon)
+    labels = [e.label for entries in code.lexicon.values() for e in entries]
+    assert labels == ["lex_w.1", "lex_w.2", "lex_w_1"]
+    assert list(code.labels) == ["rule0"] + labels
 
 
 def test_disassemble_golden(example_hierarchy):

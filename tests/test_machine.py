@@ -349,27 +349,32 @@ def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
 
 
 def test_snapshot_of_deep_chain_without_recursion(loop_hierarchy):
-    # flattening a snapshot's roots walks from a stack, like unify and
-    # extract; cyclic chains, since a ~t leaf reads back one level deeper
+    # copying a snapshot walks from a stack, like unify and extract; the
+    # ~t leaf of the second chain stays one unexpanded cell, so the copy
+    # reads back exactly as the original
     h = loop_hierarchy
     depth = 10_000
-    m = fresh(h)
-    left = build_chain(m, "t", depth, cyclic=True)
-    assert m.unify(left, build_chain(m, "u", depth, cyclic=True))
-    m.set_reg(1, left)
-    expected = m.extract(left)
-    snap = m.snapshot_regs()
-    assert len(snap.code) == 2 * depth
-    other = fresh(h)
-    other.restore_regs(snap)
-    restored = other.extract(other.reg(1))
-    assert iso(restored, expected)
-    nodes = 0
-    while isinstance(restored, terms.Node):
-        assert restored.type == "u"
-        nodes += 1
-        (restored,) = restored.args
-    assert nodes == depth and isinstance(restored, terms.BackRef)
+    for cyclic in (True, False):
+        m = fresh(h)
+        left = build_chain(m, "t", depth, cyclic)
+        assert m.unify(left, build_chain(m, "u", depth, cyclic))
+        m.set_reg(1, left)
+        expected = m.extract(left)
+        snap = m.snapshot_regs([1])
+        assert len(snap.cells) == 2 * depth + (not cyclic)
+        other = fresh(h)
+        other.restore_regs(snap)
+        restored = other.extract(other.reg(1))
+        assert iso(restored, expected)
+        nodes = 0
+        while isinstance(restored, terms.Node) and restored.type == "u":
+            nodes += 1
+            (restored,) = restored.args
+        assert nodes == depth
+        if cyclic:
+            assert isinstance(restored, terms.BackRef)
+        else:
+            assert terms.print_term(restored) == "t(~t)"
 
 
 # -- unexpanded structures ----------------------------------------------------------
@@ -503,7 +508,7 @@ def test_snapshot_survives_undo(example_hierarchy):
     mark = m.checkpoint()
     for i, addr in enumerate(m.build(mrs.roots), start=1):
         m.set_reg(i, addr)
-    snap = m.snapshot_regs()
+    snap = m.snapshot_regs([1, 2])
     m.undo(mark)
     m.regs = {}
     m.restore_regs(snap)

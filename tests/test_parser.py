@@ -7,7 +7,14 @@ from tfsam import grammar, machine, parser, terms
 from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, UnknownWordError
 from tfsam.terms import iso, parse_term
 
-from conftest import EXAMPLE_SPEC, TOY_GRAMMAR
+from conftest import EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
+
+
+def _complete(i, j, source, text, h):
+    """A complete edge whose head is *text*, built on a machine and copied."""
+    m = machine.MachineState(h)
+    m.regs = {1: m.build_term(parse_term(text, h))}
+    return CompleteEdge(i, j, source, m.snapshot_regs([1]), h)
 
 
 def test_toy_parse_accepts(toy_grammar):
@@ -173,13 +180,13 @@ def test_combine_rewinds_heap_even_on_success(toy_grammar):
     h = toy_grammar.hierarchy
     info = toy_grammar.code.rules[0]
     active = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
-    complete = CompleteEdge(0, 1, "lex_w1", parse_term("a(d2,d)", h))
+    complete = _complete(0, 1, "lex_w1", "a(d2,d)", h)
     before = list(m.heap)
     new = p._combine(m, active, complete)
     assert isinstance(new, ActiveEdge)
     assert new.dot == 1
     assert m.heap == before
-    failing = CompleteEdge(0, 1, "lex_w2", parse_term("d", h))
+    failing = _complete(0, 1, "lex_w2", "d", h)
     assert p._combine(m, active, failing) is None
     assert m.heap == before
 
@@ -282,8 +289,8 @@ def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
     info = toy_grammar.code.rules[0]
     start = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
     # a complete edge may be built from any term, tags and all
-    mid = p._combine(m, start, CompleteEdge(0, 1, "lex_w1", parse_term("a(d2,#5 d)", h)))
-    done = p._combine(m, mid, CompleteEdge(1, 2, "lex_w2", parse_term("d", h)))
+    mid = p._combine(m, start, _complete(0, 1, "lex_w1", "a(d2,#5 d)", h))
+    done = p._combine(m, mid, _complete(1, 2, "lex_w2", "d", h))
     assert isinstance(done, CompleteEdge) and done.source == "rule0"
     assert terms.print_term(done.head) == "a(d2,d)"
     chart = p.parse(["w1", "w2"]).chart
@@ -322,7 +329,7 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     p = ChartParser(toy_grammar, verify_undo=True)
     info = toy_grammar.code.rules[0]
     active = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
-    complete = CompleteEdge(0, 1, "lex_w1", parse_term("a(d2,d)", h))
+    complete = _complete(0, 1, "lex_w1", "a(d2,d)", h)
     m = machine.MachineState(h)
     monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
     with pytest.raises(machine.MachineError, match="undo left"):
@@ -337,9 +344,25 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     assert isinstance(ChartParser(toy_grammar)._combine(m, active, complete), ActiveEdge)
 
 
+def test_unexpanded_leaf_reaches_a_fixed_point():
+    # a ~t leaf stays one VAR cell in every copy, so the rule's edge over
+    # its own result is a duplicate; when each copy expanded the leaf one
+    # level further, the chart grew until the item limit stopped it
+    g = grammar.load_grammar(LOOP_SPEC + """
+lex q => t(~t).
+rule #1 bot => #1.
+start => t(~t).
+""")
+    result = ChartParser(g, max_items=8, verify_undo=True).parse(["q"])
+    assert (result.items, result.pops) == (3, 2)
+    assert [terms.print_term(head) for head in result.heads] == ["t(t(~t))"] * 2
+    assert result.chart.dump() == "(0,0):\n  rule0 @ 0\n(0,1):\n  lex_q: t(t(~t))\n  rule0: t(t(~t))"
+
+
 def test_no_hierarchy_outlives_its_grammar():
-    # linked code holds its hierarchy, so nothing that lives longer than
-    # the grammar, such as the module's empty snapshot, may keep any
+    # linked code and complete edges hold their hierarchy, so nothing that
+    # lives longer than the grammar, such as the module's empty snapshot,
+    # may keep any
     g = grammar.load_grammar(TOY_GRAMMAR)
     result = ChartParser(g).parse(["w1", "w2"])
     assert result.accepted

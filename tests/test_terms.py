@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from tfsam import terms
-from tfsam.machine import STR, VAR, MachineState, RegSnapshot
+from tfsam.machine import STR, VAR, MachineState
 from tfsam.terms import (
     MRS, BackRef, MostGeneral, Node, flatten, iso, iso_roots, most_general_term,
     parse_mrs, parse_term, print_mrs, print_term, well_typed_check,
@@ -42,6 +42,20 @@ def test_whitespace_is_free(example_hierarchy):
 def test_unreferenced_tags_are_dropped_on_print(example_hierarchy):
     t = parse_term("a(#9 d2,d)", example_hierarchy)
     assert print_term(t) == "a(d2,d)"
+
+
+def test_print_deep_terms_without_recursion():
+    # a u chain 10,000 nodes deep whose last argument points back at its
+    # first node, and an untagged one ending in ~t
+    depth = 10_000
+    cyclic, open_ended = BackRef("1"), MostGeneral("t")
+    for k in range(depth):
+        cyclic = Node("u", [cyclic], "1" if k == depth - 1 else None)
+        open_ended = Node("u", [open_ended])
+    assert print_term(cyclic) == "#1 " + "u(" * depth + "#1" + ")" * depth
+    assert print_term(open_ended) == "u(" * depth + "~t" + ")" * depth
+    assert print_mrs(MRS([cyclic, open_ended, BackRef("1")])) == ", ".join(
+        [print_term(cyclic), print_term(open_ended), "#1"])
 
 
 @pytest.mark.parametrize("text,message", [
@@ -251,10 +265,13 @@ def test_most_general_term_cuts_off_at_loop(loop_hierarchy):
     assert iso(most_general_term(h, "u"), parse_term("u(t(~t))", h))
 
 
-# -- compiled code as a canonical key --------------------------------------------
+# -- heap copies as a canonical key ---------------------------------------------
 
-def _key(roots):
-    return RegSnapshot((), tuple(roots))
+def _key(roots, h):
+    """The roots built on a fresh machine, one register each, and copied."""
+    m = MachineState(h)
+    m.regs = dict(enumerate(m.build(roots)))
+    return m.snapshot_regs(range(len(roots)))
 
 
 def _retagged(roots, h, prefix):
@@ -265,16 +282,20 @@ def _retagged(roots, h, prefix):
 
 
 def test_key_covers_root_and_live_registers(example_hierarchy):
-    # same equations, so the same code, but the second root shares the
-    # first's argument in one structure and the third root does in the other
+    # the same cells, but the second root shares the first's argument in
+    # one structure and the third root does in the other
     h = example_hierarchy
-    x = _key(parse_mrs("a(bot,#1 d), #1, d", h).roots)
-    y = _key(parse_mrs("a(bot,#1 d), d, #1", h).roots)
-    assert x.code == y.code
-    assert x.root_regs != y.root_regs
+    x = _key(parse_mrs("a(bot,#1 d), #1, d", h).roots, h)
+    y = _key(parse_mrs("a(bot,#1 d), d, #1", h).roots, h)
+    assert x.cells == y.cells
+    assert x.roots != y.roots
     assert x != y
-    d = parse_term("d", h)
-    assert RegSnapshot((1,), (d,)) != RegSnapshot((2,), (d,))
+    m = MachineState(h)
+    d = m.build_term(parse_term("d", h))
+    m.regs = {1: d, 2: d}
+    one, two = m.snapshot_regs([1]), m.snapshot_regs([2])
+    assert (one.cells, one.roots) == (two.cells, two.roots)
+    assert one != two
 
 
 def test_key_equal_exactly_when_iso():
@@ -306,8 +327,8 @@ def test_key_equal_exactly_when_iso():
             ]
             for x, y in cases:
                 same = iso_roots(x, y)
-                assert (_key(x) == _key(y)) == same, (print_mrs(MRS(x)), print_mrs(MRS(y)))
-                assert len({_key(x), _key(y)}) == (1 if same else 2)
+                assert (_key(x, h) == _key(y, h)) == same, (print_mrs(MRS(x)), print_mrs(MRS(y)))
+                assert len({_key(x, h), _key(y, h)}) == (1 if same else 2)
                 seen[same] += 1
     assert sum(seen.values()) >= 1000
     assert min(seen.values()) >= 300
