@@ -129,6 +129,7 @@ class CodeArea:
     labels: dict = field(default_factory=dict)
     rules: list = field(default_factory=list)
     lexicon: dict = field(default_factory=dict)   # word -> [LexEntry]
+    start: object = None    # the start term's copy, a machine.RegSnapshot; set by load_grammar
 
     def add_label(self, name):
         if name in self.labels:

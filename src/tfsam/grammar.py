@@ -11,13 +11,15 @@ order:
 Rule and lexicon terms must be totally well-typed.  The start term is only
 parsed, not checked: it is usually more general than any derivable head
 (e.g. a bare type), and the parser unifies it against candidates anyway.
+It is built once, when the grammar loads, and the parser restores that
+copy (``CodeArea.start``) for every spanning head it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import compiler, scan, terms, typesys
+from . import compiler, machine, scan, terms, typesys
 
 _KEYWORDS = ("rule", "lex", "start")
 
@@ -78,6 +80,9 @@ def load_grammar(text) -> Grammar:
         raise GrammarError("grammar has no start clause")
 
     code = compiler.compile_grammar(hierarchy, rules, lexicon)
+    m = machine.MachineState(hierarchy)
+    m.regs = {0: m.build_term(start)}
+    code.start = m.snapshot_regs([0])
     return Grammar(hierarchy, rules, lexicon, start, code)
 
 

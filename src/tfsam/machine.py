@@ -7,9 +7,10 @@ yet), and ``VAR t`` is a most general structure of type t that has not
 been expanded into cells.  Binding never mutates in place without going
 through the trail, so any prefix of work can be undone exactly.
 
-Unifying two nodes looks up the precomputed plan for their pair of types,
-builds the result skeleton at the top of the heap, binds both operands to
-it, and then settles the argument pairs the plan scheduled, depth first,
+Unifying two nodes looks up the plan for their pair of types (the
+hierarchy makes it on the pair's first unification and keeps it), builds
+the result skeleton at the top of the heap, binds both operands to it,
+and then settles the argument pairs the plan scheduled, depth first,
 from a worklist instead of recursing.  Binding both operands before their
 arguments is what makes unification of cyclic structures terminate: when
 a cycle leads back to the pair being unified, both sides dereference to

@@ -249,7 +249,7 @@ class ChartParser:
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
-            a_start = m.build_term(self.grammar.start)
+            a_start = m.build_snapshot(self.grammar.code.start)[0]
             a_head = m.build_snapshot(edge.snapshot)[0]
             if not m.unify(a_start, a_head):
                 return False

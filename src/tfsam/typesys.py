@@ -8,15 +8,21 @@ with ``%`` comments.  ``bot`` names the most general type and may appear
 only as a statement subject or as a feature value type.  Validation
 computes the subsumption closure, checks that the order is bounded
 complete and that appropriateness is monotone with unique least feature
-introducers, fixes the alphabetical feature order of every type, and
-precomputes for every pair of types the least upper bound together with
-a step-by-step unification plan.
+introducers, and fixes the alphabetical feature order of every type.
 
-Types and features are interned to dense integer ids at validation time;
-all per-type and per-pair tables are indexed by those ids.  Most methods
-of TypeHierarchy accept either an id or a name; the machine, which only
-holds ids, indexes the tables ``plans``, ``arities`` and ``approps``
-directly.
+Subsumption is kept as bit masks, after Ait-Kaci, Boyer, Lincoln and Nasr
+("Efficient implementation of lattice operations", TOPLAS 11(1), 1989):
+each type has a mask of its subtypes, so subsumption is a bit test and
+the least upper bound of two types is the most general type in the AND
+of their masks.  The step-by-step unification plan of a pair of types,
+and with it their least upper bound, is made the first time it is asked
+for and kept; nothing is tabled for every pair.
+
+Types and features are interned to dense integer ids at validation time,
+bot first and then in declaration order; all per-type and per-pair tables
+are indexed by those ids.  Most methods of TypeHierarchy accept either an
+id or a name; the machine, which only holds ids, indexes the tables
+``plans``, ``arities`` and ``approps`` directly.
 """
 
 from __future__ import annotations
@@ -137,8 +143,38 @@ def _feature_pair(cur):
     return (f.text, v.text)
 
 
+class _PlanRow(dict):
+    """The plans of one left type, keyed by the right type's id.  A plan
+    is made the first time it is looked up and kept from then on."""
+    __slots__ = ("h", "left")
+
+    def __init__(self, h, left):
+        super().__init__()
+        self.h = h
+        self.left = left
+
+    def __missing__(self, right):
+        plan = self[right] = self.h._make_plan(self.left, right)
+        return plan
+
+
+def _bits(mask):
+    """The positions of the set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class TypeHierarchy:
-    """A validated type hierarchy with eager LUB and plan tables."""
+    """A validated type hierarchy.
+
+    Subsumption is a bit test: ``_ups[t]`` has the bit ``_rank[u]`` set
+    for every type u at least as specific as t, where ranks number the
+    types so that each comes before its subtypes.  ``plans[left][right]``
+    builds the pair's plan on first use and keeps it; the least upper
+    bound of a pair is the result of its plan.
+    """
 
     def __init__(self, spec: TypeSpec):
         self._build(spec)
@@ -162,10 +198,10 @@ class TypeHierarchy:
 
     def subsumes(self, a, b) -> bool:
         """True when *a* is at least as general as *b*."""
-        return self.tid(b) in self._ups[self.tid(a)]
+        return bool(self._ups[self.tid(a)] >> self._rank[self.tid(b)] & 1)
 
     def lub(self, a, b) -> int | None:
-        return self._lub[self.tid(a)][self.tid(b)]
+        return self.plans[self.tid(a)][self.tid(b)].result
 
     def plan(self, left, right) -> UnifyPlan:
         return self.plans[self.tid(left)][self.tid(right)]
@@ -226,52 +262,65 @@ class TypeHierarchy:
         self.bot = ids[BOT]
 
         children = [[] for _ in range(n)]
+        parents = [set() for _ in range(n)]
         for st in spec.statements:
             for s in st.subtypes:
                 children[ids[st.name]].append(ids[s])
+                parents[ids[s]].add(ids[st.name])
 
-        # reflexive transitive closure; ups[t] = every type at least as specific as t
-        ups = [None] * n
-        state = [0] * n    # 0 unvisited, 1 on stack, 2 done
-
-        def close(t, path):
-            if state[t] == 1:
-                cycle = " < ".join(self.names[x] for x in path[path.index(t):] + [t])
-                raise SpecError(f"subtype cycle, not a partial order: {cycle}")
-            if state[t] == 2:
-                return ups[t]
-            state[t] = 1
-            acc = {t}
+        # reflexive transitive closure as bit masks over ranks: ups[t] holds
+        # every type at least as specific as t, downs[t] every type at least
+        # as general; a topological order fills each from the one before
+        order = self._topological_order(children)
+        rank = [0] * n
+        for r, t in enumerate(order):
+            rank[t] = r
+        ups = [0] * n
+        for t in reversed(order):
+            mask = 1 << rank[t]
             for c in children[t]:
-                acc |= close(c, path + [t])
-            ups[t] = frozenset(acc)
-            state[t] = 2
-            return ups[t]
-
-        for t in range(n):
-            close(t, [])
+                mask |= ups[c]
+            ups[t] = mask
+        downs = [0] * n
+        for t in order:
+            mask = 1 << rank[t]
+            for p in parents[t]:
+                mask |= downs[p]
+            downs[t] = mask
+        self._rank = rank
+        self._by_rank = order
         self._ups = ups
 
-        missing = [names[t] for t in range(n) if t not in ups[self.bot]]
+        def subsumes(a, b):
+            return ups[a] >> rank[b] & 1
+
+        missing = [names[t] for t in range(n) if not subsumes(self.bot, t)]
         if missing:
             raise SpecError(f"type(s) not subsumed by {BOT!r}: {', '.join(sorted(missing))}")
 
-        # bounded completeness: every consistent pair has a unique least upper bound
-        lub = [[None] * n for _ in range(n)]
+        # bounded completeness: every consistent pair has a unique least upper
+        # bound.  A comparable pair always has one, and two incomparable types
+        # that share a subtype also share one with several declared supertypes
+        # (where their paths down to it first meet).  meets[a] collects the
+        # types above such a join with a, and only those pairs are checked, in
+        # the order of their ids, so a failure names the same pair as a check
+        # of every pair would
+        meets = [0] * n
+        for j in range(n):
+            if len(parents[j]) > 1:
+                for r in _bits(downs[j]):
+                    meets[order[r]] |= downs[j]
         for a in range(n):
-            for b in range(a, n):
+            partners = meets[a] & ~ups[a] & ~downs[a]
+            for b in sorted(order[r] for r in _bits(partners) if order[r] > a):
                 common = ups[a] & ups[b]
-                if not common:
-                    continue
-                minimal = [u for u in common
-                           if not any(v != u and u in ups[v] for v in common)]
-                if len(minimal) > 1:
+                if ups[self._lub_of(a, b)] != common:
+                    minimal = [order[r] for r in _bits(common)
+                               if downs[order[r]] & common == 1 << r]
                     ms = ", ".join(sorted(names[m] for m in minimal))
                     raise SpecError(
                         f"not bounded complete: types {names[a]!r} and {names[b]!r} "
                         f"have minimal upper bounds {{{ms}}} but no least one")
-                lub[a][b] = lub[b][a] = minimal[0]
-        self._lub = lub
 
         # feature introduction: collect declaring types per feature
         declared = {}   # feature -> list of (type id, value id, line, col)
@@ -287,7 +336,7 @@ class TypeHierarchy:
         introducer = {}
         for f, decls in declared.items():
             tids = [t for t, _, _, _ in decls]
-            least = [t for t in tids if all(o in ups[t] for o in tids)]
+            least = [t for t in tids if all(subsumes(t, o) for o in tids)]
             if not least:
                 two = ", ".join(sorted(names[t] for t in tids))
                 raise SpecError(f"feature {f!r} introduced by incomparable types: {two}")
@@ -295,7 +344,7 @@ class TypeHierarchy:
             # declared value types must grow monotonically toward subtypes
             for t1, v1, l1, c1 in decls:
                 for t2, v2, _, _ in decls:
-                    if t1 != t2 and t2 in ups[t1] and v2 not in ups[v1]:
+                    if t1 != t2 and subsumes(t1, t2) and not subsumes(v1, v2):
                         raise SpecError(
                             f"non-monotone appropriateness: {names[t2]!r} declares "
                             f"{f}:{names[v2]} but supertype {names[t1]!r} declares "
@@ -306,13 +355,13 @@ class TypeHierarchy:
         approp = []
         for t in range(n):
             fs = sorted(f for f, decls in declared.items()
-                        if any(t in ups[d] for d, _, _, _ in decls))
+                        if any(subsumes(d, t) for d, _, _, _ in decls))
             vals = []
             for f in fs:
-                inherited = [v for d, v, _, _ in declared[f] if t in ups[d]]
+                inherited = [v for d, v, _, _ in declared[f] if subsumes(d, t)]
                 v = inherited[0]
                 for w in inherited[1:]:
-                    v2 = lub[v][w]
+                    v2 = self._lub_of(v, w)
                     if v2 is None:
                         raise SpecError(
                             f"non-monotone appropriateness: inherited value types "
@@ -326,10 +375,47 @@ class TypeHierarchy:
         self.approps = approp
         self.arities = [len(fs) for fs in features]
 
-        self.plans = [[self._make_plan(a, b) for b in range(n)] for a in range(n)]
+        self.plans = [_PlanRow(self, a) for a in range(n)]
+
+    def _topological_order(self, children):
+        """Every type id, each before its subtypes: a depth-first postorder
+        from an explicit stack, reversed.  Raises SpecError on a cycle."""
+        state = [0] * len(children)    # 0 unvisited, 1 on the path, 2 done
+        post = []
+        for root in range(len(children)):
+            if state[root]:
+                continue
+            state[root] = 1
+            path = [root]
+            pending = [iter(children[root])]
+            while pending:
+                for c in pending[-1]:
+                    if state[c] == 1:
+                        cycle = " < ".join(self.names[x] for x in path[path.index(c):] + [c])
+                        raise SpecError(f"subtype cycle, not a partial order: {cycle}")
+                    if state[c] == 0:
+                        state[c] = 1
+                        path.append(c)
+                        pending.append(iter(children[c]))
+                        break
+                else:
+                    pending.pop()
+                    t = path.pop()
+                    state[t] = 2
+                    post.append(t)
+        post.reverse()
+        return post
+
+    def _lub_of(self, a, b):
+        """The least upper bound from the masks: the type of lowest rank
+        among the common subtypes, which is the most general of them."""
+        common = self._ups[a] & self._ups[b]
+        if not common:
+            return None
+        return self._by_rank[(common & -common).bit_length() - 1]
 
     def _make_plan(self, left, right):
-        result = self._lub[left][right]
+        result = self._lub_of(left, right)
         if result is None:
             return UnifyPlan(left, right, None, ())
         lf = self._features[left]

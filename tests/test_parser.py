@@ -101,6 +101,18 @@ def test_start_term_filters_spanning_heads():
     assert len(spanning) == 1    # derived, but more general than the start term
 
 
+def test_start_term_is_built_once_when_the_grammar_loads(ambiguous_grammar, monkeypatch):
+    # the start term is kept as a copy, so a parse of words builds nothing
+    # from terms, even for the spanning heads it checks against the start
+    def refuse(*args):
+        raise AssertionError("a term was built during the parse")
+
+    monkeypatch.setattr(terms, "flatten", refuse)
+    result = ChartParser(ambiguous_grammar, verify_undo=True).parse(["w1", "w2"])
+    assert len(result.heads) == 2
+    assert ambiguous_grammar.code.start.cells == ((machine.STR, 0),)
+
+
 def test_shared_body_root_must_unify_with_both_elements():
     g = grammar.load_grammar(EXAMPLE_SPEC + """
         rule #1 a(bot,d), #1 => a(d2,d).
