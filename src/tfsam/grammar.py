@@ -13,6 +13,11 @@ parsed, not checked: it is usually more general than any derivable head
 (e.g. a bare type), and the parser unifies it against candidates anyway.
 It is built once, when the grammar loads, and the parser restores that
 copy (``CodeArea.start``) for every spanning head it checks.
+
+A file is tokenized once and read by one cursor in two passes: the first
+parses the type clauses in place and validates the hierarchy, and the
+second goes back to each rule, lexicon and start clause, whose terms need
+the hierarchy's types.
 """
 
 from __future__ import annotations
@@ -38,21 +43,12 @@ class Grammar:
 
 
 def load_grammar(text) -> Grammar:
-    clauses = _split_clauses(scan.tokenize(text, error=GrammarError))
-    type_clauses = []
-    grammar_clauses = []
-    for clause in clauses:
-        if _is_grammar_clause(clause):
-            grammar_clauses.append(clause)
-        else:
-            type_clauses.append(clause)
-    hierarchy = _build_hierarchy(type_clauses)
-
+    cur, hierarchy, grammar_clauses = _read_types(text)
     rules = []
     lexicon = {}
     start = None
-    for clause in grammar_clauses:
-        cur = _cursor(clause)
+    for i in grammar_clauses:
+        cur.i = i
         keyword = cur.next()
         if keyword.text == "rule":
             mrs = terms.parse_mrs_tokens(cur, hierarchy, stop=(".",))
@@ -92,51 +88,37 @@ def load_hierarchy_only(text) -> typesys.TypeHierarchy:
     Also accepts a bare type-spec file, which is a grammar file with
     nothing but type clauses.
     """
-    clauses = _split_clauses(scan.tokenize(text, error=GrammarError))
-    return _build_hierarchy([c for c in clauses if not _is_grammar_clause(c)])
+    return _read_types(text)[1]
 
 
-def _is_grammar_clause(clause) -> bool:
-    head = clause[0]
-    return (head.kind == scan.NAME and head.text in _KEYWORDS
-            and clause[1].text != "sub")
+def _read_types(text):
+    """The first pass over a grammar file.  Returns a cursor over its
+    tokens, the hierarchy of its type clauses and the token index of each
+    other clause, in file order."""
+    tokens = scan.tokenize(text, error=GrammarError)
+    # every clause ends with a period: anything after the last one is an
+    # unended clause, reported before any other error
+    k = len(tokens) - 1
+    while k > 0 and tokens[k - 1].text != ".":
+        k -= 1
+    if tokens[k].kind != scan.END:
+        raise GrammarError("clause not ended with '.'", tokens[k].line, tokens[k].col)
 
-
-def _split_clauses(tokens):
-    clauses = []
-    current = []
-    for tok in tokens:
-        if tok.kind == scan.END:
-            break
-        current.append(tok)
-        if tok.text == ".":
-            clauses.append(current)
-            current = []
-    if current:
-        raise GrammarError("clause not ended with '.'", current[0].line, current[0].col)
-    return clauses
-
-
-def _cursor(clause):
-    last = clause[-1]
-    end = scan.Token(scan.END, "", last.line, last.col + len(last.text))
-    return scan.Cursor(clause + [end], error=GrammarError)
-
-
-def _build_hierarchy(type_clauses):
+    cur = scan.Cursor(tokens, error=GrammarError)
     statements = []
-    seen = {}
-    for clause in type_clauses:
-        st = typesys.parse_statement(_cursor(clause))
-        if st.name in seen:
-            raise GrammarError(f"duplicate characterization of type {st.name!r}",
-                               st.line, st.col)
-        seen[st.name] = st
-        statements.append(st)
+    grammar_clauses = []
+    while not cur.at_end():
+        if cur.peek().text in _KEYWORDS and tokens[cur.i + 1].text != "sub":
+            grammar_clauses.append(cur.i)
+            while cur.next().text != ".":
+                pass
+        else:
+            statements.append(typesys.parse_statement(cur))
     try:
-        return typesys.validate(typesys.TypeSpec(tuple(statements)))
+        hierarchy = typesys.validate(typesys.TypeSpec(tuple(statements)))
     except typesys.SpecError as e:
         raise GrammarError(e.message, e.line, e.col) from None
+    return cur, hierarchy, grammar_clauses
 
 
 def _require_well_typed(hierarchy, t, what, tok):

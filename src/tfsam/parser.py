@@ -208,8 +208,9 @@ class ChartParser:
                             if new is not None:
                                 add(new)
 
-        heads = [e.head for e in chart.cell(0, n)
-                 if isinstance(e, CompleteEdge) and self._start_compatible(m, e)]
+        heads = [self._start_compatible(m, e) for e in chart.cell(0, n)
+                 if isinstance(e, CompleteEdge)]
+        heads = [h for h in heads if h is not None]
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
     def _combine(self, m, active, complete):
@@ -244,16 +245,18 @@ class ChartParser:
         return new
 
     def _start_compatible(self, m, edge):
-        """True when the start term subsumes the complete *edge*'s head:
-        unifying the two gives back something isomorphic to the head."""
+        """The complete *edge*'s head as a term when the start term
+        subsumes it (unifying the two gives back something isomorphic to
+        the head), else None."""
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
             a_start = m.build_snapshot(self.grammar.code.start)[0]
             a_head = m.build_snapshot(edge.snapshot)[0]
             if not m.unify(a_start, a_head):
-                return False
-            return terms.iso(m.extract(a_head), edge.head)
+                return None
+            head = edge.head
+            return head if terms.iso(m.extract(a_head), head) else None
         finally:
             m.undo(mark)
             if before is not None:

@@ -2,14 +2,16 @@
 
 The surface syntax is small: names (types, features, words, tag names),
 a handful of punctuation marks, the arrow ``=>`` and ``%`` comments that
-run to end of line.  Every token carries its source position so errors
-can point at the offending character.
+run to end of line.  One pattern reads all of it: its alternatives are a
+newline, blanks and comments (skipped), a name, a punctuation mark, and
+any other character, which is an error.  Every token carries its source
+position so errors can point at the offending character.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SourceError(Exception):
@@ -27,12 +29,11 @@ NAME = "name"
 PUNCT = "punct"
 END = "end"
 
-_TOKEN_RE = re.compile(r"=>|\w+|[\[\](),:.#~]")
-_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)+")
+_TOKEN_RE = re.compile(r"(?P<newline>\n)|[ \t\r]+|%[^\n]*"
+                       r"|(?P<name>\w+)|(?P<punct>=>|[\[\](),:.#~])|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -42,28 +43,18 @@ class Token:
 def tokenize(text, error=SourceError):
     """Return the list of tokens in *text*, ending with a synthetic END token."""
     tokens = []
-    pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _SKIP_RE.match(text, pos)
-        if m:
-            skipped = m.group()
-            line += skipped.count("\n")
-            nl = skipped.rfind("\n")
-            if nl >= 0:
-                line_start = pos + nl + 1
-            pos = m.end()
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if not m:
-            raise error(f"unexpected character {text[pos]!r}", line, col)
-        kind = NAME if m.group()[0].isalnum() or m.group()[0] == "_" else PUNCT
-        tokens.append(Token(kind, m.group(), line, col))
-        pos = m.end()
-    tokens.append(Token(END, "", line, n - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == NAME or kind == PUNCT:
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "bad":
+            raise error(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
+    tokens.append(Token(END, "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -85,7 +76,7 @@ class Cursor:
         return tok
 
     def at(self, text):
-        return self.tokens[self.i].text == text and self.tokens[self.i].kind != END
+        return self.tokens[self.i].text == text
 
     def at_name(self):
         return self.tokens[self.i].kind == NAME
@@ -95,7 +86,7 @@ class Cursor:
 
     def expect(self, text, what=None):
         tok = self.next()
-        if tok.kind == END or tok.text != text:
+        if tok.text != text:
             found = "end of input" if tok.kind == END else repr(tok.text)
             raise self.error(f"expected {what or repr(text)}, found {found}", tok.line, tok.col)
         return tok

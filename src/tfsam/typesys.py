@@ -6,9 +6,10 @@ A hierarchy is declared as a sequence of statements
 
 with ``%`` comments.  ``bot`` names the most general type and may appear
 only as a statement subject or as a feature value type.  Validation
-computes the subsumption closure, checks that the order is bounded
-complete and that appropriateness is monotone with unique least feature
-introducers, and fixes the alphabetical feature order of every type.
+rejects a second statement for a type, computes the subsumption closure,
+checks that the order is bounded complete and that appropriateness is
+monotone with unique least feature introducers, and fixes the
+alphabetical feature order of every type.
 
 Subsumption is kept as bit masks, after Ait-Kaci, Boyer, Lincoln and Nasr
 ("Efficient implementation of lattice operations", TOPLAS 11(1), 1989):
@@ -92,48 +93,33 @@ def parse_type_spec(text) -> TypeSpec:
     statements = []
     while not cur.at_end():
         statements.append(parse_statement(cur))
-    seen = {}
-    for st in statements:
-        if st.name in seen:
-            raise SpecError(f"duplicate characterization of type {st.name!r}", st.line, st.col)
-        seen[st.name] = st
     return TypeSpec(tuple(statements))
 
 
 def parse_statement(cur) -> TypeStatement:
     subject = cur.expect_name("a type name")
     cur.expect("sub")
-    subtypes = _name_list(cur, "a subtype name")
+    subtypes = _bracketed(cur, lambda c: c.expect_name("a subtype name").text)
     intro = ()
     if cur.at("intro"):
         cur.next()
-        intro = _pair_list(cur)
+        intro = _bracketed(cur, _feature_pair)
     cur.expect(".")
     return TypeStatement(subject.text, subtypes, intro, subject.line, subject.col)
 
 
-def _name_list(cur, what):
+def _bracketed(cur, item):
+    """A tuple of what *item* reads from each element of ``[x, ..., x]``,
+    which may be empty."""
     cur.expect("[")
-    names = []
+    items = []
     if not cur.at("]"):
-        names.append(cur.expect_name(what).text)
+        items.append(item(cur))
         while cur.at(","):
             cur.next()
-            names.append(cur.expect_name(what).text)
+            items.append(item(cur))
     cur.expect("]")
-    return tuple(names)
-
-
-def _pair_list(cur):
-    cur.expect("[")
-    pairs = []
-    if not cur.at("]"):
-        pairs.append(_feature_pair(cur))
-        while cur.at(","):
-            cur.next()
-            pairs.append(_feature_pair(cur))
-    cur.expect("]")
-    return tuple(pairs)
+    return tuple(items)
 
 
 def _feature_pair(cur):
@@ -234,13 +220,13 @@ class TypeHierarchy:
     # -- construction ----------------------------------------------------
 
     def _build(self, spec):
-        by_name = {st.name: st for st in spec.statements}
-        names = []
-        if BOT in by_name:
-            order = [st.name for st in spec.statements]
-            names = [BOT] + [n for n in order if n != BOT]
-        else:
-            names = [BOT] + [st.name for st in spec.statements]
+        seen = set()
+        for st in spec.statements:
+            if st.name in seen:
+                raise SpecError(f"duplicate characterization of type {st.name!r}",
+                                st.line, st.col)
+            seen.add(st.name)
+        names = [BOT] + [st.name for st in spec.statements if st.name != BOT]
         ids = {n: i for i, n in enumerate(names)}
 
         for st in spec.statements:

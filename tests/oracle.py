@@ -7,11 +7,49 @@ least-upper-bound search over the subsumption relation.  Unexpanded
 most-general leaves follow the same readout convention as the machine
 (fully expanded, cut off with ~type at a repeated type on a branch), so
 results from both sides are directly comparable with iso().
+
+The reference tokenizer matches blanks and comments with one pattern and
+a token with another, and tells names from punctuation by the first
+character.
 """
 
 from __future__ import annotations
 
-from tfsam import machine, terms, typesys
+import re
+
+from tfsam import machine, scan, terms, typesys
+
+_TOKEN_RE = re.compile(r"=>|\w+|[\[\](),:.#~]")
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)+")
+
+
+def tokenize(text):
+    """The tokens of *text* as (kind, text, line, col) tuples, ending with
+    the END token; raises scan.SourceError on a character no token takes."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    n = len(text)
+    while pos < n:
+        m = _SKIP_RE.match(text, pos)
+        if m:
+            skipped = m.group()
+            line += skipped.count("\n")
+            nl = skipped.rfind("\n")
+            if nl >= 0:
+                line_start = pos + nl + 1
+            pos = m.end()
+            continue
+        m = _TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if not m:
+            raise scan.SourceError(f"unexpected character {text[pos]!r}", line, col)
+        kind = scan.NAME if m.group()[0].isalnum() or m.group()[0] == "_" else scan.PUNCT
+        tokens.append((kind, m.group(), line, col))
+        pos = m.end()
+    tokens.append((scan.END, "", line, n - line_start + 1))
+    return tokens
 
 
 def brute_lub(h, a, b):

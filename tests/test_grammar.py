@@ -1,6 +1,6 @@
 import pytest
 
-from tfsam import grammar, scan, terms
+from tfsam import grammar, scan, terms, typesys
 from tfsam.grammar import GrammarError, load_grammar, load_hierarchy_only
 
 from conftest import EXAMPLE_SPEC, TOY_GRAMMAR
@@ -80,6 +80,13 @@ def test_start_term_may_be_general():
     # the start term is not required to be totally well-typed
     g = load_grammar(EXAMPLE_SPEC + "rule d => d.\nstart => a(bot,bot).\n")
     assert terms.print_term(g.start) == "a(bot,bot)"
+
+
+@pytest.mark.parametrize("text", ["", "% only a comment\n", "  \n"])
+def test_empty_input(text):
+    assert load_hierarchy_only(text).names == ["bot"]
+    assert typesys.load_hierarchy(text).names == ["bot"]
+    _reject(text, "grammar has no start clause")
 
 
 def test_unterminated_clause():

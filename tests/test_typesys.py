@@ -360,6 +360,16 @@ def test_duplicate_characterization_rejected():
     _reject("bot sub [x]. x sub []. x sub [].", "duplicate characterization")
 
 
+def test_validate_rejects_a_second_statement_for_a_type():
+    spec = typesys.TypeSpec((typesys.TypeStatement("bot", ("x",), (), 1, 1),
+                             typesys.TypeStatement("x", (), (), 2, 1),
+                             typesys.TypeStatement("x", (), (), 3, 5)))
+    with pytest.raises(typesys.SpecError) as e:
+        typesys.validate(spec)
+    assert (e.value.message, e.value.line, e.value.col) == \
+        ("duplicate characterization of type 'x'", 3, 5)
+
+
 def test_unknown_subtype_rejected():
     _reject("bot sub [x, y]. x sub [].", "unknown type 'y'")
 
