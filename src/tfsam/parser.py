@@ -25,6 +25,18 @@ never meet it.  Duplicate edges (same cell, rule, dot, and isomorphic
 saved structures) are dropped, so the chart grows to a fixed point.  A
 copy is a canonical form of its structures, so duplicates are found by a
 set lookup on a key built from it, not by comparing structures.
+
+Each distinct combine runs on the machine once per parse.  A dict local
+to the parse maps the rule, the dot and the two edges' copies to the
+copy of the resulting edge, or to None when the combine failed; a later
+combine with the same four inputs makes its edge from the stored copy,
+over its own span, without touching the machine.  This is sound because
+``_combine`` reads nothing else: it appends both copies at the top of the
+heap, runs the rule's linked pieces for that dot from the restored
+registers alone, copies the result canonically and rewinds.  The spans
+only label the new edge, and the heap below the checkpoint is never
+reached from the restored registers.  The dict is dropped when the parse
+returns, so nothing grows across parses.
 """
 
 from __future__ import annotations
@@ -164,6 +176,7 @@ class ChartParser:
         chart = Chart(n)
         agenda = deque()
         seen = set()
+        outcomes = {}   # (rule id, dot, active copy, complete copy) -> copy or None
         items = 0
 
         def add(edge, enqueue=True):
@@ -178,6 +191,22 @@ class ChartParser:
                 raise LimitExceeded("chart item", self.max_items)
             if enqueue:
                 agenda.append(edge)
+
+        def combine(active, complete):
+            info = active.info
+            key = (info.rule_id, active.dot, active.snapshot, complete.snapshot)
+            try:
+                snap = outcomes[key]
+            except KeyError:
+                new = self._combine(m, active, complete)
+                outcomes[key] = None if new is None else new.snapshot
+                return new
+            if snap is None:
+                return None
+            dot = active.dot + 1
+            if dot == len(info.body_code):
+                return CompleteEdge(active.i, complete.j, info.label, snap, m.h)
+            return ActiveEdge(active.i, complete.j, info, dot, snap)
 
         for e in seeds:
             add(e)
@@ -196,7 +225,7 @@ class ChartParser:
                 for i in range(k, -1, -1):
                     for a in list(chart.cell(i, k)):
                         if isinstance(a, ActiveEdge):
-                            new = self._combine(m, a, edge)
+                            new = combine(a, edge)
                             if new is not None:
                                 add(new)
             else:
@@ -204,7 +233,7 @@ class ChartParser:
                 for j in range(k + 1, n + 1):
                     for c in list(chart.cell(k, j)):
                         if isinstance(c, CompleteEdge):
-                            new = self._combine(m, edge, c)
+                            new = combine(edge, c)
                             if new is not None:
                                 add(new)
 

@@ -340,8 +340,8 @@ class TypeHierarchy:
         features = []
         approp = []
         for t in range(n):
-            fs = sorted(f for f, decls in declared.items()
-                        if any(subsumes(d, t) for d, _, _, _ in decls))
+            # every declaring type lies below the introducer, itself one
+            fs = sorted(f for f, i in introducer.items() if subsumes(i, t))
             vals = []
             for f in fs:
                 inherited = [v for d, v, _, _ in declared[f] if subsumes(d, t)]

@@ -86,6 +86,26 @@ def check_compile_goldens(capsys, tmp_path, suffix, *flags):
         assert out == (GOLDEN / f"{name}.{suffix}.txt").read_text(encoding="utf-8"), name
 
 
+# the sentence each grammar's golden/<grammar>.parse.txt was made from
+PARSE_SENTENCES = {"readme": "w1 w2", "toy": "w2 w1", "ambiguous": "w1 w2",
+                   "chain": "p x", "self_feeding": "q q"}
+
+
+def test_parse_chart_goldens(capsys, tmp_path):
+    """``tfsam parse --chart`` prints golden/<grammar>.parse.txt byte for
+    byte for the README grammar and each test grammar, and without
+    ``--chart`` the same heads (or ``no parse``) alone."""
+    for name, text in GRAMMARS.items():
+        p = tmp_path / f"{name}.grammar"
+        p.write_text(text, encoding="utf-8")
+        golden = (GOLDEN / f"{name}.parse.txt").read_text(encoding="utf-8")
+        code, out, err = run(capsys, "parse", str(p), PARSE_SENTENCES[name], "--chart")
+        assert (code, err, out) == (0, "", golden), name
+        code, out, err = run(capsys, "parse", str(p), PARSE_SENTENCES[name])
+        assert (code, err) == (0, ""), name
+        assert golden.startswith(out) and golden[len(out):].startswith("(0,0):\n"), name
+
+
 def test_compile_summary(capsys, toy_file, tmp_path):
     code, out, _ = run(capsys, "compile", toy_file)
     assert code == 0

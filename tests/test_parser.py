@@ -356,19 +356,100 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     assert isinstance(ChartParser(toy_grammar)._combine(m, active, complete), ActiveEdge)
 
 
+LOOP_GRAMMAR = LOOP_SPEC + """
+lex q => t(~t).
+rule #1 bot => #1.
+start => t(~t).
+"""
+
+
 def test_unexpanded_leaf_reaches_a_fixed_point():
     # a ~t leaf stays one VAR cell in every copy, so the rule's edge over
     # its own result is a duplicate; when each copy expanded the leaf one
     # level further, the chart grew until the item limit stopped it
-    g = grammar.load_grammar(LOOP_SPEC + """
-lex q => t(~t).
-rule #1 bot => #1.
-start => t(~t).
-""")
+    g = grammar.load_grammar(LOOP_GRAMMAR)
     result = ChartParser(g, max_items=8, verify_undo=True).parse(["q"])
     assert (result.items, result.pops) == (3, 2)
     assert [terms.print_term(head) for head in result.heads] == ["t(t(~t))"] * 2
     assert result.chart.dump() == "(0,0):\n  rule0 @ 0\n(0,1):\n  lex_q: t(t(~t))\n  rule0: t(t(~t))"
+
+
+# -- the per-parse memo of combines --------------------------------------------------
+
+# A copy of the benchmark's agreement grammar: every combine of a uniform
+# sentence succeeds, and each cell receives the same edge many times.
+AGREEMENT_GRAMMAR = """
+bot sub [agr, cat].
+agr sub [sg, pl].
+sg sub [].
+pl sub [].
+cat sub [np, s] intro [agr: agr].
+np sub [].
+s sub [].
+rule np(#1 agr) => s(#1).
+rule s(#1 agr), s(#1) => s(#1).
+lex w => np(sg).
+lex v => np(pl).
+start => s(agr).
+"""
+
+AGREEMENT_SENTENCES = ["w", "w v", "w w w", "v w v v", "w w w w w",
+                       "v v v v v v", "w w v w w w w", "v v v v v v v v"]
+
+
+# the pinned sentences of the conftest grammars, named by their fixtures,
+# then the grammars given here by their text
+CLOSURE_TEXTS = {"loop": LOOP_GRAMMAR, "agreement": AGREEMENT_GRAMMAR}
+CLOSURE_CASES = (list(dict.fromkeys((fixture, sentence) for fixture, sentence, *_ in PINNED))
+                 + [("loop", "q")]
+                 + [("agreement", sentence) for sentence in AGREEMENT_SENTENCES])
+
+
+@pytest.mark.parametrize("name,sentence", CLOSURE_CASES)
+def test_chart_is_closed_under_the_fundamental_rule(request, name, sentence):
+    # every combine of an active edge with a complete edge to its right,
+    # run afresh on a fresh machine, fails or gives an edge already in the
+    # chart: answering repeated combines from the memo loses no edge
+    text = CLOSURE_TEXTS.get(name)
+    g = request.getfixturevalue(name) if text is None else grammar.load_grammar(text)
+    chart = ChartParser(g, verify_undo=True).parse(sentence.split()).chart
+    keys = {e.key for cell in chart.cells.values() for e in cell}
+    p = ChartParser(g, verify_undo=True)
+    tried = 0
+    for (_, k), cell in list(chart.cells.items()):
+        for a in cell:
+            if not isinstance(a, ActiveEdge):
+                continue
+            for j in range(k + 1, chart.n + 1):
+                for c in chart.cell(k, j):
+                    if isinstance(c, CompleteEdge):
+                        new = p._combine(machine.MachineState(g.hierarchy), a, c)
+                        assert new is None or new.key in keys, (a, c)
+                        tried += 1
+    assert tried
+
+
+def test_each_distinct_combine_runs_once(monkeypatch):
+    # a uniform sentence repeats the same few combines over every span;
+    # only the first of each reaches the machine, so the count does not
+    # grow with the sentence, and a second parse starts afresh
+    g = grammar.load_grammar(AGREEMENT_GRAMMAR)
+    calls = []
+    restore = machine.MachineState.restore_regs
+
+    def counted(m, snap):
+        calls.append(snap)
+        restore(m, snap)
+
+    monkeypatch.setattr(machine.MachineState, "restore_regs", counted)
+    p = ChartParser(g, verify_undo=True)
+    counts = []
+    for n in (4, 8, 8):
+        calls.clear()
+        result = p.parse(["w"] * n)
+        assert [terms.print_term(head) for head in result.heads] == ["s(sg)"]
+        counts.append(len(calls))
+    assert counts == [9, 9, 9]
 
 
 def test_no_hierarchy_outlives_its_grammar():
