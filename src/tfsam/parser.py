@@ -37,6 +37,18 @@ registers alone, copies the result canonically and rewinds.  The spans
 only label the new edge, and the heap below the checkpoint is never
 reached from the restored registers.  The dict is dropped when the parse
 returns, so nothing grows across parses.
+
+Within one parse every distinct copy is one object.  A dict local to the
+parse maps each copy to its canonical object; a seed's copy and the copy
+of each machine combine's edge are swapped for it, so a copy is hashed
+once where it is made, not on every proposal.  The memo of combines and
+the duplicate check then key on ``id()`` of the copies, and a proposal
+whose key is already in the chart builds no edge.  This is sound: two
+canonical copies are the same object exactly when they are equal, and
+the dict holds every canonical copy until the parse returns, so no
+``id()`` is reused while a key that holds it is alive.  Equal identity
+keys therefore mean equal edges, as ``ActiveEdge.key`` and
+``CompleteEdge.key`` define them.
 """
 
 from __future__ import annotations
@@ -174,18 +186,21 @@ class ChartParser:
     def _run(self, m, words, seeds) -> ParseResult:
         n = len(words)
         chart = Chart(n)
+        # the active and the complete edges of each cell, in chart order
+        actives = {}
+        completes = {}
         agenda = deque()
-        seen = set()
-        outcomes = {}   # (rule id, dot, active copy, complete copy) -> copy or None
+        canon = {EMPTY_SNAPSHOT: EMPTY_SNAPSHOT}    # copy -> its canonical object
+        seen = set()    # edge keys with id(copy) in place of the copy
+        outcomes = {}   # (rule id, dot, id(active copy), id(complete copy)) -> copy or None
         items = 0
 
-        def add(edge, enqueue=True):
+        def add(key, edge, enqueue=True):
             nonlocal items
-            key = edge.key
-            if key in seen:
-                return
             seen.add(key)
-            chart.cells.setdefault((edge.i, edge.j), []).append(edge)
+            span = (edge.i, edge.j)
+            chart.cells.setdefault(span, []).append(edge)
+            (actives if isinstance(edge, ActiveEdge) else completes).setdefault(span, []).append(edge)
             items += 1
             if items > self.max_items:
                 raise LimitExceeded("chart item", self.max_items)
@@ -194,26 +209,42 @@ class ChartParser:
 
         def combine(active, complete):
             info = active.info
-            key = (info.rule_id, active.dot, active.snapshot, complete.snapshot)
+            memo_key = (info.rule_id, active.dot, id(active.snapshot), id(complete.snapshot))
+            new = None
             try:
-                snap = outcomes[key]
+                snap = outcomes[memo_key]
             except KeyError:
                 new = self._combine(m, active, complete)
-                outcomes[key] = None if new is None else new.snapshot
-                return new
+                snap = None if new is None else canon.setdefault(new.snapshot, new.snapshot)
+                outcomes[memo_key] = snap
             if snap is None:
-                return None
-            dot = active.dot + 1
-            if dot == len(info.body_code):
-                return CompleteEdge(active.i, complete.j, info.label, snap, m.h)
-            return ActiveEdge(active.i, complete.j, info, dot, snap)
+                return
+            i, j, dot = active.i, complete.j, active.dot + 1
+            done = dot == len(info.body_code)
+            key = (i, j, info.label, id(snap)) if done else (i, j, info.rule_id, dot, id(snap))
+            if key in seen:
+                return
+            if new is not None:
+                new.snapshot = snap
+            elif done:
+                new = CompleteEdge(i, j, info.label, snap, m.h)
+            else:
+                new = ActiveEdge(i, j, info, dot, snap)
+            add(key, new)
 
         for e in seeds:
-            add(e)
+            # a seed's label is unique to its position, so no seed is a duplicate
+            e.snapshot = canon.setdefault(e.snapshot, e.snapshot)
+            add((e.i, e.j, e.source, id(e.snapshot)), e)
         for i in range(n):
             for info in self.grammar.code.rules:
-                add(ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT), enqueue=False)
+                add((i, i, info.rule_id, 0, id(EMPTY_SNAPSHOT)),
+                    ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT), enqueue=False)
 
+        # No list below grows while it is iterated: a popped complete edge
+        # at (k, j) adds only to cells (i, j) with j > k, and an enqueued
+        # active edge at (i, k) has i < k, so it adds only to cells (i, j)
+        # with i != k.
         pops = 0
         while agenda:
             edge = agenda.popleft()
@@ -223,22 +254,15 @@ class ChartParser:
             if isinstance(edge, CompleteEdge):
                 k = edge.i
                 for i in range(k, -1, -1):
-                    for a in list(chart.cell(i, k)):
-                        if isinstance(a, ActiveEdge):
-                            new = combine(a, edge)
-                            if new is not None:
-                                add(new)
+                    for a in actives.get((i, k), ()):
+                        combine(a, edge)
             else:
                 k = edge.j
                 for j in range(k + 1, n + 1):
-                    for c in list(chart.cell(k, j)):
-                        if isinstance(c, CompleteEdge):
-                            new = combine(edge, c)
-                            if new is not None:
-                                add(new)
+                    for c in completes.get((k, j), ()):
+                        combine(edge, c)
 
-        heads = [self._start_compatible(m, e) for e in chart.cell(0, n)
-                 if isinstance(e, CompleteEdge)]
+        heads = [self._start_compatible(m, e) for e in completes.get((0, n), ())]
         heads = [h for h in heads if h is not None]
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 

@@ -269,6 +269,9 @@ def well_typed_check(hierarchy, t) -> list[Violation]:
     """Check every node's arguments against appropriateness; [] means ok.
 
     Reentrant targets are checked once, at their defining occurrence.
+    The walk runs from an explicit stack, so a term of any depth can be
+    checked.  An argument's type is checked before the walk below it,
+    and that walk ends before the next argument's check.
     """
     roots = t.roots if isinstance(t, MRS) else [t]
     defs = {}
@@ -276,31 +279,25 @@ def well_typed_check(hierarchy, t) -> list[Violation]:
         _collect_tags(r, defs)
     out = []
     checked = set()
-
-    def node_type(x):
-        return defs[x.tag].type if isinstance(x, BackRef) else x.type
-
-    def walk(x, path):
-        if isinstance(x, BackRef) or isinstance(x, MostGeneral):
-            return
-        if id(x) in checked:
-            return
+    # (appropriate value or None for a root, node, path)
+    stack = [(None, r, "") for r in reversed(roots)]
+    while stack:
+        v, x, path = stack.pop()
+        if v is not None:
+            found = defs[x.tag].type if isinstance(x, BackRef) else x.type
+            if not hierarchy.subsumes(v, found):
+                out.append(Violation(path, hierarchy.tname(v), found))
+        if isinstance(x, (BackRef, MostGeneral)) or id(x) in checked:
+            continue
         checked.add(id(x))
         fs = hierarchy.features(x.type)
-        vals = hierarchy.approp_list(x.type)
         if len(x.args) != len(fs):
             out.append(Violation(path, f"{len(fs)} argument(s) for {x.type}",
                                  f"{len(x.args)}"))
-            return
-        for f, v, a in zip(fs, vals, x.args):
-            sub = f"{path}.{f}" if path else f
-            found = node_type(a)
-            if not hierarchy.subsumes(v, found):
-                out.append(Violation(sub, hierarchy.tname(v), found))
-            walk(a, sub)
-
-    for r in roots:
-        walk(r, "")
+            continue
+        vals = hierarchy.approp_list(x.type)
+        for f, v, a in zip(reversed(fs), reversed(vals), reversed(x.args)):
+            stack.append((v, a, f"{path}.{f}" if path else f))
     return out
 
 

@@ -452,6 +452,22 @@ def test_each_distinct_combine_runs_once(monkeypatch):
     assert counts == [9, 9, 9]
 
 
+@pytest.mark.parametrize("sentence", ["w w w w w w w w", "w v w w"])
+def test_a_duplicate_proposal_builds_no_edge(monkeypatch, sentence):
+    # every edge object made during a parse goes into the chart, and the
+    # identity keys of the parse agree with the public edge keys
+    g = grammar.load_grammar(AGREEMENT_GRAMMAR)
+    built = []
+    for cls in (ActiveEdge, CompleteEdge):
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    result = ChartParser(g, verify_undo=True).parse(sentence.split())
+    assert len(built) == result.items
+    assert len({e.key for cell in result.chart.cells.values() for e in cell}) == result.items
+
+
 def test_no_hierarchy_outlives_its_grammar():
     # linked code and complete edges hold their hierarchy, so nothing that
     # lives longer than the grammar, such as the module's empty snapshot,

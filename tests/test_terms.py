@@ -161,6 +161,18 @@ def test_well_typed_covers_every_mrs_root(example_hierarchy):
     assert len(out) == 1
 
 
+def test_well_typed_checks_deep_terms_without_recursion(loop_hierarchy):
+    # t(t(...~t)) chains 10,000 nodes deep over t's one feature f: t,
+    # one ending in ~t and one in the ill-typed ~bot
+    depth = 10_000
+    good, bad = MostGeneral("t"), MostGeneral("bot")
+    for _ in range(depth):
+        good, bad = Node("t", [good]), Node("t", [bad])
+    assert well_typed_check(loop_hierarchy, good) == []
+    out = well_typed_check(loop_hierarchy, bad)
+    assert out == [terms.Violation(".".join(["f"] * depth), "t", "bot")]
+
+
 # -- flattening ----------------------------------------------------------------
 
 def test_flatten_shared_argument(example_hierarchy):
