@@ -42,9 +42,7 @@ def main(argv=None) -> int:
 
 def cmd_check(args) -> int:
     h = grammar.load_hierarchy_only(_read(args.path))
-    n = h.n_types
-    print(f"{n} types, valid")
-    print(f"lub table: {n * n} entries")
+    print(f"{h.n_types} types, valid")
     return 0
 
 
@@ -70,11 +68,18 @@ def cmd_unify(args) -> int:
             print(f"error: {name} term is not totally well-typed: {detail}",
                   file=sys.stderr)
             return 1
+    try:
+        # the right term runs as program code, which has no instruction
+        # for an unexpanded node
+        code = compiler.compile_program(terms.flatten(pair[1][1]))
+    except compiler.CompileError as e:
+        print(f"error: right term: {e}", file=sys.stderr)
+        return 1
     m = machine.MachineState(h, path_compression=not args.no_path_compression)
     regs = {}
     m.execute(compiler.compile_query(terms.flatten(pair[0][1])), regs)
     try:
-        m.execute(compiler.compile_program(terms.flatten(pair[1][1])), regs)
+        m.execute(code, regs)
     except machine.UnifyFailure:
         print("FAIL")
     else:

@@ -17,11 +17,12 @@ a cycle leads back to the pair being unified, both sides dereference to
 the same skeleton and the pair is already settled.
 
 Instructions are linked before they run: ``link`` resolves every type name
-to its id, checks every arity against the hierarchy and builds the node
-cells once, and ``execute`` runs the resulting flat ops in a single
-dispatch loop.  The grammar's code is linked when it is compiled; a
-plain instruction list is linked on entry to ``execute``, so nothing runs
-unless all of it links.
+to its id, checks every arity, builds the node cells once and fuses each
+get_structure with its unify instructions into one op that settles its
+own arguments, so the machine needs no argument stack.  ``execute`` runs
+the flat ops in one dispatch loop.  The grammar's code is linked when it
+is compiled; a plain instruction list is linked on entry to ``execute``,
+so nothing runs unless all of it links.
 
 Structures leave the heap as copies of its cells (``RegSnapshot``), not
 as code: a chart edge is such a copy, and restoring it appends the cells
@@ -52,7 +53,6 @@ class UnifyFailure(Exception):
 class Mark:
     heap: int
     trail: int
-    stack: int
 
 
 # Opcodes of linked code.  A linked op is a tuple (opcode, a, b, c) whose
@@ -62,14 +62,15 @@ class Mark:
 #   PUT_VAR        a = the VAR cell;
 #   PUT_ARC        a = the node's register, b = the arc's offset,
 #                  c = the target's register;
-#   GET_STRUCTURE  a = the STR cell to build if the register is unbound
-#                      (its type id also selects the plan),
-#                  b = the type's arity.
-PUT_NODE, PUT_VAR, PUT_ARC, GET_STRUCTURE, UNIFY_VARIABLE, UNIFY_VALUE = range(6)
+#   GET_STRUCTURE  a = the STR cell to build if the register is unbound (its
+#                      type id also selects the plan), b = per feature, a
+#                      (register, already set) pair (see ``_IS_SET``).
+PUT_NODE, PUT_VAR, PUT_ARC, GET_STRUCTURE = range(4)
+_IS_SET = {compiler.UnifyVariable: False, compiler.UnifyValue: True}
 
 
 class Linked:
-    """Instructions linked against one hierarchy: one op per instruction."""
+    """Instructions linked against one hierarchy (see ``link``)."""
     __slots__ = ("ops", "h")
 
     def __init__(self, ops, h):
@@ -84,16 +85,18 @@ def link(instrs, h) -> Linked:
     """Link compiled instructions against hierarchy *h*.
 
     Type names become ids, node cells are built, and put_node and
-    get_structure arities are checked against the hierarchy, once.  Control
-    instructions are refused here, so code that links runs without any
-    further checks on the instructions themselves.  Every term built from
-    query code is linked first, so this loop is kept lean: it dispatches
-    on the exact class, several times faster than ``match``, and looks
-    names up in the hierarchy's table directly."""
+    get_structure arities are checked against the hierarchy, once.  Each
+    get_structure t/n takes the n unify instructions after it into its
+    op.  Fewer of them, a stray unify instruction and control instructions
+    are refused here, so code that links runs without further checks.
+    Every term built from query code is linked first, so this loop is kept
+    lean: it dispatches on the exact class, several times faster than
+    ``match``, and looks names up in the hierarchy's table directly."""
     ids = h.ids
     arities = h.arities
     ops = []
     append = ops.append
+    instrs = iter(instrs)
     try:
         for ins in instrs:
             cls = type(ins)
@@ -108,13 +111,18 @@ def link(instrs, h) -> Linked:
                 t = ids[ins.type]
                 if ins.arity != arities[t]:
                     raise _arity_error("get_structure", ins)
-                append((GET_STRUCTURE, (STR, t), ins.arity, ins.reg))
-            elif cls is compiler.UnifyVariable:
-                append((UNIFY_VARIABLE, None, None, ins.reg))
-            elif cls is compiler.UnifyValue:
-                append((UNIFY_VALUE, None, None, ins.reg))
+                args = []
+                while len(args) < ins.arity:
+                    arg = next(instrs, None)
+                    if type(arg) not in _IS_SET:
+                        raise MachineError(f"get_structure {ins.type}/{ins.arity} is followed "
+                                           f"by {len(args)} of its {ins.arity} unify instructions")
+                    args.append((arg.reg, _IS_SET[type(arg)]))
+                append((GET_STRUCTURE, (STR, t), tuple(args), ins.reg))
             elif cls is compiler.PutVar:
                 append((PUT_VAR, (VAR, ids[ins.type]), None, ins.reg))
+            elif cls in _IS_SET:
+                raise MachineError(f"{compiler.format_instruction(ins)} is outside a get_structure")
             else:
                 raise MachineError(f"instruction {ins!r} is only valid under the parser")
     except KeyError:
@@ -156,7 +164,6 @@ class MachineState:
         self.h = hierarchy
         self.heap = []
         self.regs = {}
-        self.stack = []          # (action, address), action is "copy" or "unify"
         self.trail = []          # (address, previous cell)
         self.path_compression = path_compression
         self.eager = eager
@@ -192,26 +199,23 @@ class MachineState:
     # -- trail ---------------------------------------------------------------
 
     def checkpoint(self) -> Mark:
-        return Mark(len(self.heap), len(self.trail), len(self.stack))
+        return Mark(len(self.heap), len(self.trail))
 
     def undo(self, mark: Mark):
-        if (mark.trail > len(self.trail) or mark.heap > len(self.heap)
-                or mark.stack > len(self.stack)):
+        if mark.trail > len(self.trail) or mark.heap > len(self.heap):
             raise MachineError("undo mark out of order")
         while len(self.trail) > mark.trail:
             a, old = self.trail.pop()
             self.heap[a] = old
         del self.heap[mark.heap:]
-        del self.stack[mark.stack:]
 
     def deref(self, a) -> int:
         path = []
-        while True:
-            c = self.cell(a)
-            if c[0] is not REF or c[1] == a:
-                break
+        c = self.cell(a)
+        while c[0] is REF and c[1] != a:
             path.append(a)
             a = c[1]
+            c = self.cell(a)
         if self.path_compression and len(path) > 1:
             for p in path[:-1]:
                 self._set(p, (REF, a))
@@ -235,7 +239,6 @@ class MachineState:
         r = self.regs if regs is None else regs
         heap = self.heap
         trail = self.trail
-        stack = self.stack
         for op, a, b, c in code.ops:
             if op == PUT_ARC:
                 try:
@@ -250,60 +253,49 @@ class MachineState:
                 heap.extend(a)
             elif op == GET_STRUCTURE:
                 self._get_structure(a, b, c, r)
-            elif op == UNIFY_VARIABLE:
-                if not stack:
-                    raise MachineError("unify_variable on an empty stack")
-                r[c] = stack.pop()[1]
-            elif op == UNIFY_VALUE:
-                if not stack:
-                    raise MachineError("unify_value on an empty stack")
-                if c not in r:
-                    raise MachineError(f"register X{c} is unset")
-                action, addr = stack.pop()
-                self._unify([(action, addr, r[c])])
             elif op == PUT_VAR:
                 r[c] = len(heap)
                 heap.append(a)
 
-    def _get_structure(self, node, n, xi, r):
-        """The get_structure op: match register *xi* against a node whose
-        STR cell is *node* and whose type has *n* features."""
+    def _get_structure(self, node, args, xi, r):
+        """The get_structure op: match register *xi* against the node *node*
+        starts, then settle *args* in feature order: a register's first
+        occurrence points it at its argument, a later one unifies the two."""
         if xi not in r:
             raise MachineError(f"register X{xi} is unset")
         addr = self.deref(r[xi])
         r[xi] = addr
         c = self.cell(addr)
         if c[0] is REF:
-            # value not known yet: build the most general skeleton of the
-            # type and schedule a copy action per argument, popped in
-            # argument order
+            # value not known yet: build the type's skeleton, arguments unbound
             base = len(self.heap)
-            self.heap.append(node)
-            for j in range(1, n + 1):
-                self.heap.append((REF, base + j))
-            for j in range(n, 0, -1):
-                self.stack.append(("copy", base + j))
+            entries = [("copy", base + j) for j in range(1, len(args) + 1)]
+            self.heap += [node] + [(REF, a) for _, a in entries]
             self.bind(addr, base)
-            return
-        if c[0] is VAR:
-            base = self.build_most_general_fs(c[1])
-            self.bind(addr, base)
-            addr = base
-            c = self.cell(addr)
-        self.exec_plan(self.h.plans[node[1]][c[1]], addr)
+        else:
+            if c[0] is VAR:
+                addr, c = self._expand(addr, c[1])
+            entries = self.exec_plan(self.h.plans[node[1]][c[1]], addr)
+        for (action, cell), (xj, is_set) in zip(entries, args):
+            if not is_set:
+                r[xj] = cell
+            elif xj in r:
+                self._unify([(action, cell, r[xj])])
+            else:
+                raise MachineError(f"register X{xj} is unset")
 
     # -- plans ---------------------------------------------------------------
 
     def exec_plan(self, plan, addr):
         """Apply a unification plan at *addr*, whose node has the plan's
-        right type.  Schedules one stack entry per feature of the left
-        type, in an order that pops back in the left's feature order."""
+        right type.  Returns an ``(action, cell)`` entry per left feature, in
+        order: the cell awaits a value (``"copy"``) or holds one (``"unify"``)."""
         if plan.result is None:
             raise UnifyFailure(
                 f"{self.h.tname(plan.left)} and {self.h.tname(plan.right)} "
                 f"have no upper bound")
         if plan.result == plan.right and self.h.arities[plan.left] == 0:
-            return
+            return ()
         base = len(self.heap)
         self.heap.append((STR, plan.result))
         pending = []
@@ -328,9 +320,9 @@ class MachineState:
                 else:
                     self.heap.append((VAR, step.vtype))
         for cell, vtype in fills:
-            self._set(cell, (REF, self._build_eager(vtype, frozenset())))
-        self.stack.extend(reversed(pending))
+            self._set(cell, (REF, self._build_eager(vtype)))
         self.bind(addr, base)
+        return pending
 
     # -- unification -----------------------------------------------------------
 
@@ -346,8 +338,8 @@ class MachineState:
         empty.  An item settles when popped, not when pushed, since an earlier
         item can bind a pending copy cell through a cycle: a ``"copy"`` cell
         still unbound is pointed at the address, any other item unifies both.
-        A node pair's argument entries move from the stack to the worklist
-        reversed, so they settle depth first and in argument order."""
+        A node pair's argument entries go onto the worklist reversed, so
+        they settle depth first and in argument order."""
         while work:
             action, a1, a2 = work.pop()
             if action == "copy" and self.heap[a1] == (REF, a1):
@@ -370,32 +362,25 @@ class MachineState:
             # often be bound without materializing anything; expansion happens
             # only when the other side must genuinely be retyped
             if c1[0] is VAR and c2[0] is VAR:
-                t = self._join(c1[1], c2[1])
-                self._set(a1, (VAR, t))
+                self._set(a1, (VAR, self._join(c1[1], c2[1])))
                 self.bind(a2, a1)
                 continue
             if c1[0] is VAR:
                 if self._join(c1[1], c2[1]) == c2[1]:
                     self.bind(a1, a2)
                     continue
-                base = self.build_most_general_fs(c1[1])
-                self.bind(a1, base)
-                a1, c1 = base, self.cell(base)
+                a1, c1 = self._expand(a1, c1[1])
             elif c2[0] is VAR:
                 if self._join(c1[1], c2[1]) == c1[1]:
                     self.bind(a2, a1)
                     continue
-                base = self.build_most_general_fs(c2[1])
-                self.bind(a2, base)
-                a2, c2 = base, self.cell(base)
-            self.exec_plan(self.h.plans[c1[1]][c2[1]], a2)
+                a2, c2 = self._expand(a2, c2[1])
+            args = self.exec_plan(self.h.plans[c1[1]][c2[1]], a2)
             # bind the left operand to the result before settling arguments;
             # cycles back into this pair then dereference to the same address
             self.bind(a1, self.deref(a2))
-            n = self.h.arities[c1[1]]
-            for i in range(n, 0, -1):
-                work.append(self.stack[-i] + (a1 + i,))
-            del self.stack[len(self.stack) - n:]
+            for k in range(len(args), 0, -1):
+                work.append(args[k - 1] + (a1 + k,))
 
     def _join(self, t1, t2) -> int:
         t = self.h.lub(t1, t2)
@@ -410,26 +395,42 @@ class MachineState:
         """Build a node of type *t* whose arguments are unexpanded VAR cells."""
         tid = self.h.tid(t)
         if self.eager:
-            return self._build_eager(tid, frozenset())
+            return self._build_eager(tid)
         base = len(self.heap)
-        self.heap.append((STR, tid))
-        for v in self.h.approps[tid]:
-            self.heap.append((VAR, v))
+        self.heap += [(STR, tid)] + [(VAR, v) for v in self.h.approps[tid]]
         return base
 
-    def _build_eager(self, tid, on_branch):
-        if tid in on_branch:
-            raise MachineError(
-                f"appropriateness loop at type {self.h.tname(tid)}; "
-                f"eager expansion cannot terminate")
-        base = len(self.heap)
-        vals = self.h.approps[tid]
-        self.heap.append((STR, tid))
-        self.heap.extend([None] * len(vals))
-        for k, v in enumerate(vals, start=1):
-            sub = self._build_eager(v, on_branch | {tid})
-            self._set(base + k, (REF, sub))
-        return base
+    def _expand(self, a, t):
+        """Bind the VAR cell at *a*, of type *t*, to a new node of type t."""
+        base = self.build_most_general_fs(t)
+        self.bind(a, base)
+        return base, self.cell(base)
+
+    def _build_eager(self, tid):
+        """Build the full most general structure of type *tid* depth first,
+        from an explicit stack; an arc is written once its value is built."""
+        root = len(self.heap)
+        on_branch = set()
+        # (arc, type id, -1) builds a node for the arc (-1 at the root);
+        # (arc, type id, node) writes the arc once the node is complete
+        stack = [(-1, tid, -1)]
+        while stack:
+            arc, t, base = stack.pop()
+            if base >= 0:
+                on_branch.remove(t)
+                if arc >= 0:
+                    self._set(arc, (REF, base))
+            elif t in on_branch:
+                raise MachineError(f"appropriateness loop at type {self.h.tname(t)}; "
+                                   f"eager expansion cannot terminate")
+            else:
+                on_branch.add(t)
+                base = len(self.heap)
+                vals = self.h.approps[t]
+                self.heap += [(STR, t)] + [None] * len(vals)
+                stack.append((arc, t, base))
+                stack += [(base + k, vals[k - 1], -1) for k in range(len(vals), 0, -1)]
+        return root
 
     # -- building and reading back ------------------------------------------------
 
@@ -486,8 +487,7 @@ class MachineState:
             c = self.cell(a)
             if c[0] is STR:
                 t = terms.Node(h.names[c[1]], [])
-                for k in range(arities[c[1]], 0, -1):
-                    stack.append((t.args, a + k))
+                stack += [(t.args, a + k) for k in range(arities[c[1]], 0, -1)]
             else:
                 t = terms.most_general_term(h, c[1] if c[0] is VAR else typesys.BOT)
             built[a] = t
@@ -517,8 +517,7 @@ class MachineState:
                 o = offset[a] = len(cells)
                 if c[0] is STR:
                     n = arities[c[1]]
-                    cells.append(c)
-                    cells.extend([None] * n)
+                    cells += [c] + [None] * n
                     stack.extend([(o + k, a + k) for k in range(n, 0, -1)])
                 else:
                     cells.append((REF, o) if c[0] is REF else c)

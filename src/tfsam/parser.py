@@ -318,8 +318,8 @@ class ChartParser:
 
 def _check_undo(m, mark, before):
     """Raise unless undoing to *mark* restored the heap to *before* cell
-    for cell and cut the trail and the stack back to the mark."""
+    for cell and cut the trail back to the mark."""
     if m.heap != before:
         raise machine.MachineError("undo left the heap changed")
-    if len(m.trail) != mark.trail or len(m.stack) != mark.stack:
-        raise machine.MachineError("undo left the trail or the stack longer than its mark")
+    if len(m.trail) != mark.trail:
+        raise machine.MachineError("undo left the trail longer than its mark")

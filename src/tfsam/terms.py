@@ -413,16 +413,25 @@ def most_general_term(hierarchy, t) -> Term:
 
     Under an appropriateness loop the full structure would be infinite;
     expansion stops at the first repeated type on a branch and leaves an
-    unexpanded ~type node there.
+    unexpanded ~type node there.  The term is built depth first from an
+    explicit stack, so a chain of types of any length can be expanded.
     """
-    name = hierarchy.tname(t)
-
-    def build(ty, on_branch):
-        if ty in on_branch:
-            return MostGeneral(hierarchy.tname(ty))
-        tid = hierarchy.tid(ty)
-        args = [build(v, on_branch | {ty})
-                for v in hierarchy.approp_list(tid)]
-        return Node(hierarchy.tname(ty), args)
-
-    return build(hierarchy.tid(name), frozenset())
+    names = hierarchy.names
+    out = []
+    on_branch = set()
+    # each stack entry is (argument list of the parent, type id), or
+    # (None, type id) to take the type off the branch once its node is built
+    stack = [(out, hierarchy.tid(hierarchy.tname(t)))]
+    while stack:
+        args, ty = stack.pop()
+        if args is None:
+            on_branch.remove(ty)
+        elif ty in on_branch:
+            args.append(MostGeneral(names[ty]))
+        else:
+            node = Node(names[ty])
+            args.append(node)
+            on_branch.add(ty)
+            stack.append((None, ty))
+            stack.extend([(node.args, v) for v in reversed(hierarchy.approps[ty])])
+    return out[0]

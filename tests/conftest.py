@@ -24,6 +24,15 @@ t sub [u] intro [f: t].
 u sub [].
 """
 
+# bot above c0 .. c2999, each c<i> introducing one feature of type c<i+1>:
+# the most general structure of c0 is a chain of 3,000 nodes, deeper than
+# Python's default recursion limit.
+DEEP_CHAIN_TYPES = 3000
+DEEP_CHAIN_SPEC = (
+    "bot sub [%s].\n" % ", ".join(f"c{i}" for i in range(DEEP_CHAIN_TYPES))
+    + "".join(f"c{i} sub [] intro [f{i}: c{i + 1}].\n" for i in range(DEEP_CHAIN_TYPES - 1))
+    + f"c{DEEP_CHAIN_TYPES - 1} sub [].\n")
+
 TOY_GRAMMAR = EXAMPLE_SPEC + """
 lex w1 => a(d2,d).
 lex w2 => d.
@@ -74,6 +83,11 @@ def example_hierarchy():
 @pytest.fixture(scope="session")
 def loop_hierarchy():
     return typesys.load_hierarchy(LOOP_SPEC)
+
+
+@pytest.fixture(scope="session")
+def deep_chain_hierarchy():
+    return typesys.load_hierarchy(DEEP_CHAIN_SPEC)
 
 
 @pytest.fixture(scope="session")

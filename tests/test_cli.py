@@ -40,7 +40,7 @@ def run(capsys, *argv):
 def test_check_valid(capsys, spec_file):
     code, out, err = run(capsys, "check", spec_file)
     assert code == 0
-    assert out.splitlines() == ["9 types, valid", "lub table: 81 entries"]
+    assert out.splitlines() == ["9 types, valid"]
     assert err == ""
 
 
@@ -179,6 +179,20 @@ def test_unify_rejects_ill_typed_term(capsys, spec_file):
     code, _, err = run(capsys, "unify", spec_file, "d", "a(bot,bot)")
     assert code == 1
     assert "right term" in err
+
+
+def test_unify_refuses_unexpanded_node_in_right_term(capsys, tmp_path):
+    # the right term runs as program code, which has no instruction for ~t;
+    # the left term is built as query code, which has
+    p = tmp_path / "loop.tfs"
+    p.write_text(LOOP_SPEC, encoding="utf-8")
+    for right in ["~t", "t(~t)"]:
+        code, out, err = run(capsys, "unify", str(p), "t(~t)", right)
+        assert (code, out) == (1, "")
+        assert err == ("error: right term: unexpanded ~ node cannot be compiled "
+                       "as program code\n")
+    code, out, err = run(capsys, "unify", str(p), "t(~t)", "#1 t(#1)")
+    assert (code, out, err) == (0, "#1 t(#1)\n", "")
 
 
 def test_unify_rejects_unknown_type(capsys, spec_file):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracle
+from conftest import DEEP_CHAIN_TYPES
 from tfsam import compiler, machine, terms, typesys
 from tfsam.compiler import (GetStructure, PutArc, PutNode, StartRule, UnifyValue,
                             UnifyVariable)
@@ -41,7 +42,6 @@ def test_build_and_extract_round_trip(example_hierarchy):
         m = fresh(h)
         t = parse_term(text, h)
         assert iso(m.extract(m.build_term(t)), t), text
-        assert m.stack == []
 
 
 def test_build_preserves_sharing_across_roots(example_hierarchy):
@@ -61,6 +61,17 @@ def test_extract_expands_unexpanded_leaves(loop_hierarchy):
     assert terms.print_term(m.extract(a)) == "t(t(~t))"
 
 
+def test_extract_expands_a_deep_type_chain_without_recursion(deep_chain_hierarchy):
+    h = deep_chain_hierarchy
+    m = fresh(h)
+    m.heap.append((VAR, h.tid("c0")))
+    t = m.extract(0)
+    for i in range(DEEP_CHAIN_TYPES - 1):
+        assert t.type == f"c{i}"
+        (t,) = t.args
+    assert (t.type, t.args) == (f"c{DEEP_CHAIN_TYPES - 1}", [])
+
+
 def test_extract_reads_unwritten_value_as_bot(example_hierarchy):
     m = fresh(example_hierarchy)
     m.heap.append((REF, 0))
@@ -76,7 +87,6 @@ def test_program_code_builds_under_unbound_root(example_hierarchy):
     m.set_reg(1, 0)
     m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))))
     assert iso(m.extract(0), parse_term("a(#1 d1,#1)", h))
-    assert m.stack == []
 
 
 def test_get_structure_retypes_unexpanded_var(example_hierarchy):
@@ -95,7 +105,6 @@ def test_program_code_against_matching_structure_changes_nothing(example_hierarc
     m.set_reg(1, root)
     m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))))
     assert iso(m.extract(root), parse_term("a(#1 d1,#1)", h))
-    assert m.stack == []
 
 
 def test_matching_a_leaf_adds_no_cells(example_hierarchy):
@@ -131,10 +140,13 @@ def test_control_instructions_refuse_direct_execution(example_hierarchy):
 
 @pytest.mark.parametrize("prefix", ["query", "program"])
 @pytest.mark.parametrize("bad, error, match", [
-    (PutNode("a", 1, 9), MachineError, "put_node arity 1 does not match arity"),
-    (GetStructure("a", 3, 9), MachineError, "get_structure arity 3 does not match arity"),
-    (compiler.PutVar("zz", 9), typesys.SpecError, "unknown type 'zz'"),
-    (StartRule(1), MachineError, "only valid under the parser"),
+    ([PutNode("a", 1, 9)], MachineError, "put_node arity 1 does not match arity"),
+    ([GetStructure("a", 3, 9)], MachineError, "get_structure arity 3 does not match arity"),
+    ([compiler.PutVar("zz", 9)], typesys.SpecError, "unknown type 'zz'"),
+    ([StartRule(1)], MachineError, "only valid under the parser"),
+    ([GetStructure("a", 2, 9), UnifyVariable(10)], MachineError,
+     "get_structure a/2 is followed by 1 of its 2 unify instructions"),
+    ([UnifyValue(1)], MachineError, "unify_value X1 is outside a get_structure"),
 ])
 def test_linking_checks_every_instruction_before_any_runs(example_hierarchy, prefix,
                                                           bad, error, match):
@@ -143,15 +155,15 @@ def test_linking_checks_every_instruction_before_any_runs(example_hierarchy, pre
     m = fresh(h)
     m.set_reg(1, m.build_term(parse_term("b(b(#1 d,#1),d)", h)))
     compile_ = compiler.compile_query if prefix == "query" else compiler.compile_program
-    code = compile_(flatten(parse_term("b(b(#1 d,#1),d)", h))) + [bad]
-    before = (list(m.heap), list(m.trail), dict(m.regs), list(m.stack))
+    code = compile_(flatten(parse_term("b(b(#1 d,#1),d)", h))) + bad
+    before = (list(m.heap), list(m.trail), dict(m.regs))
     with pytest.raises(error, match=match):
         m.execute(code)
-    assert (m.heap, m.trail, m.regs, m.stack) == before
+    assert (m.heap, m.trail, m.regs) == before
     scratch = {1: m.reg(1)}
     with pytest.raises(error, match=match):
         m.execute(code, scratch)
-    assert (m.heap, m.trail, m.regs, m.stack) == before
+    assert (m.heap, m.trail, m.regs) == before
     assert scratch == {1: m.reg(1)}
 
 
@@ -172,18 +184,19 @@ def test_bad_accesses_are_reported(example_hierarchy):
         m.cell(0)
     with pytest.raises(MachineError, match="register X5 is unset"):
         m.reg(5)
-    with pytest.raises(MachineError, match="empty stack"):
+    with pytest.raises(MachineError, match="outside a get_structure"):
         m.execute([UnifyVariable(1)])
-    with pytest.raises(MachineError, match="empty stack"):
+    with pytest.raises(MachineError, match="outside a get_structure"):
         m.execute([UnifyValue(1)])
     with pytest.raises(MachineError, match="unset"):
         m.execute([PutArc(1, 1, 2)])
     m.execute([PutNode("a", 2, 1)])
     with pytest.raises(MachineError, match="before it was written"):
         m.cell(m.reg(1) + 1)
-    m.stack.append(("copy", 0))
+    # a unify_value register is set by earlier code, so only running finds it unset
+    m.set_reg(1, m.build_term(parse_term("a(d2,d)", example_hierarchy)))
     with pytest.raises(MachineError, match="register X7 is unset"):
-        m.execute([UnifyValue(7)])
+        m.execute([GetStructure("a", 2, 1), UnifyVariable(2), UnifyValue(7)])
 
 
 # -- dereferencing ----------------------------------------------------------------
@@ -301,16 +314,20 @@ def test_unify_result_contains_introduced_features(example_hierarchy):
     assert iso(out, parse_term("c(d2,e(d,d1),d,bot)", h))
 
 
-def build_chain(m, typ, depth, cyclic=False):
-    """Build typ(typ(...~t)) with *depth* typ nodes from hand-written
-    equations, since the term parser recurses per level.  A *cyclic* chain
-    ends in a pointer back to its first node instead of ~t."""
+def chain_equations(typ, depth, cyclic=False):
+    """The equations of typ(typ(...~t)) with *depth* typ nodes, written by
+    hand, since the term parser recurses per level.  A *cyclic* chain ends
+    in a pointer back to its first node instead of ~t."""
     eqs = [terms.Equation(i, typ, (i + 1,)) for i in range(1, depth)]
     eqs.append(terms.Equation(depth, typ, (1,) if cyclic else (depth + 1,)))
     if not cyclic:
         eqs.append(terms.Equation(depth + 1, "~t", ()))
+    return terms.EquationSet(eqs, [1], [len(eqs)])
+
+
+def build_chain(m, typ, depth, cyclic=False):
     regs = {}
-    m.execute(compiler.compile_query(terms.EquationSet(eqs, [1], [len(eqs)])), regs)
+    m.execute(compiler.compile_query(chain_equations(typ, depth, cyclic)), regs)
     return regs[1]
 
 
@@ -320,13 +337,19 @@ def test_unify_deep_chains_without_recursion(loop_hierarchy, entry):
     depth = 10_000
     m = fresh(h)
     left = build_chain(m, "t", depth)
+    if entry == "unify_value":
+        # program code of the cyclic chain #1 u(#1): get_structure retypes
+        # the root, and its unify_value then folds every level below the
+        # root into it, one worklist entry per level
+        code = compiler.compile_program(chain_equations("u", 1, cyclic=True))
+        assert [type(ins) for ins in code] == [GetStructure, UnifyValue]
+        m.execute(code, {1: left})
+        a = m.deref(left)
+        assert m.cell(a) == (STR, h.tid("u")) and m.deref(a + 1) == a
+        assert terms.print_term(m.extract(left)) == "#1 u(#1)"
+        return
     right = build_chain(m, "u", depth)
-    if entry == "unify":
-        assert m.unify(left, right)
-    else:
-        m.stack.append(("unify", left))
-        m.execute([UnifyValue(1)], {1: right})
-    assert m.stack == []
+    assert m.unify(left, right)
     # walk the result on the heap iteratively
     for a in (left, right):
         a = m.deref(a)
@@ -430,6 +453,17 @@ def test_eager_expansion_refuses_appropriateness_loop(loop_hierarchy):
     assert lazy.cell(lazy.build_most_general_fs("t")) == (STR, lazy.h.tid("t"))
 
 
+def test_eager_expansion_of_a_deep_type_chain_without_recursion(deep_chain_hierarchy):
+    h = deep_chain_hierarchy
+    m = fresh(h, eager=True)
+    a = m.build_most_general_fs("c0")
+    for i in range(DEEP_CHAIN_TYPES - 1):
+        assert m.cell(a) == (STR, h.tid(f"c{i}"))
+        a = m.deref(a + 1)
+    assert m.cell(a) == (STR, h.tid(f"c{DEEP_CHAIN_TYPES - 1}"))
+    assert m.top == DEEP_CHAIN_TYPES * 2 - 1
+
+
 def test_lazy_and_eager_agree_on_loop_free_corpus(example_hierarchy):
     rng = random.Random(7)
     h = example_hierarchy
@@ -457,7 +491,6 @@ def test_undo_restores_heap_exactly(example_hierarchy):
     m.undo(mark)
     assert m.heap == before
     assert len(m.trail) == mark.trail
-    assert m.stack == []
 
 
 def test_undo_after_failed_unification(example_hierarchy):

@@ -309,7 +309,7 @@ def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
     assert mid.key in {e.key for e in chart.cell(0, 1)}
     assert done.key in {e.key for e in chart.cell(0, 2)}
     assert p._start_compatible(m, done)
-    assert m.heap == [] and m.trail == [] and m.stack == []
+    assert m.heap == [] and m.trail == []
 
 
 # -- verify_undo ----------------------------------------------------------------------
@@ -319,23 +319,15 @@ def _undo_keeping_top_cell(m, mark):
         a, old = m.trail.pop()
         m.heap[a] = old
     del m.heap[mark.heap + 1:]
-    del m.stack[mark.stack:]
 
 
 def _undo_keeping_trail(m, mark):
     for a, old in reversed(m.trail[mark.trail:]):
         m.heap[a] = old
     del m.heap[mark.heap:]
-    del m.stack[mark.stack:]
 
 
-def _undo_keeping_stack(m, mark):
-    machine.MachineState.undo(m, mark)
-    m.stack.append(("copy", 0))
-
-
-@pytest.mark.parametrize("broken", [_undo_keeping_top_cell, _undo_keeping_trail,
-                                    _undo_keeping_stack])
+@pytest.mark.parametrize("broken", [_undo_keeping_top_cell, _undo_keeping_trail])
 def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     h = toy_grammar.hierarchy
     p = ChartParser(toy_grammar, verify_undo=True)

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import oracle
+from conftest import DEEP_CHAIN_TYPES
 from tfsam import terms
 from tfsam.machine import STR, VAR, MachineState
 from tfsam.terms import (
@@ -275,6 +276,14 @@ def test_most_general_term_cuts_off_at_loop(loop_hierarchy):
     h = loop_hierarchy
     assert iso(most_general_term(h, "t"), parse_term("t(~t)", h))
     assert iso(most_general_term(h, "u"), parse_term("u(t(~t))", h))
+
+
+def test_most_general_term_of_a_deep_type_chain_without_recursion(deep_chain_hierarchy):
+    t = most_general_term(deep_chain_hierarchy, "c0")
+    for i in range(DEEP_CHAIN_TYPES - 1):
+        assert t.type == f"c{i}"
+        (t,) = t.args
+    assert (t.type, t.args) == (f"c{DEEP_CHAIN_TYPES - 1}", [])
 
 
 # -- heap copies as a canonical key ---------------------------------------------

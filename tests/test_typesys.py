@@ -123,7 +123,7 @@ def test_plan_step_shape_invariants_on_random_hierarchies():
                         assert 1 <= step.pos <= h.arity(b)
                     if isinstance(step, (LeftOnly, Both)):
                         pending += 1
-                # one stack entry per left feature is what unify pops
+                # exec_plan returns one argument entry per left feature
                 assert pending == h.arity(a)
 
 
