@@ -10,11 +10,13 @@ for later ones; first-seen tracking spans the whole compiled fragment.
 
 A rule compiles to pieces: the program code of each body element and
 the query code of the head, with one register numbering for the whole
-rule, so reentrancies that span rule elements simply reuse registers.  A
-lexical entry compiles to query code only.  The pieces are the rule:
-``compile_grammar`` links each of them, once, against the grammar's
-hierarchy (``machine.link``: type names become ids and arities are
-checked), and the parser executes those linked pieces as they are.
+rule, so reentrancies that span rule elements simply reuse registers.  The
+pieces are the rule: ``compile_grammar`` links each of them, once, against
+the grammar's hierarchy (``machine.link``: type names become ids and
+arities are checked), and the parser executes those linked pieces as they
+are.  A lexical entry compiles to query code only, which
+``compile_grammar`` runs once: the entry keeps the copy of heap cells it
+builds (``LexEntry.snapshot``), so a parse runs rule code only.
 
 The listing wraps a rule's pieces in control instructions,
 
@@ -118,9 +120,7 @@ class LexEntry:
     word: str
     index: int
     label: str
-    root_reg: int
-    term: object
-    code: object = field(compare=False, repr=False)  # linked query code
+    snapshot: object = field(repr=False)    # the entry's copy, a machine.RegSnapshot
 
 
 @dataclass
@@ -209,11 +209,13 @@ def rule_listing(body_code, head_code) -> list:
 
 
 def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
-    """Compile rule MRSs and lexical entries into one labeled listing, and
-    link the pieces the parser executes against *hierarchy*."""
-    from .machine import link     # the machine imports this module
+    """Compile rule MRSs and lexical entries into one labeled listing, link
+    the rule pieces the parser executes against *hierarchy*, and run each
+    lexical entry's query code once to keep the copy it builds."""
+    from .machine import MachineState, link     # the machine imports this module
 
     code = CodeArea()
+    m = MachineState(hierarchy)
     for i, rule in enumerate(rules):
         label = f"rule{i}"
         code.add_label(label)
@@ -230,8 +232,10 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
             code.add_label(label)
             instrs = compile_query(terms.flatten(term))
             code.extend(instrs)
+            m.regs = {}
+            m.execute(instrs)
             code.lexicon.setdefault(word, []).append(
-                LexEntry(word, k, label, 1, term, link(instrs, hierarchy)))
+                LexEntry(word, k, label, m.snapshot_regs([1])))
     return code
 
 

@@ -12,7 +12,10 @@ Rule and lexicon terms must be totally well-typed.  The start term is only
 parsed, not checked: it is usually more general than any derivable head
 (e.g. a bare type), and the parser unifies it against candidates anyway.
 It is built once, when the grammar loads, and the parser restores that
-copy (``CodeArea.start``) for every spanning head it checks.
+copy (``CodeArea.start``) for every spanning head it checks.  Lexical
+entries are copies too: compiling the grammar runs each entry's query
+code once and keeps the cells it builds (``LexEntry.snapshot``), which
+the parser takes as a word's seed edges, so a parse runs rule code only.
 
 A file is tokenized once and read by one cursor in two passes: the first
 parses the type clauses in place and validates the hierarchy, and the

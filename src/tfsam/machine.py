@@ -20,9 +20,11 @@ Instructions are linked before they run: ``link`` resolves every type name
 to its id, checks every arity, builds the node cells once and fuses each
 get_structure with its unify instructions into one op that settles its
 own arguments, so the machine needs no argument stack.  ``execute`` runs
-the flat ops in one dispatch loop.  The grammar's code is linked when it
-is compiled; a plain instruction list is linked on entry to ``execute``,
-so nothing runs unless all of it links.
+the flat ops in one dispatch loop.  The grammar's rule code is linked
+when it is compiled, and its lexical entries' query code runs then, once,
+to make their copies; a parse runs only the linked rule code.  A plain
+instruction list is linked on entry to ``execute``, so nothing runs
+unless all of it links.
 
 Structures leave the heap as copies of its cells (``RegSnapshot``), not
 as code: a chart edge is such a copy, and restoring it appends the cells
@@ -87,8 +89,10 @@ def link(instrs, h) -> Linked:
     Type names become ids, node cells are built, and put_node and
     get_structure arities are checked against the hierarchy, once.  Each
     get_structure t/n takes the n unify instructions after it into its
-    op.  Fewer of them, a stray unify instruction and control instructions
-    are refused here, so code that links runs without further checks.
+    op.  Fewer of them, a stray unify instruction, a put_arc whose
+    register no earlier put_node of the same code set or whose offset is
+    outside that node's arcs, and control instructions are refused here,
+    so code that links runs without further checks.
     Every term built from query code is linked first, so this loop is kept
     lean: it dispatches on the exact class, several times faster than
     ``match``, and looks names up in the hierarchy's table directly."""
@@ -96,30 +100,37 @@ def link(instrs, h) -> Linked:
     arities = h.arities
     ops = []
     append = ops.append
+    node_arity = {}     # register -> arity of the node its latest put_node built
     instrs = iter(instrs)
     try:
         for ins in instrs:
             cls = type(ins)
             if cls is compiler.PutArc:
+                if not 0 < ins.offset <= node_arity.get(ins.reg, -1):
+                    raise _put_arc_error(ins, node_arity.get(ins.reg))
                 append((PUT_ARC, ins.reg, ins.offset, ins.target))
             elif cls is compiler.PutNode:
                 t = ids[ins.type]
                 if ins.arity != arities[t]:
                     raise _arity_error("put_node", ins)
+                node_arity[ins.reg] = ins.arity
                 append((PUT_NODE, ((STR, t),) + (None,) * ins.arity, None, ins.reg))
             elif cls is compiler.GetStructure:
                 t = ids[ins.type]
                 if ins.arity != arities[t]:
                     raise _arity_error("get_structure", ins)
+                node_arity.pop(ins.reg, None)
                 args = []
                 while len(args) < ins.arity:
                     arg = next(instrs, None)
                     if type(arg) not in _IS_SET:
                         raise MachineError(f"get_structure {ins.type}/{ins.arity} is followed "
                                            f"by {len(args)} of its {ins.arity} unify instructions")
+                    node_arity.pop(arg.reg, None)
                     args.append((arg.reg, _IS_SET[type(arg)]))
                 append((GET_STRUCTURE, (STR, t), tuple(args), ins.reg))
             elif cls is compiler.PutVar:
+                node_arity.pop(ins.reg, None)
                 append((PUT_VAR, (VAR, ids[ins.type]), None, ins.reg))
             elif cls in _IS_SET:
                 raise MachineError(f"{compiler.format_instruction(ins)} is outside a get_structure")
@@ -133,6 +144,15 @@ def link(instrs, h) -> Linked:
 
 def _arity_error(op, ins):
     return MachineError(f"{op} arity {ins.arity} does not match arity({ins.type})")
+
+
+def _put_arc_error(ins, arity):
+    where = compiler.format_instruction(ins)
+    if arity is None:
+        return MachineError(f"{where}: register X{ins.reg} is unset, "
+                            f"no earlier put_node in the same code built it")
+    return MachineError(f"{where}: offset {ins.offset} is outside 1..{arity}, "
+                        f"the arcs of the node in X{ins.reg}")
 
 
 class RegSnapshot(NamedTuple):

@@ -6,9 +6,10 @@ edge is a finished head.  Instead of heap pointers an edge carries a copy
 of heap cells (``machine.RegSnapshot``): an active edge of its registers,
 a complete edge of its head alone.  Edges thus stay valid after the heap
 is rewound, and a head is read back as a term only where it is printed or
-checked against the start term.  Rule and lexicon code comes linked from
-``compile_grammar``, one piece per body element, head and lexical entry,
-and the parser never reads the listing.
+checked against the start term.  A word's seed edges are the copies its
+lexical entries made when the grammar compiled (``LexEntry.snapshot``),
+so a parse runs rule code only: the pieces ``compile_grammar`` linked,
+one per body element and head.  The parser never reads the listing.
 
 Combining an active edge ending at k with a complete edge spanning (k, j)
 appends the active edge's copy to the heap to restore its registers,
@@ -153,19 +154,14 @@ class ChartParser:
         words = list(words)
         if not words:
             raise ValueError("input must contain at least one word")
-        m = self._machine()
-        code = self.grammar.code
+        h = self.grammar.hierarchy
         seeds = []
         for i, w in enumerate(words):
-            entries = code.lexicon.get(w)
+            entries = self.grammar.code.lexicon.get(w)
             if not entries:
                 raise UnknownWordError(w, i)
-            for entry in entries:
-                m.regs = {}
-                m.execute(entry.code)
-                seeds.append(CompleteEdge(i, i + 1, entry.label,
-                                          m.snapshot_regs([entry.root_reg]), m.h))
-        return self._run(m, words, seeds)
+            seeds += [CompleteEdge(i, i + 1, e.label, e.snapshot, h) for e in entries]
+        return self._run(self._machine(), words, seeds)
 
     def parse_terms(self, roots) -> ParseResult:
         """Parse an input given directly as terms, one per position."""

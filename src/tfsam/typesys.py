@@ -337,11 +337,17 @@ class TypeHierarchy:
                             f"{f}:{names[v1]}", l1, c1)
         self._introducer = dict(sorted(introducer.items()))
 
+        # a type has the features introduced at or above it: walk each
+        # introducer's subtypes once, features in sorted order
+        features_of = [[] for _ in range(n)]
+        for f, i in self._introducer.items():
+            for r in _bits(ups[i]):
+                features_of[order[r]].append(f)
+
         features = []
         approp = []
-        for t in range(n):
+        for t, fs in enumerate(features_of):
             # every declaring type lies below the introducer, itself one
-            fs = sorted(f for f, i in introducer.items() if subsumes(i, t))
             vals = []
             for f in fs:
                 inherited = [v for d, v, _, _ in declared[f] if subsumes(d, t)]

@@ -110,22 +110,29 @@ def test_rule_needs_body_and_head(example_hierarchy):
         compile_rule_with_info(not_a_rule, 0, "r")
 
 
+def _lexical_copy(h, term):
+    """The copy of X1 after running the query code of *term* on a fresh machine."""
+    m = machine.MachineState(h)
+    m.execute(compile_query(flatten(term)))
+    return m.snapshot_regs([1])
+
+
 def test_grammar_code_area_labels(toy_grammar):
     code = toy_grammar.code
     assert code.labels["rule0"] == 0
     assert set(code.labels) == {"rule0", "lex_w1", "lex_w2"}
     assert [info.label for info in code.rules] == ["rule0"]
     w1 = code.lexicon["w1"][0]
-    assert w1.root_reg == 1
+    assert w1.snapshot == _lexical_copy(toy_grammar.hierarchy, toy_grammar.lexicon["w1"][0])
     assert code.instrs[code.labels["lex_w1"]] == PutNode("a", 2, 1)
-    assert len(w1.code) == 5
     assert code.labels["lex_w2"] == code.labels["lex_w1"] + 5
 
 
 def test_grammar_links_the_code_the_parser_runs(toy_grammar):
-    # each rule element's and lexical entry's code is its compiled piece,
-    # linked against the grammar's hierarchy; the listing wraps the same
-    # pieces, each rule's in its control instructions
+    # each rule element's code is its compiled piece, linked against the
+    # grammar's hierarchy, and each lexical entry holds the copy its query
+    # code builds; the listing wraps the same pieces, each rule's in its
+    # control instructions, followed by the lexical query code
     code = toy_grammar.code
     h = toy_grammar.hierarchy
     linked, pieces, listing = [], [], []
@@ -134,14 +141,13 @@ def test_grammar_links_the_code_the_parser_runs(toy_grammar):
         linked += info.body_code + [info.head_code]
         pieces += fresh.body_code + [fresh.head_code]
         listing += rule_listing(fresh.body_code, fresh.head_code)
-    for word, entries in toy_grammar.lexicon.items():
-        for entry, term in zip(code.lexicon[word], entries, strict=True):
-            linked.append(entry.code)
-            pieces.append(compile_query(flatten(term)))
-            listing += pieces[-1]
     for piece, instrs in zip(linked, pieces, strict=True):
         assert isinstance(piece, machine.Linked) and piece.h is h
         assert piece.ops == machine.link(instrs, h).ops
+    for word, entries in toy_grammar.lexicon.items():
+        for entry, term in zip(code.lexicon[word], entries, strict=True):
+            assert entry.snapshot == _lexical_copy(h, term)
+            listing += compile_query(flatten(term))
     assert code.instrs == listing
 
 

@@ -147,6 +147,14 @@ def test_control_instructions_refuse_direct_execution(example_hierarchy):
     ([GetStructure("a", 2, 9), UnifyVariable(10)], MachineError,
      "get_structure a/2 is followed by 1 of its 2 unify instructions"),
     ([UnifyValue(1)], MachineError, "unify_value X1 is outside a get_structure"),
+    ([PutNode("a", 2, 9), PutNode("d", 0, 10), PutArc(9, 3, 10)], MachineError,
+     "put_arc X9,3,X10: offset 3 is outside 1..2"),
+    ([PutNode("a", 2, 9), PutNode("d", 0, 10), PutArc(9, 0, 10)], MachineError,
+     "put_arc X9,0,X10: offset 0 is outside 1..2"),
+    ([PutNode("a", 2, 9), PutNode("d", 0, 10), PutArc(9, 5, 10)], MachineError,
+     "put_arc X9,5,X10: offset 5 is outside 1..2"),
+    ([PutNode("a", 2, 9), compiler.PutVar("a", 9), PutArc(9, 1, 9)], MachineError,
+     "put_arc X9,1,X9: register X9 is unset"),
 ])
 def test_linking_checks_every_instruction_before_any_runs(example_hierarchy, prefix,
                                                           bad, error, match):

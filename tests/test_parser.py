@@ -113,6 +113,24 @@ def test_start_term_is_built_once_when_the_grammar_loads(ambiguous_grammar, monk
     assert ambiguous_grammar.code.start.cells == ((machine.STR, 0),)
 
 
+def test_a_parse_runs_only_rule_code(toy_grammar, monkeypatch):
+    # a word's seed edges are the copies its lexical entries made when the
+    # grammar compiled, so the machine runs no lexical code during a parse
+    rule_code = {id(c) for info in toy_grammar.code.rules
+                 for c in info.body_code + [info.head_code]}
+    ran = []
+    execute = machine.MachineState.execute
+
+    def recorded(self, code, regs=None):
+        ran.append(code)
+        return execute(self, code, regs)
+
+    monkeypatch.setattr(machine.MachineState, "execute", recorded)
+    result = ChartParser(toy_grammar, verify_undo=True).parse(["w1", "w2"])
+    assert result.accepted
+    assert ran and all(id(c) in rule_code for c in ran)
+
+
 def test_shared_body_root_must_unify_with_both_elements():
     g = grammar.load_grammar(EXAMPLE_SPEC + """
         rule #1 a(bot,d), #1 => a(d2,d).
