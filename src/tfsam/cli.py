@@ -35,7 +35,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the term parser recurses once per nesting level
+        # a safety net: every reader and builder walks from an explicit stack
         print("error: input nested too deeply", file=sys.stderr)
         return 1
 

@@ -14,9 +14,11 @@ rule, so reentrancies that span rule elements simply reuse registers.  The
 pieces are the rule: ``compile_grammar`` links each of them, once, against
 the grammar's hierarchy (``machine.link``: type names become ids and
 arities are checked), and the parser executes those linked pieces as they
-are.  A lexical entry compiles to query code only, which
-``compile_grammar`` runs once: the entry keeps the copy of heap cells it
-builds (``LexEntry.snapshot``), so a parse runs rule code only.
+are, after the quick check ``compile_grammar`` reads off each linked
+body piece (``quick_checks``).  A lexical entry compiles to query code
+only, which ``compile_grammar`` runs once: the entry keeps the copy of
+heap cells it builds (``LexEntry.snapshot``), so a parse runs rule code
+only.
 
 The listing wraps a rule's pieces in control instructions,
 
@@ -113,6 +115,8 @@ class RuleInfo:
     # the control instructions; linked by compile_grammar
     body_code: list = field(compare=False, repr=False)
     head_code: object = field(compare=False, repr=False)
+    # the quick check of each body element; set by compile_grammar
+    checks: list = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -223,6 +227,7 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
         code.extend(rule_listing(info.body_code, info.head_code))
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
+        info.checks = quick_checks(info, hierarchy)
         code.rules.append(info)
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):
@@ -237,6 +242,40 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
             code.lexicon.setdefault(word, []).append(
                 LexEntry(word, k, label, m.snapshot_regs([1])))
     return code
+
+
+def quick_checks(info, h) -> list:
+    """The quick check of each body element of a linked rule, read off its
+    program code (see ``parser``): a pair ``(path, type id)`` per
+    get_structure, and a pair ``(path, register)`` per unify_value of a
+    register the active edge holds, with ``((), root)`` for a root that an
+    earlier element shares.  A path is a tuple of feature names from the
+    root.  A get_structure whose type is at most as specific as what any
+    well-typed node at its path has gets no pair: bot at the root, and
+    the value its introducer gives the last feature below it."""
+    checks = []
+    held = set()    # the registers of the active edge before each element
+    for root, piece in zip(info.body_root_regs, info.body_code):
+        paths = {root: ()}
+        types = []
+        values = [((), root)] if root in held else []
+        # linked program code is all get_structure ops, (opcode, STR cell,
+        # (register, already set) per feature, register); each register is
+        # reached from the root before its own op, since flattening emits
+        # a node's equation after its parent's
+        for _, (_, t), args, x in piece.ops:
+            path = paths[x]
+            least = h.approp(h.introducer(path[-1]), path[-1]) if path else h.bot
+            if not h.subsumes(t, least):
+                types.append((path, t))
+            for f, (y, is_set) in zip(h.type_features[t], args):
+                if not is_set:
+                    paths[y] = path + (f,)
+                elif y in held:
+                    values.append((path + (f,), y))
+        checks.append((tuple(types), tuple(values)))
+        held.update(paths)
+    return checks
 
 
 # -- listing -----------------------------------------------------------------

@@ -18,6 +18,24 @@ the next body element's root register at it, and executes that element's
 program code.  Whatever the outcome, the heap is rewound to the
 checkpoint afterwards; a new edge leaves only as a copy.
 
+Before that, a quick check (after Kiefer et al. 1999, "A bag of useful
+techniques for efficient and robust parsing", and Malouf, Carroll and
+Copestake 2000) refuses most combines that would fail, without touching
+the heap.  ``compile_grammar`` reads off each body element's program
+code the type each get_structure requires at a feature path from the
+element's root (leaving out types no well-typed node there can clash
+with), and the path of each unify_value of a register the active edge
+already holds.  The check walks the complete edge's copy along each
+path, resolving every feature by the type of the node it reaches, and
+gives up on a path that leads below a VAR or an unbound cell or along a
+feature the node's type lacks.  Where it reaches a node, the node's type must have an upper
+bound in common with the required type, or with the type of the
+register's node in the active edge's copy.  This is sound: unification
+only makes types more specific, so a node whose type has no upper bound
+in common with one of these makes the code fail whatever else happens.
+A combine the check lets through runs on the machine as before, which
+stays the judge of it; a refused one is remembered as failed.
+
 The agenda holds edges, not only complete ones: a popped complete edge is
 tried against the active edges in cells (k,k) down to (0,k), and a popped
 active edge against the complete edges to its right.  Without the second
@@ -58,6 +76,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import machine, terms
+from .machine import REF, STR
 
 EMPTY_SNAPSHOT = machine.RegSnapshot((), (), ())
 
@@ -266,6 +285,8 @@ class ChartParser:
         """The fundamental rule: match a complete head against the next
         body element of an active edge.  Returns the new edge, or None."""
         info = active.info
+        if _clashes(info.checks[active.dot], active.snapshot, complete.snapshot, m.h):
+            return None
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
@@ -310,6 +331,45 @@ class ChartParser:
             m.undo(mark)
             if before is not None:
                 _check_undo(m, mark, before)
+
+
+def _clashes(check, active, complete, h):
+    """The quick check: True when the *complete* copy has, at a path the
+    next body element's code reads, a type with no upper bound in common
+    with the type the code requires there or with the node of the
+    register the code unifies there, read from the *active* copy."""
+    types, values = check
+    cells = complete.cells
+    root = complete.roots[0]
+    ups = h.ups
+    features = h.type_features
+    for path, t in types:
+        c = _cell_at(cells, root, path, features)
+        if c is not None and not ups[c[1]] & ups[t]:
+            return True
+    for path, r in values:
+        c = _cell_at(cells, root, path, features)
+        if c is not None:
+            held = active.cells[active.roots[active.live.index(r)]]
+            if held[0] is not REF and not ups[c[1]] & ups[held[1]]:
+                return True
+    return False
+
+
+def _cell_at(cells, o, path, features):
+    """The STR or VAR cell at *path* from offset *o* of a copy, or None
+    where the path leads below a VAR or an unbound cell, along a feature
+    the node's type lacks, or to an unbound cell."""
+    c = cells[o]
+    for f in path:
+        if c[0] is not STR:
+            return None
+        fs = features[c[1]]
+        if f not in fs:
+            return None
+        o = cells[o + 1 + fs.index(f)][1]
+        c = cells[o]
+    return None if c[0] is REF else c
 
 
 def _check_undo(m, mark, before):

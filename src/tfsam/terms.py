@@ -144,49 +144,71 @@ class _TermParser:
         self.used = {}       # tag -> first bare occurrence token
 
     def term(self):
+        """Read one term.  The nodes whose argument lists are still open
+        wait on an explicit stack, so a term of any depth can be read."""
         cur = self.cur
+        stack = []      # (type name token, tag or None, arguments so far)
+        while True:
+            value = self._begin(stack)
+            if value is None:
+                continue        # a node's '(' was read: its first argument follows
+            while stack:
+                name, tag, args = stack[-1]
+                args.append(value)
+                if cur.at(","):
+                    cur.next()
+                    break
+                cur.expect(")")
+                stack.pop()
+                value = self._node(name, args, tag)
+            else:
+                return value
+
+    def _begin(self, stack):
+        """Read a term up to its arguments: return a term that has none, or
+        push a node whose '(' was read onto *stack* and return None."""
+        cur = self.cur
+        tag = None
         if cur.at("#"):
             hash_tok = cur.next()
             tag = cur.expect_name("a tag name").text
-            if cur.at_name() or cur.at("~"):
-                if tag in self.defined:
-                    raise TermError(f"tag #{tag} defined twice",
-                                    hash_tok.line, hash_tok.col)
-                if tag in self.used:
-                    tok = self.used[tag]
-                    raise TermError(f"tag #{tag} used before its definition",
-                                    tok.line, tok.col)
-                node = self.plain()
-                node.tag = tag
-                self.defined[tag] = node
-                return node
-            self.used.setdefault(tag, hash_tok)
-            return BackRef(tag)
-        return self.plain()
-
-    def plain(self):
-        cur = self.cur
+            if not (cur.at_name() or cur.at("~")):
+                self.used.setdefault(tag, hash_tok)
+                return BackRef(tag)
+            if tag in self.defined:
+                raise TermError(f"tag #{tag} defined twice", hash_tok.line, hash_tok.col)
+            if tag in self.used:
+                tok = self.used[tag]
+                raise TermError(f"tag #{tag} used before its definition", tok.line, tok.col)
         if cur.at("~"):
             cur.next()
             name = cur.expect_name("a type name")
             self._check_type(name)
-            return MostGeneral(name.text)
+            return self._define(MostGeneral(name.text), tag)
         name = cur.expect_name("a type name")
         self._check_type(name)
-        args = []
         if cur.at("("):
             cur.next()
-            args.append(self.term())
-            while cur.at(","):
-                cur.next()
-                args.append(self.term())
-            cur.expect(")")
+            stack.append((name, tag, []))
+            return None
+        return self._node(name, [], tag)
+
+    def _node(self, name, args, tag):
+        """The node of type token *name*, once its arguments are read."""
         want = self.h.arity(name.text)
         if len(args) != want:
             raise TermError(
                 f"type {name.text!r} takes {want} argument(s), got {len(args)}",
                 name.line, name.col)
-        return Node(name.text, args)
+        return self._define(Node(name.text, args), tag)
+
+    def _define(self, node, tag):
+        # a tag is defined once its node is read, so a reference to it
+        # from inside the node is a cycle, not a use before definition
+        if tag is not None:
+            node.tag = tag
+            self.defined[tag] = node
+        return node
 
     def _check_type(self, tok):
         if tok.text not in self.h.ids:

@@ -23,7 +23,8 @@ Types and features are interned to dense integer ids at validation time,
 bot first and then in declaration order; all per-type and per-pair tables
 are indexed by those ids.  Most methods of TypeHierarchy accept either an
 id or a name; the machine, which only holds ids, indexes the tables
-``plans``, ``arities`` and ``approps`` directly.
+``plans``, ``arities`` and ``approps`` directly, and the parser's quick
+check indexes ``ups`` and ``type_features``.
 """
 
 from __future__ import annotations
@@ -155,11 +156,13 @@ def _bits(mask):
 class TypeHierarchy:
     """A validated type hierarchy.
 
-    Subsumption is a bit test: ``_ups[t]`` has the bit ``_rank[u]`` set
+    Subsumption is a bit test: ``ups[t]`` has the bit ``_rank[u]`` set
     for every type u at least as specific as t, where ranks number the
-    types so that each comes before its subtypes.  ``plans[left][right]``
-    builds the pair's plan on first use and keeps it; the least upper
-    bound of a pair is the result of its plan.
+    types so that each comes before its subtypes; two types have an upper
+    bound exactly when their masks share a bit.  ``type_features[t]``
+    holds t's features in order.  ``plans[left][right]`` builds the
+    pair's plan on first use and keeps it; the least upper bound of a
+    pair is the result of its plan.
     """
 
     def __init__(self, spec: TypeSpec):
@@ -184,7 +187,7 @@ class TypeHierarchy:
 
     def subsumes(self, a, b) -> bool:
         """True when *a* is at least as general as *b*."""
-        return bool(self._ups[self.tid(a)] >> self._rank[self.tid(b)] & 1)
+        return bool(self.ups[self.tid(a)] >> self._rank[self.tid(b)] & 1)
 
     def lub(self, a, b) -> int | None:
         return self.plans[self.tid(a)][self.tid(b)].result
@@ -193,7 +196,7 @@ class TypeHierarchy:
         return self.plans[self.tid(left)][self.tid(right)]
 
     def features(self, t) -> tuple[str, ...]:
-        return self._features[self.tid(t)]
+        return self.type_features[self.tid(t)]
 
     def arity(self, t) -> int:
         return self.arities[self.tid(t)]
@@ -205,7 +208,7 @@ class TypeHierarchy:
     def approp(self, t, feature) -> int | None:
         tn = self.tid(t)
         try:
-            k = self._features[tn].index(feature)
+            k = self.type_features[tn].index(feature)
         except ValueError:
             return None
         return self.approps[tn][k]
@@ -275,7 +278,7 @@ class TypeHierarchy:
             downs[t] = mask
         self._rank = rank
         self._by_rank = order
-        self._ups = ups
+        self.ups = ups
 
         def subsumes(a, b):
             return ups[a] >> rank[b] & 1
@@ -363,7 +366,7 @@ class TypeHierarchy:
                 vals.append(v)
             features.append(tuple(fs))
             approp.append(tuple(vals))
-        self._features = features
+        self.type_features = features
         self.approps = approp
         self.arities = [len(fs) for fs in features]
 
@@ -401,7 +404,7 @@ class TypeHierarchy:
     def _lub_of(self, a, b):
         """The least upper bound from the masks: the type of lowest rank
         among the common subtypes, which is the most general of them."""
-        common = self._ups[a] & self._ups[b]
+        common = self.ups[a] & self.ups[b]
         if not common:
             return None
         return self._by_rank[(common & -common).bit_length() - 1]
@@ -410,11 +413,11 @@ class TypeHierarchy:
         result = self._lub_of(left, right)
         if result is None:
             return UnifyPlan(left, right, None, ())
-        lf = self._features[left]
-        rf = self._features[right]
+        lf = self.type_features[left]
+        rf = self.type_features[right]
         rpos = {f: k + 1 for k, f in enumerate(rf)}
         steps = []
-        for k, f in enumerate(self._features[result]):
+        for k, f in enumerate(self.type_features[result]):
             if f in rpos:
                 steps.append(Both(rpos[f]) if f in lf else RightOnly(rpos[f]))
             elif f in lf:

@@ -74,6 +74,66 @@ rule tq => tq.
 start => tq.
 """
 
+# The agreement grammar of the benchmark and of CI: a sentence is a run
+# of words, and every s + s combine needs the two agreements to unify.
+AGREEMENT_GRAMMAR = """
+bot sub [agr, cat].
+agr sub [sg, pl].
+sg sub [].
+pl sub [].
+cat sub [np, s] intro [agr: agr].
+np sub [].
+s sub [].
+rule np(#1 agr) => s(#1).
+rule s(#1 agr), s(#1) => s(#1).
+lex w => np(sg).
+lex v => np(pl).
+start => s(agr).
+"""
+
+# A small HPSG-style grammar: signs with agreement, category, semantics
+# and subject and complement lists.  Complements come off COMPS left to
+# right, then the subject is taken from the left; coordination needs two
+# equal noun phrases.  Most combines fail deep in a sign, in agreement,
+# category or semantics.
+HPSG_GRAMMAR = """
+bot sub [agr, cat, conj, list, sem, sign].
+agr sub [sg, pl].
+sg sub [].
+pl sub [].
+cat sub [noun, verb, s].
+noun sub [].
+verb sub [].
+s sub [].
+conj sub [].
+sem sub [animate, thing].
+animate sub [human, dog].
+human sub [].
+dog sub [].
+thing sub [].
+list sub [cons, nil].
+cons sub [] intro [first: sign, rest: list].
+nil sub [].
+sign sub [] intro [agr: agr, cat: cat, comps: list, sem: sem, subj: list].
+rule sign(#a agr, #c cat, cons(sign(#xa agr, #xc cat, #xm list, #xs sem, #xj list), #r list), #s sem, #j list),
+     sign(#xa, #xc, #xm, #xs, #xj) => sign(#a, #c, #r, #s, #j).
+rule #x sign(agr, noun, nil, sem, nil), sign(#a agr, verb, nil, #s sem, cons(#x, nil))
+     => sign(#a, s, nil, #s, nil).
+rule #x sign(agr, noun, nil, sem, nil), conj, #x => #x.
+lex kim => sign(sg, noun, nil, human, nil).
+lex rex => sign(sg, noun, nil, dog, nil).
+lex dogs => sign(pl, noun, nil, dog, nil).
+lex rock => sign(sg, noun, nil, thing, nil).
+lex and => conj.
+lex sleeps => sign(#1 sg, verb, nil, sem, cons(sign(#1, noun, nil, animate, nil), nil)).
+lex sleep => sign(#1 pl, verb, nil, sem, cons(sign(#1, noun, nil, animate, nil), nil)).
+lex sees => sign(#1 sg, verb, cons(sign(agr, noun, nil, sem, nil), nil), sem,
+                 cons(sign(#1, noun, nil, animate, nil), nil)).
+lex pats => sign(#1 sg, verb, cons(sign(agr, noun, nil, dog, nil), nil), sem,
+                 cons(sign(#1, noun, nil, human, nil), nil)).
+start => sign(agr, s, nil, sem, nil).
+"""
+
 
 @pytest.fixture(scope="session")
 def example_hierarchy():
@@ -108,3 +168,13 @@ def chain_grammar():
 @pytest.fixture(scope="session")
 def self_feeding_grammar():
     return grammar.load_grammar(SELF_FEEDING_GRAMMAR)
+
+
+@pytest.fixture(scope="session")
+def agreement_grammar():
+    return grammar.load_grammar(AGREEMENT_GRAMMAR)
+
+
+@pytest.fixture(scope="session")
+def hpsg_grammar():
+    return grammar.load_grammar(HPSG_GRAMMAR)

@@ -201,15 +201,26 @@ def test_unify_rejects_unknown_type(capsys, spec_file):
     assert "unknown type 'zz'" in err
 
 
-def test_unify_rejects_deep_nesting_without_traceback(capsys, tmp_path):
+def test_unify_reads_deep_nesting(capsys, tmp_path):
+    # t(t(...~t)) 2,000 deep meets a chain as deep that ends in a u cycle
     p = tmp_path / "loop.tfs"
     p.write_text(LOOP_SPEC, encoding="utf-8")
-    deep = "t(" * 2000 + "~t" + ")" * 2000
-    code, out, err = run(capsys, "unify", str(p), deep, "~t")
-    assert code == 1
-    assert out == ""
-    assert err == "error: input nested too deeply\n"
-    assert "Traceback" not in err
+    left = "t(" * 2000 + "~t" + ")" * 2000
+    right = "t(" * 2000 + "#1 u(#1)" + ")" * 2000
+    assert run(capsys, "unify", str(p), left, right) == (0, right + "\n", "")
+
+
+def test_recursion_error_is_reported_without_traceback(capsys, tmp_path, monkeypatch):
+    # every reader walks from an explicit stack; the mapping is a safety net
+    p = tmp_path / "loop.tfs"
+    p.write_text(LOOP_SPEC, encoding="utf-8")
+
+    def too_deep(text, h):
+        raise RecursionError
+
+    monkeypatch.setattr(tfsam.terms, "parse_term", too_deep)
+    code, out, err = run(capsys, "unify", str(p), "~t", "~t")
+    assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 
 
 def test_unify_works_on_grammar_file(capsys, toy_file):

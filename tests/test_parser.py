@@ -1,13 +1,15 @@
 import gc
+import random
 import weakref
 
 import pytest
 
-from tfsam import grammar, machine, parser, terms
+from tfsam import compiler, grammar, machine, parser, terms
 from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, UnknownWordError
 from tfsam.terms import iso, parse_term
 
-from conftest import EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
+import oracle
+from conftest import AGREEMENT_GRAMMAR, EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
 
 
 def _complete(i, j, source, text, h):
@@ -386,23 +388,6 @@ def test_unexpanded_leaf_reaches_a_fixed_point():
 
 # -- the per-parse memo of combines --------------------------------------------------
 
-# A copy of the benchmark's agreement grammar: every combine of a uniform
-# sentence succeeds, and each cell receives the same edge many times.
-AGREEMENT_GRAMMAR = """
-bot sub [agr, cat].
-agr sub [sg, pl].
-sg sub [].
-pl sub [].
-cat sub [np, s] intro [agr: agr].
-np sub [].
-s sub [].
-rule np(#1 agr) => s(#1).
-rule s(#1 agr), s(#1) => s(#1).
-lex w => np(sg).
-lex v => np(pl).
-start => s(agr).
-"""
-
 AGREEMENT_SENTENCES = ["w", "w v", "w w w", "v w v v", "w w w w w",
                        "v v v v v v", "w w v w w w w", "v v v v v v v v"]
 
@@ -441,17 +426,18 @@ def test_chart_is_closed_under_the_fundamental_rule(request, name, sentence):
 
 def test_each_distinct_combine_runs_once(monkeypatch):
     # a uniform sentence repeats the same few combines over every span;
-    # only the first of each reaches the machine, so the count does not
-    # grow with the sentence, and a second parse starts afresh
+    # only the first of each is tried (by the quick check, then on the
+    # machine), so the count does not grow with the sentence, and a second
+    # parse starts afresh
     g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     calls = []
-    restore = machine.MachineState.restore_regs
+    combine = ChartParser._combine
 
-    def counted(m, snap):
-        calls.append(snap)
-        restore(m, snap)
+    def counted(p, m, active, complete):
+        calls.append((active, complete))
+        return combine(p, m, active, complete)
 
-    monkeypatch.setattr(machine.MachineState, "restore_regs", counted)
+    monkeypatch.setattr(ChartParser, "_combine", counted)
     p = ChartParser(g, verify_undo=True)
     counts = []
     for n in (4, 8, 8):
@@ -492,3 +478,106 @@ def test_no_hierarchy_outlives_its_grammar():
     del g, result
     gc.collect()
     assert ref() is None
+
+
+# -- the quick check ---------------------------------------------------------------
+
+HPSG_SENTENCES = ["kim sleeps", "dogs sleeps", "sleeps kim", "rock sleeps",
+                  "kim sees rex", "rex pats kim", "kim pats kim", "kim and rex sleeps",
+                  "kim sees kim and kim", "kim and kim sees dogs and dogs"]
+QUICK_CHECK_CASES = ([("toy_grammar", s) for s in ("w1 w2", "w2 w1", "w1 w2 w2", "w2 w2 w1")]
+                     + [("agreement_grammar", s) for s in AGREEMENT_SENTENCES]
+                     + [("hpsg_grammar", s) for s in HPSG_SENTENCES])
+
+
+@pytest.mark.parametrize("name,sentence", QUICK_CHECK_CASES)
+def test_the_quick_check_changes_no_parse(request, monkeypatch, name, sentence):
+    # a combine the check refuses fails on the machine too, so forcing
+    # the check to pass changes no count, head or chart
+    g = request.getfixturevalue(name)
+    refused = []
+    clashes = parser._clashes
+
+    def check(*args):
+        refused.append(clashes(*args))
+        return refused[-1]
+
+    def outcome():
+        r = ChartParser(g, verify_undo=True).parse(sentence.split())
+        return r.items, r.pops, [terms.print_term(h) for h in r.heads], r.chart.dump()
+
+    monkeypatch.setattr(parser, "_clashes", check)
+    checked = outcome()
+    monkeypatch.setattr(parser, "_clashes", lambda *args: False)
+    assert outcome() == checked
+    if name == "hpsg_grammar" and sentence != "kim sleeps":
+        assert any(refused) and not all(refused)
+
+
+def test_a_refused_combine_never_reaches_the_machine(agreement_grammar, monkeypatch):
+    # on "w v" the s + s combine clashes in agreement and every other
+    # one that fails in category: the check refuses them before
+    # restore_regs or execute runs, and each combine it lets through runs
+    # on the machine
+    log = []
+    clashes = parser._clashes
+
+    def check(*args):
+        refused = clashes(*args)
+        log.append("refused" if refused else "passed")
+        return refused
+
+    monkeypatch.setattr(parser, "_clashes", check)
+    for name in ("restore_regs", "execute"):
+        def run(m, *args, name=name, f=getattr(machine.MachineState, name)):
+            log.append(name)
+            return f(m, *args)
+        monkeypatch.setattr(machine.MachineState, name, run)
+    combine = ChartParser._combine
+
+    def tried(p, m, active, complete):
+        log.append((active.info.label, active.dot, terms.print_term(complete.head)))
+        return combine(p, m, active, complete)
+
+    monkeypatch.setattr(ChartParser, "_combine", tried)
+    result = ChartParser(agreement_grammar, verify_undo=True).parse(["w", "v"])
+    assert result.heads == []
+    runs = []       # (the combine tried, what it ran)
+    for entry in log:
+        if isinstance(entry, tuple):
+            runs.append((entry, []))
+        else:
+            runs[-1][1].append(entry)
+    assert sorted(c for c, ran in runs if ran == ["refused"]) == [
+        ("rule0", 0, "s(pl)"), ("rule0", 0, "s(sg)"),
+        ("rule1", 0, "np(pl)"), ("rule1", 0, "np(sg)"),
+        ("rule1", 1, "np(pl)"), ("rule1", 1, "s(pl)")]
+    passed = [ran for _, ran in runs if ran != ["refused"]]
+    assert len(passed) == 4
+    assert all(ran[:3] == ["passed", "restore_regs", "execute"] for ran in passed)
+
+
+def test_the_quick_check_refuses_only_failing_unifications():
+    # the program code of b against a copy of a, over random pairs: every
+    # pair the check refuses fails to unify in the reference unifier
+    rng = random.Random(13)
+    refused = fails = pairs = 0
+    for _ in range(80):
+        h, _ = oracle.random_hierarchy(rng, allow_loops=True)
+        for _ in range(25):
+            a, b = oracle.random_pair(rng, h)
+            if "~" in terms.print_term(b):
+                continue    # program code refuses unexpanded leaves
+            info = compiler.compile_rule_with_info(
+                terms.MRS([b, terms.Node("bot")], is_rule=True), 0, "r")
+            info.body_code = [machine.link(piece, h) for piece in info.body_code]
+            check = compiler.quick_checks(info, h)[0]
+            m = machine.MachineState(h)
+            m.regs = {1: m.build_term(a)}
+            fail = oracle.unify_terms(h, a, b) is None
+            if parser._clashes(check, parser.EMPTY_SNAPSHOT, m.snapshot_regs([1]), h):
+                assert fail, (terms.print_term(a), terms.print_term(b))
+                refused += 1
+            fails += fail
+            pairs += 1
+    assert pairs > 1000 and refused > fails // 2

@@ -59,6 +59,47 @@ def test_print_deep_terms_without_recursion():
         [print_term(cyclic), print_term(open_ended), "#1"])
 
 
+def _chain_depth(t):
+    """The number of t nodes above the leaf of a t(t(...)) chain."""
+    depth = 0
+    while isinstance(t, Node):
+        t = t.args[0]
+        depth += 1
+    return depth, t
+
+
+def test_parse_deep_terms_without_recursion(loop_hierarchy):
+    # t(t(...~t)) 10,000 nodes deep, once open-ended and once closing a
+    # cycle back to its first node; the reader used to recurse once per level
+    depth = 10_000
+    t = parse_term("t(" * depth + "~t" + ")" * depth, loop_hierarchy)
+    depth_read, leaf = _chain_depth(t)
+    assert (depth_read, type(leaf), leaf.type) == (depth, MostGeneral, "t")
+    cyclic = "#1 " + "t(" * depth + "#1" + ")" * depth
+    t = parse_term(cyclic, loop_hierarchy)
+    assert _chain_depth(t)[0] == depth
+    assert print_term(t) == cyclic
+
+
+def test_parse_deep_rules_without_recursion(loop_hierarchy):
+    depth = 10_000
+    deep = "t(" * depth + "#1 ~t" + ")" * depth
+    mrs = parse_mrs(f"{deep}, u(#1) => #1", loop_hierarchy)
+    assert mrs.is_rule and len(mrs.roots) == 3
+    depth_read, leaf = _chain_depth(mrs.roots[0])
+    assert (depth_read, leaf.tag) == (depth, "1")
+    assert print_mrs(mrs) == f"{deep}, u(#1) => #1"
+
+
+def test_a_deep_term_reports_an_error_where_it_is(loop_hierarchy):
+    # an arity error 5,000 levels down keeps the line and column of its type
+    depth = 5_000
+    text = "t(" * depth + "\n  t(~t,~t)" + ")" * depth
+    with pytest.raises(terms.TermError, match=r"type 't' takes 1 argument\(s\), got 2") as e:
+        parse_term(text, loop_hierarchy)
+    assert (e.value.line, e.value.col) == (2, 3)
+
+
 @pytest.mark.parametrize("text,message", [
     ("zz", "unknown type 'zz'"),
     ("~zz", "unknown type 'zz'"),
