@@ -59,25 +59,17 @@ def cmd_compile(args) -> int:
 
 def cmd_unify(args) -> int:
     h = grammar.load_hierarchy_only(_read(args.path))
-    pair = [("left", terms.parse_term(args.left, h)),
-            ("right", terms.parse_term(args.right, h))]
-    for name, t in pair:
-        violations = terms.well_typed_check(h, t)
-        if violations:
-            detail = "; ".join(str(v) for v in violations)
-            print(f"error: {name} term is not totally well-typed: {detail}",
-                  file=sys.stderr)
-            return 1
+    left = _term(h, "left", args.left)
+    right = _term(h, "right", args.right)
     try:
         # the right term runs as program code, which has no instruction
         # for an unexpanded node
-        code = compiler.compile_program(terms.flatten(pair[1][1]))
+        code = compiler.compile_program(terms.flatten(right))
     except compiler.CompileError as e:
-        print(f"error: right term: {e}", file=sys.stderr)
-        return 1
-    m = machine.MachineState(h, path_compression=not args.no_path_compression)
+        raise ValueError(f"right term: {e}") from None
+    m = machine.MachineState(h)
     regs = {}
-    m.execute(compiler.compile_query(terms.flatten(pair[0][1])), regs)
+    m.execute(compiler.compile_query(terms.flatten(left)), regs)
     try:
         m.execute(code, regs)
     except machine.UnifyFailure:
@@ -91,8 +83,7 @@ def cmd_unify(args) -> int:
 
 def cmd_parse(args) -> int:
     g = grammar.load_grammar(_read(args.path))
-    p = parser.ChartParser(g, max_items=args.max_items, max_pops=args.max_steps,
-                           path_compression=not args.no_path_compression)
+    p = parser.ChartParser(g, max_items=args.max_items)
     result = p.parse(args.input.split())
     for head in result.heads:
         print(terms.print_term(head))
@@ -101,6 +92,19 @@ def cmd_parse(args) -> int:
     if args.chart:
         print(result.chart.dump())
     return 0
+
+
+def _term(h, name, text):
+    """The totally well-typed term *text*; an error names it *name*."""
+    try:
+        t = terms.parse_term(text, h)
+    except scan.SourceError as e:
+        raise ValueError(f"{name} term: {e}") from None
+    violations = terms.well_typed_check(h, t)
+    if violations:
+        detail = "; ".join(str(v) for v in violations)
+        raise ValueError(f"{name} term is not totally well-typed: {detail}")
+    return t
 
 
 def _read(path) -> str:
@@ -128,16 +132,13 @@ def _arg_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--dump-heap", action="store_true", help="print the heap afterwards")
-    p.add_argument("--no-path-compression", action="store_true")
     p.set_defaults(func=cmd_unify)
 
     p = sub.add_parser("parse", help="parse a space-separated input string")
     p.add_argument("path")
     p.add_argument("input")
     p.add_argument("--chart", action="store_true", help="print the chart afterwards")
-    p.add_argument("--max-items", type=int, default=100_000)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--no-path-compression", action="store_true")
+    p.add_argument("--max-items", type=int, default=100_000, help="the chart item limit")
     p.set_defaults(func=cmd_parse)
 
     return ap

@@ -14,7 +14,14 @@ and then settles the argument pairs the plan scheduled, depth first,
 from a worklist instead of recursing.  Binding both operands before their
 arguments is what makes unification of cyclic structures terminate: when
 a cycle leads back to the pair being unified, both sides dereference to
-the same skeleton and the pair is already settled.
+the same skeleton and the pair is already settled.  Since each node pair
+rebinds its operands to a new node, REF chains grow with every level of
+sharing, and ``deref`` always compresses the chain it walks (through the
+trail), which keeps a unification near-linear in the cells it reads.
+
+An eager machine (``eager=True``), the reference of acceptance criterion
+8, builds every most general structure in full instead of as a VAR cell:
+the term ``terms.most_general_term`` gives, which must have no ~ leaf.
 
 Instructions are linked before they run: ``link`` resolves every type name
 to its id, checks every arity, builds the node cells once and fuses each
@@ -180,12 +187,11 @@ class RegSnapshot(NamedTuple):
 
 
 class MachineState:
-    def __init__(self, hierarchy, path_compression=True, eager=False):
+    def __init__(self, hierarchy, eager=False):
         self.h = hierarchy
         self.heap = []
         self.regs = {}
         self.trail = []          # (address, previous cell)
-        self.path_compression = path_compression
         self.eager = eager
 
     # -- cells and registers ----------------------------------------------
@@ -230,13 +236,15 @@ class MachineState:
         del self.heap[mark.heap:]
 
     def deref(self, a) -> int:
+        """The end of the REF chain from *a*; every cell on the chain but
+        the last is pointed at the end, through the trail."""
         path = []
         c = self.cell(a)
         while c[0] is REF and c[1] != a:
             path.append(a)
             a = c[1]
             c = self.cell(a)
-        if self.path_compression and len(path) > 1:
+        if len(path) > 1:
             for p in path[:-1]:
                 self._set(p, (REF, a))
         return a
@@ -427,29 +435,14 @@ class MachineState:
         return base, self.cell(base)
 
     def _build_eager(self, tid):
-        """Build the full most general structure of type *tid* depth first,
-        from an explicit stack; an arc is written once its value is built."""
-        root = len(self.heap)
-        on_branch = set()
-        # (arc, type id, -1) builds a node for the arc (-1 at the root);
-        # (arc, type id, node) writes the arc once the node is complete
-        stack = [(-1, tid, -1)]
-        while stack:
-            arc, t, base = stack.pop()
-            if base >= 0:
-                on_branch.remove(t)
-                if arc >= 0:
-                    self._set(arc, (REF, base))
-            elif t in on_branch:
-                raise MachineError(f"appropriateness loop at type {self.h.tname(t)}; "
+        """Build the full most general structure of type *tid*; an
+        appropriateness loop leaves a ~ leaf in the term, so a VAR cell."""
+        top = len(self.heap)
+        root = self.build_term(terms.most_general_term(self.h, tid))
+        for c in self.heap[top:]:
+            if c[0] is VAR:
+                raise MachineError(f"appropriateness loop at type {self.h.tname(c[1])}; "
                                    f"eager expansion cannot terminate")
-            else:
-                on_branch.add(t)
-                base = len(self.heap)
-                vals = self.h.approps[t]
-                self.heap += [(STR, t)] + [None] * len(vals)
-                stack.append((arc, t, base))
-                stack += [(base + k, vals[k - 1], -1) for k in range(len(vals), 0, -1)]
         return root
 
     # -- building and reading back ------------------------------------------------

@@ -57,6 +57,11 @@ only label the new edge, and the heap below the checkpoint is never
 reached from the restored registers.  The dict is dropped when the parse
 returns, so nothing grows across parses.
 
+A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
+the chart holds more edges.  Every pop takes an edge that was counted
+when it was added, so the pops, which ``ParseResult.pops`` counts, never
+outnumber the items.
+
 Within one parse every distinct copy is one object.  A dict local to the
 parse maps each copy to its canonical object; a seed's copy and the copy
 of each machine combine's edge are swapped for it, so a copy is hashed
@@ -160,12 +165,11 @@ class ParseResult:
 
 
 class ChartParser:
-    def __init__(self, grammar, max_items=100_000, max_pops=1_000_000,
-                 path_compression=True, verify_undo=False):
+    def __init__(self, grammar, max_items=100_000, verify_undo=False):
+        if max_items < 1:
+            raise ValueError(f"the chart item limit must be at least 1, not {max_items}")
         self.grammar = grammar
         self.max_items = max_items
-        self.max_pops = max_pops
-        self.path_compression = path_compression
         self.verify_undo = verify_undo
 
     def parse(self, words) -> ParseResult:
@@ -180,23 +184,19 @@ class ChartParser:
             if not entries:
                 raise UnknownWordError(w, i)
             seeds += [CompleteEdge(i, i + 1, e.label, e.snapshot, h) for e in entries]
-        return self._run(self._machine(), words, seeds)
+        return self._run(machine.MachineState(h), words, seeds)
 
     def parse_terms(self, roots) -> ParseResult:
         """Parse an input given directly as terms, one per position."""
         roots = list(roots)
         if not roots:
             raise ValueError("input must contain at least one term")
-        m = self._machine()
+        m = machine.MachineState(self.grammar.hierarchy)
         seeds = []
         for i, root in enumerate(roots):
             m.regs = {0: m.build_term(root)}
             seeds.append(CompleteEdge(i, i + 1, f"input{i}", m.snapshot_regs([0]), m.h))
         return self._run(m, [terms.print_term(r) for r in roots], seeds)
-
-    def _machine(self):
-        return machine.MachineState(self.grammar.hierarchy,
-                                    path_compression=self.path_compression)
 
     def _run(self, m, words, seeds) -> ParseResult:
         n = len(words)
@@ -264,8 +264,6 @@ class ChartParser:
         while agenda:
             edge = agenda.popleft()
             pops += 1
-            if pops > self.max_pops:
-                raise LimitExceeded("agenda pop", self.max_pops)
             if isinstance(edge, CompleteEdge):
                 k = edge.i
                 for i in range(k, -1, -1):

@@ -8,6 +8,11 @@ most-general leaves follow the same readout convention as the machine
 (fully expanded, cut off with ~type at a repeated type on a branch), so
 results from both sides are directly comparable with iso().
 
+The reference parser is a fixpoint over spans reached by brute force on
+the same union-find, extended to several roots: a rule's roots share one
+tag scope and each edge's head has its own.  It keeps terms, not copies
+of heap cells, and compares edges with iso(), not by key.
+
 The reference tokenizer matches blanks and comments with one pattern and
 a token with another, and tells names from punctuation by the first
 character.
@@ -193,6 +198,126 @@ def canonical(h, t):
     return m.extract(m.build_term(t))
 
 
+def unify_scopes(h, scopes, pairs, out):
+    """Multi-rooted unify_terms.  *scopes* is a list of root lists; the
+    roots of one list share a tag scope.  The roots are numbered in order
+    across the lists, each of *pairs* names two roots to unify, and the
+    result is the term at root *out*, or None on failure."""
+    verts = []
+    roots = [v for scope in scopes for v in _explode_scope(h, scope, verts)]
+    concrete = [not v[0] for v in verts]
+    ctype = [h.tid(v[1]) for v in verts]
+    children = [v[2] for v in verts]
+    parent = list(range(len(verts)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = [(roots[x], roots[y]) for x, y in pairs]
+    while work:
+        x, y = work.pop()
+        x, y = find(x), find(y)
+        if x == y:
+            continue
+        t = brute_lub(h, ctype[x], ctype[y])
+        if t is None:
+            return None
+        parent[y] = x
+        ctype[x] = t
+        concrete[x] = concrete[x] or concrete[y]
+        for f, c in children[y].items():
+            if f in children[x]:
+                work.append((children[x][f], c))
+            else:
+                children[x][f] = c
+    return _readout(h, find, ctype, concrete, children, find(roots[out]))
+
+
+def _explode_scope(h, roots, verts):
+    """Append the vertices of terms that share one tag scope to *verts*,
+    as _explode makes them; returns the vertex of each root."""
+    defs = {}
+    seen = set()
+    for r in roots:
+        _collect_defs(r, defs, seen)
+    ids = {}
+
+    def visit(t):
+        if isinstance(t, terms.BackRef):
+            return visit(defs[t.tag])
+        if id(t) in ids:
+            return ids[id(t)]
+        vid = ids[id(t)] = len(verts)
+        if isinstance(t, terms.MostGeneral):
+            verts.append((True, t.type, {}))
+            return vid
+        row = (False, t.type, {})
+        verts.append(row)
+        for f, arg in zip(h.features(t.type), t.args):
+            row[2][f] = visit(arg)
+        return vid
+
+    return [visit(r) for r in roots]
+
+
+def reference_parse(g, words, max_edges=200):
+    """The complete edges of *words* under grammar *g*, and the accepted
+    heads, as ``ChartParser`` should find them; None once more than
+    *max_edges* edges arise.
+
+    The chart maps a span to its (label, head) pairs, distinct up to
+    iso().  Each round tries every rule on every run of adjacent edges,
+    unifying the rule's roots with the edges' heads from scratch, and the
+    rounds stop when one adds nothing.  A head is accepted when unifying
+    it with the start term gives it back."""
+    h = g.hierarchy
+    n = len(words)
+    chart = {}
+
+    def add(span, label, head):
+        edges = chart.setdefault(span, [])
+        if any(l == label and terms.iso(x, head) for l, x in edges):
+            return False
+        edges.append((label, head))
+        return True
+
+    for i, w in enumerate(words):
+        for entry, t in zip(g.code.lexicon[w], g.lexicon[w]):
+            add((i, i + 1), entry.label, unify_scopes(h, [[t]], [], 0))
+    changed = True
+    while changed:
+        changed = False
+        for info, rule in zip(g.code.rules, g.rules):
+            body = len(rule.roots) - 1
+            pairs = [(k, body + 1 + k) for k in range(body)]
+            for i in range(n):
+                for j, heads in list(_runs(chart, i, body)):
+                    head = unify_scopes(h, [rule.roots] + [[x] for x in heads], pairs, body)
+                    if head is not None and add((i, j), info.label, head):
+                        changed = True
+                        if sum(map(len, chart.values())) > max_edges:
+                            return None
+    accepted = [x for _, x in chart.get((0, n), [])
+                if (u := unify_terms(h, g.start, x)) is not None and terms.iso(u, x)]
+    return chart, accepted
+
+
+def _runs(chart, i, m):
+    """Each run of *m* adjacent edges from position *i*, as the position
+    where it ends and the list of the edges' heads."""
+    if m == 0:
+        yield i, []
+        return
+    for (a, b), edges in list(chart.items()):
+        if a == i:
+            for _, x in edges:
+                for j, rest in _runs(chart, b, m - 1):
+                    yield j, [x] + rest
+
+
 # -- random inputs ------------------------------------------------------------
 
 def has_approp_loop(h) -> bool:
@@ -316,3 +441,43 @@ def random_pair(rng, h, max_nodes=8):
     else:
         b = random_term(rng, h, max_nodes)
     return a, b
+
+
+def random_grammar(rng, max_types=8, words=3, rules=3):
+    """The text of a random grammar over a random loop-free hierarchy.
+    Words w0, w1, ... have one or two random lexical entries each, and a
+    rule's one or two body elements and its head draw on one pool of
+    nodes, so reentrancy spans the rule's elements and may close cycles."""
+    h, text = random_hierarchy(rng, max_types)
+    lines = [text]
+    for w in range(words):
+        for _ in range(rng.randint(1, 2)):
+            lines.append(f"lex w{w} => {terms.print_term(random_term(rng, h, 4))}.")
+    for _ in range(rules):
+        roots = _random_roots(rng, h, rng.randint(2, 3))
+        lines.append(f"rule {terms.print_mrs(terms.MRS(roots, is_rule=True))}.")
+    start = terms.most_general_term(h, rng.randrange(h.n_types))
+    lines.append(f"start => {terms.print_term(start)}.")
+    return "\n".join(lines)
+
+
+def _random_roots(rng, h, n, max_nodes=5):
+    """*n* random totally well-typed roots in one tag scope, with no ~
+    leaf: past *max_nodes* nodes a value is a most general term."""
+    nodes = []
+
+    def build(t_req):
+        pool = [nd for nd in nodes if h.subsumes(t_req, h.tid(nd.type))]
+        if pool and rng.random() < 0.3:
+            nd = rng.choice(pool)
+            nd.tag = nd.tag or str(nodes.index(nd) + 1)
+            return terms.BackRef(nd.tag)
+        t = rng.choice([u for u in range(h.n_types) if h.subsumes(t_req, u)])
+        if len(nodes) >= max_nodes:
+            return terms.most_general_term(h, t)
+        node = terms.Node(h.tname(t))
+        nodes.append(node)
+        node.args = [build(v) for v in h.approp_list(t)]
+        return node
+
+    return [build(typesys.BOT) for _ in range(n)]

@@ -136,28 +136,18 @@ def test_unify_fail_is_an_answer(capsys, spec_file):
 
 
 # full --dump-heap output, pinned so that no change to the machine moves a
-# cell unnoticed; keyed by (spec, left, right, path compression)
+# cell unnoticed; keyed by (spec, left, right)
 DUMPED_HEAPS = {
-    ("example", "d", "d", True): ["d", "0: STR d"],
-    ("example", "d", "d", False): ["d", "0: STR d"],
-    ("example", "a(#1 d1,#1)", "b(b(#2 d,#2),d)", True): [
+    ("example", "d", "d"): ["d", "0: STR d"],
+    ("example", "a(#1 d1,#1)", "b(b(#2 d,#2),d)"): [
         "c(#2 d1,b(#1 d,#1),#2,bot)",
         "0: REF 4", "1: REF 3", "2: REF 3", "3: STR d1", "4: STR c", "5: REF 3",
         "6: REF 9", "7: REF 3", "8: VAR bot", "9: STR b", "10: REF 12",
         "11: REF 12", "12: STR d"],
-    ("example", "a(#1 d1,#1)", "b(b(#2 d,#2),d)", False): [
-        "c(#2 d1,b(#1 d,#1),#2,bot)",
-        "0: REF 4", "1: REF 3", "2: REF 3", "3: STR d1", "4: STR c", "5: REF 1",
-        "6: REF 9", "7: REF 2", "8: VAR bot", "9: STR b", "10: REF 12",
-        "11: REF 10", "12: STR d"],
-    ("loop", "#1 t(t(#1))", "#1 t(#1)", True): [
+    ("loop", "#1 t(t(#1))", "#1 t(#1)"): [
         "#1 t(#1)",
         "0: REF 6", "1: REF 2", "2: REF 6", "3: REF 6", "4: REF 6", "5: REF 6",
         "6: STR t", "7: REF 6"],
-    ("loop", "#1 t(t(#1))", "#1 t(#1)", False): [
-        "#1 t(#1)",
-        "0: REF 4", "1: REF 2", "2: REF 6", "3: REF 0", "4: REF 6", "5: REF 1",
-        "6: STR t", "7: REF 5"],
 }
 
 
@@ -165,11 +155,10 @@ def test_unify_dump_heap(capsys, spec_file, tmp_path):
     loop_file = tmp_path / "loop.types"
     loop_file.write_text(LOOP_SPEC, encoding="utf-8")
     files = {"example": spec_file, "loop": str(loop_file)}
-    for (spec, left, right, compress), expected in DUMPED_HEAPS.items():
-        flags = [] if compress else ["--no-path-compression"]
-        code, out, err = run(capsys, "unify", files[spec], left, right, "--dump-heap", *flags)
+    for (spec, left, right), expected in DUMPED_HEAPS.items():
+        code, out, err = run(capsys, "unify", files[spec], left, right, "--dump-heap")
         assert (code, err) == (0, "")
-        assert out.splitlines() == expected, (spec, left, right, compress)
+        assert out.splitlines() == expected, (spec, left, right)
 
 
 def test_unify_rejects_ill_typed_term(capsys, spec_file):
@@ -199,6 +188,15 @@ def test_unify_rejects_unknown_type(capsys, spec_file):
     code, _, err = run(capsys, "unify", spec_file, "zz", "d")
     assert code == 1
     assert "unknown type 'zz'" in err
+
+
+def test_unify_names_the_term_with_a_syntax_error(capsys, spec_file):
+    code, out, err = run(capsys, "unify", spec_file, "d", "")
+    assert (code, out) == (1, "")
+    assert err == "error: right term: expected a type name, found end of input (line 1, column 1)\n"
+    code, out, err = run(capsys, "unify", spec_file, "a(d2", "d")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: left term: ")
 
 
 def test_unify_reads_deep_nesting(capsys, tmp_path):
@@ -254,9 +252,27 @@ def test_parse_empty_input(capsys, toy_file):
 
 
 def test_parse_step_limit(capsys, toy_file):
-    code, _, err = run(capsys, "parse", toy_file, "w1 w2", "--max-steps", "1")
+    code, _, err = run(capsys, "parse", toy_file, "w1 w2", "--max-items", "2")
     assert code == 3
-    assert "agenda pop limit" in err
+    assert "chart item limit of 2" in err
+
+
+def test_parse_refuses_a_non_positive_item_limit(capsys, toy_file):
+    for limit in ["0", "-5"]:
+        code, out, err = run(capsys, "parse", toy_file, "w1 w2", "--max-items", limit)
+        assert (code, out) == (1, "")
+        assert err == f"error: the chart item limit must be at least 1, not {limit}\n"
+
+
+@pytest.mark.parametrize("argv", [["unify", "d", "d", "--no-path-compression"],
+                                  ["parse", "w1 w2", "--no-path-compression"],
+                                  ["parse", "w1 w2", "--max-steps", "1"]])
+def test_removed_options_are_refused(capsys, toy_file, argv):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as exit_:
+        main([command, toy_file, *rest])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_chart(capsys, toy_file):
@@ -264,13 +280,6 @@ def test_parse_chart(capsys, toy_file):
     assert code == 0
     assert "(0,2):" in out
     assert "rule0: a(d2,d)" in out
-
-
-def test_parse_without_path_compression(capsys, toy_file):
-    code, out, _ = run(capsys, "parse", toy_file, "w1 w2",
-                       "--no-path-compression")
-    assert code == 0
-    assert out.strip() == "a(d2,d)"
 
 
 def test_module_entry_point(spec_file):

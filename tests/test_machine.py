@@ -219,21 +219,37 @@ def test_deref_compresses_long_chains(example_hierarchy):
     assert m.heap[0] == (REF, 1)   # and trailed
 
 
-def test_deref_without_compression_leaves_chain(example_hierarchy):
-    m = fresh(example_hierarchy, path_compression=False)
-    m.heap.extend([(REF, 1), (REF, 2), (STR, m.h.tid("d"))])
-    assert m.deref(0) == 2
-    assert m.heap[0] == (REF, 1)
-    assert m.trail == []
+# l(#1 t(~t), l(#1, ...)) against l(t(~t), l(t(~t), ...)): the shared node
+# is unified once per level, and each node-pair unification rebinds its
+# old representative to a new node, so the chain from an hd arc to the
+# shared node grows by one link per level unless deref compresses it
+SHARED_LEVELS_SPEC = """
+bot sub [t, l].
+t sub [u] intro [f: t].
+u sub [].
+l sub [] intro [hd: t, tl: l].
+"""
 
 
-def test_path_compression_does_not_change_results(example_hierarchy):
-    h = example_hierarchy
-    a = parse_term("a(#1 d1,#1)", h)
-    b = parse_term("b(b(#2 d,#2),d)", h)
-    r1 = oracle.machine_unify(h, a, b)
-    r2 = oracle.machine_unify(h, a, b, path_compression=False)
-    assert iso(r1, r2)
+def test_deref_compression_keeps_unification_linear():
+    h = typesys.load_hierarchy(SHARED_LEVELS_SPEC)
+    k = 2000
+    left = parse_term("l(#1 t(~t)," + "l(#1," * (k - 1) + "~l" + ")" * k, h)
+    right = parse_term("l(t(~t)," * k + "~l" + ")" * k, h)
+    m = fresh(h)
+    a, b = m.build_term(left), m.build_term(right)
+    reads = 0
+    cell = m.cell
+
+    def counted(addr):
+        nonlocal reads
+        reads += 1
+        return cell(addr)
+
+    m.cell = counted
+    assert m.unify(a, b)
+    # 27 reads per level with compression; without it, about k/2 per level
+    assert reads < 40 * k
 
 
 # -- unification -------------------------------------------------------------------

@@ -165,12 +165,8 @@ def test_item_limit(toy_grammar):
     with pytest.raises(LimitExceeded) as err:
         ChartParser(toy_grammar, max_items=1).parse(["w1", "w2"])
     assert err.value.what == "chart item"
-
-
-def test_pop_limit(toy_grammar):
-    with pytest.raises(LimitExceeded) as err:
-        ChartParser(toy_grammar, max_pops=1).parse(["w1", "w2"])
-    assert err.value.what == "agenda pop"
+    with pytest.raises(ValueError, match="at least 1"):
+        ChartParser(toy_grammar, max_items=0)
 
 
 def test_parse_is_deterministic(ambiguous_grammar):
@@ -180,12 +176,6 @@ def test_parse_is_deterministic(ambiguous_grammar):
     assert first.items == second.items
     assert first.pops == second.pops
     assert terms.iso_roots(first.heads, second.heads)
-
-
-def test_parse_without_path_compression_agrees(toy_grammar):
-    plain = ChartParser(toy_grammar, path_compression=False).parse(["w1", "w2"])
-    assert plain.accepted
-    assert iso(plain.heads[0], parse_term("a(d2,d)", toy_grammar.hierarchy))
 
 
 def test_chart_dump(toy_grammar):
@@ -581,3 +571,45 @@ def test_the_quick_check_refuses_only_failing_unifications():
             fails += fail
             pairs += 1
     assert pairs > 1000 and refused > fails // 2
+
+
+# -- against the reference parser ------------------------------------------------
+
+def _same_up_to_iso(xs, ys):
+    """Every (label, term) of each list has an iso partner in the other."""
+    def covered(a, b):
+        return all(any(la == lb and iso(x, y) for lb, y in b) for la, x in a)
+    return covered(xs, ys) and covered(ys, xs)
+
+
+def test_parser_agrees_with_the_reference_parser():
+    # random grammars over random hierarchies, three sentences of up to
+    # four words each; a sentence that hits the item limit on either side
+    # is skipped
+    compared = accepted = derived = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = grammar.load_grammar(oracle.random_grammar(rng))
+        for _ in range(3):
+            words = [rng.choice(list(g.lexicon)) for _ in range(rng.randint(1, 4))]
+            try:
+                result = ChartParser(g, max_items=2000, verify_undo=True).parse(words)
+            except LimitExceeded:
+                continue
+            reference = oracle.reference_parse(g, words)
+            if reference is None:
+                continue
+            chart, heads = reference
+            assert _same_up_to_iso([(0, x) for x in result.heads],
+                                   [(0, x) for x in heads]), (seed, words)
+            spans = set(chart) | {span for span, cell in result.chart.cells.items()
+                                  if any(isinstance(e, CompleteEdge) for e in cell)}
+            for i, j in spans:
+                got = [(e.source, e.head) for e in result.chart.cell(i, j)
+                       if isinstance(e, CompleteEdge)]
+                assert _same_up_to_iso(got, chart.get((i, j), [])), (seed, words, (i, j))
+            compared += 1
+            accepted += result.accepted
+            derived += any(e.source.startswith("rule") for cell in result.chart.cells.values()
+                           for e in cell if isinstance(e, CompleteEdge))
+    assert compared >= 150 and accepted >= 30 and derived >= 60
