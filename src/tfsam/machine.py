@@ -19,9 +19,9 @@ rebinds its operands to a new node, REF chains grow with every level of
 sharing, and ``deref`` always compresses the chain it walks (through the
 trail), which keeps a unification near-linear in the cells it reads.
 
-An eager machine (``eager=True``), the reference of acceptance criterion
-8, builds every most general structure in full instead of as a VAR cell:
-the term ``terms.most_general_term`` gives, which must have no ~ leaf.
+A feature a plan introduces is written as a VAR cell; the eager reference
+of acceptance criterion 8, which builds every most general structure in
+full, is ``oracle.EagerMachine`` in the tests.
 
 Instructions are linked before they run: ``link`` resolves every type name
 to its id, checks every arity, builds the node cells once and fuses each
@@ -187,12 +187,11 @@ class RegSnapshot(NamedTuple):
 
 
 class MachineState:
-    def __init__(self, hierarchy, eager=False):
+    def __init__(self, hierarchy):
         self.h = hierarchy
         self.heap = []
         self.regs = {}
         self.trail = []          # (address, previous cell)
-        self.eager = eager
 
     # -- cells and registers ----------------------------------------------
 
@@ -327,7 +326,6 @@ class MachineState:
         base = len(self.heap)
         self.heap.append((STR, plan.result))
         pending = []
-        fills = []
         # dispatch on the exact class, as ``link`` does: several times
         # faster than ``match``
         for step in plan.steps:
@@ -342,13 +340,7 @@ class MachineState:
                 self.heap.append((REF, addr + step.pos))
                 pending.append(("unify", cell))
             elif cls is typesys.Introduced:
-                if self.eager:
-                    self.heap.append((REF, cell))
-                    fills.append((cell, step.vtype))
-                else:
-                    self.heap.append((VAR, step.vtype))
-        for cell, vtype in fills:
-            self._set(cell, (REF, self._build_eager(vtype)))
+                self.heap.append((VAR, step.vtype))
         self.bind(addr, base)
         return pending
 
@@ -422,8 +414,6 @@ class MachineState:
     def build_most_general_fs(self, t) -> int:
         """Build a node of type *t* whose arguments are unexpanded VAR cells."""
         tid = self.h.tid(t)
-        if self.eager:
-            return self._build_eager(tid)
         base = len(self.heap)
         self.heap += [(STR, tid)] + [(VAR, v) for v in self.h.approps[tid]]
         return base
@@ -433,17 +423,6 @@ class MachineState:
         base = self.build_most_general_fs(t)
         self.bind(a, base)
         return base, self.cell(base)
-
-    def _build_eager(self, tid):
-        """Build the full most general structure of type *tid*; an
-        appropriateness loop leaves a ~ leaf in the term, so a VAR cell."""
-        top = len(self.heap)
-        root = self.build_term(terms.most_general_term(self.h, tid))
-        for c in self.heap[top:]:
-            if c[0] is VAR:
-                raise MachineError(f"appropriateness loop at type {self.h.tname(c[1])}; "
-                                   f"eager expansion cannot terminate")
-        return root
 
     # -- building and reading back ------------------------------------------------
 

@@ -321,9 +321,11 @@ class ChartParser:
         try:
             a_start = m.build_snapshot(self.grammar.code.start)[0]
             a_head = m.build_snapshot(edge.snapshot)[0]
+            # the copy's arcs point straight at their targets, so this
+            # readout compresses no chain and writes nothing
+            head = m.extract(a_head)
             if not m.unify(a_start, a_head):
                 return None
-            head = edge.head
             return head if terms.iso(m.extract(a_head), head) else None
         finally:
             m.undo(mark)

@@ -8,6 +8,10 @@ most-general leaves follow the same readout convention as the machine
 (fully expanded, cut off with ~type at a repeated type on a branch), so
 results from both sides are directly comparable with iso().
 
+The eager machine is the one reference built on the machine: it checks
+laziness, not unification, so it is the machine with every most general
+structure expanded as soon as it is made.
+
 The reference parser is a fixpoint over spans reached by brute force on
 the same union-find, extended to several roots: a rule's roots share one
 tag scope and each edge's head has its own.  It keeps terms, not copies
@@ -182,9 +186,39 @@ def _readout(h, find, ctype, concrete, children, root):
     return read(root)
 
 
-def machine_unify(h, a, b, **kw):
-    """Unify two terms on a fresh machine; result term or None."""
-    m = machine.MachineState(h, **kw)
+class EagerMachine(machine.MachineState):
+    """The machine with every most general structure built in full, the
+    reference of acceptance criterion 8.  A most general structure is the
+    term ``terms.most_general_term`` gives, built as query code, and a
+    plan's result node has each introduced feature's VAR cell replaced by
+    one.  Terms given with ~ leaves still build VAR cells."""
+
+    def build_most_general_fs(self, t) -> int:
+        tid = self.h.tid(t)
+        top = len(self.heap)
+        root = self.build_term(terms.most_general_term(self.h, tid))
+        for c in self.heap[top:]:
+            if c[0] is machine.VAR:
+                raise machine.MachineError(
+                    f"appropriateness loop at type {self.h.tname(c[1])}; "
+                    f"eager expansion cannot terminate")
+        return root
+
+    def exec_plan(self, plan, addr):
+        base = len(self.heap)
+        pending = super().exec_plan(plan, addr)
+        if len(self.heap) > base:      # the plan built a result node
+            for a in range(base + 1, base + 1 + self.h.arities[plan.result]):
+                c = self.heap[a]
+                if c[0] is machine.VAR:
+                    self._set(a, (machine.REF, self.build_most_general_fs(c[1])))
+        return pending
+
+
+def machine_unify(h, a, b, eager=False):
+    """Unify two terms on a fresh machine, or on an ``EagerMachine``;
+    result term or None."""
+    m = (EagerMachine if eager else machine.MachineState)(h)
     pa = m.build_term(a)
     pb = m.build_term(b)
     if not m.unify(pa, pb):

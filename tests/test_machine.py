@@ -11,8 +11,8 @@ from tfsam.machine import REF, STR, VAR, MachineError, MachineState
 from tfsam.terms import flatten, iso, iso_roots, parse_term
 
 
-def fresh(h, **kw):
-    return MachineState(h, **kw)
+def fresh(h, eager=False):
+    return (oracle.EagerMachine if eager else MachineState)(h)
 
 
 # -- building ------------------------------------------------------------------
@@ -488,6 +488,11 @@ def test_eager_expansion_of_a_deep_type_chain_without_recursion(deep_chain_hiera
     assert m.top == DEEP_CHAIN_TYPES * 2 - 1
 
 
+def test_machine_has_no_eager_mode(example_hierarchy):
+    with pytest.raises(TypeError):
+        MachineState(example_hierarchy, eager=True)
+
+
 def test_lazy_and_eager_agree_on_loop_free_corpus(example_hierarchy):
     rng = random.Random(7)
     h = example_hierarchy
@@ -573,6 +578,29 @@ def test_snapshot_survives_undo(example_hierarchy):
     assert iso_roots(out, mrs.roots)
     # sharing between registers is still physical, not just isomorphic
     assert m.deref(m.reg(1) + 2) == m.deref(m.reg(2))
+
+
+def test_reading_a_restored_copy_writes_nothing(example_hierarchy):
+    # the parser reads a complete edge's head off its restored copy inside
+    # an undo mark: the copy's arcs point straight at their targets, so
+    # deref has no chain to compress
+    rng = random.Random(19)
+    h = example_hierarchy
+    read = 0
+    for _ in range(40):
+        a, b = oracle.random_pair(rng, h)
+        m = fresh(h)
+        pa = m.build_term(a)
+        if not m.unify(pa, m.build_term(b)):
+            continue
+        m.set_reg(1, pa)
+        copy = fresh(h)
+        root = copy.build_snapshot(m.snapshot_regs([1]))[0]
+        cells = list(copy.heap)
+        assert iso(copy.extract(root), m.extract(pa))
+        assert copy.trail == [] and copy.heap == cells
+        read += 1
+    assert read > 10
 
 
 def test_scratch_registers_leave_machine_registers_alone(example_hierarchy):
