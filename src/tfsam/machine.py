@@ -8,16 +8,20 @@ been expanded into cells.  Binding never mutates in place without going
 through the trail, so any prefix of work can be undone exactly.
 
 Unifying two nodes looks up the plan for their pair of types (the
-hierarchy makes it on the pair's first unification and keeps it), builds
-the result skeleton at the top of the heap, binds both operands to it,
-and then settles the argument pairs the plan scheduled, depth first,
-from a worklist instead of recursing.  Binding both operands before their
-arguments is what makes unification of cyclic structures terminate: when
-a cycle leads back to the pair being unified, both sides dereference to
-the same skeleton and the pair is already settled.  Since each node pair
-rebinds its operands to a new node, REF chains grow with every level of
-sharing, and ``deref`` always compresses the chain it walks (through the
-trail), which keeps a unification near-linear in the cells it reads.
+hierarchy makes it on the pair's first unification and keeps it).  When
+the result type is one operand's own type, that operand's node is the
+result and the other is bound to it; only when the result is more
+specific than both is a result skeleton built at the top of the heap and
+both operands bound to it.  So a unification writes new cells only where
+the result differs from an operand.  The argument pairs the plan
+scheduled are then settled, depth first, from a worklist instead of
+recursing.  Binding the operands before their arguments is what makes
+unification of cyclic structures terminate: when a cycle leads back to
+the pair being unified, both sides dereference to the same node and the
+pair is already settled.  Each node pair binds an operand to another
+node, so REF chains grow with every level of sharing, and ``deref``
+compresses any chain of more than one link it walks (through the trail),
+which keeps a unification near-linear in the cells it reads.
 
 A feature a plan introduces is written as a VAR cell; the eager reference
 of acceptance criterion 8, which builds every most general structure in
@@ -237,15 +241,21 @@ class MachineState:
     def deref(self, a) -> int:
         """The end of the REF chain from *a*; every cell on the chain but
         the last is pointed at the end, through the trail."""
-        path = []
         c = self.cell(a)
+        if c[0] is not REF or c[1] == a:
+            return a
+        b = c[1]
+        c = self.cell(b)
+        if c[0] is not REF or c[1] == b:
+            return b            # a chain of one link: nothing to compress
+        path = [a]
+        a = b
         while c[0] is REF and c[1] != a:
             path.append(a)
             a = c[1]
             c = self.cell(a)
-        if len(path) > 1:
-            for p in path[:-1]:
-                self._set(p, (REF, a))
+        for p in path[:-1]:
+            self._set(p, (REF, a))
         return a
 
     def bind(self, a, target):
@@ -300,9 +310,12 @@ class MachineState:
             self.heap += [node] + [(REF, a) for _, a in entries]
             self.bind(addr, base)
         else:
-            if c[0] is VAR:
-                addr, c = self._expand(addr, c[1])
-            entries = self.exec_plan(self.h.plans[node[1]][c[1]], addr)
+            plan = self.h.plans[node[1]][c[1]]
+            # a VAR cell already of the result type needs no cells for a
+            # node without arguments
+            if c[0] is VAR and (args or plan.result != c[1]):
+                addr = self._expand(addr, c[1])[0]
+            entries = self.exec_plan(plan, addr)
         for (action, cell), (xj, is_set) in zip(entries, args):
             if not is_set:
                 r[xj] = cell
@@ -316,13 +329,16 @@ class MachineState:
     def exec_plan(self, plan, addr):
         """Apply a unification plan at *addr*, whose node has the plan's
         right type.  Returns an ``(action, cell)`` entry per left feature, in
-        order: the cell awaits a value (``"copy"``) or holds one (``"unify"``)."""
+        order: the cell awaits a value (``"copy"``) or holds one (``"unify"``).
+        When the result is the right type, the node at *addr* is the result
+        and nothing is written; otherwise a result node is built at the top
+        of the heap and *addr* is bound to it."""
         if plan.result is None:
             raise UnifyFailure(
                 f"{self.h.tname(plan.left)} and {self.h.tname(plan.right)} "
                 f"have no upper bound")
-        if plan.result == plan.right and self.h.arities[plan.left] == 0:
-            return ()
+        if plan.kept is not None:
+            return [("unify", addr + p) for p in plan.kept]
         base = len(self.heap)
         self.heap.append((STR, plan.result))
         pending = []
@@ -395,7 +411,12 @@ class MachineState:
                     self.bind(a2, a1)
                     continue
                 a2, c2 = self._expand(a2, c2[1])
-            args = self.exec_plan(self.h.plans[c1[1]][c2[1]], a2)
+            plan = self.h.plans[c1[1]][c2[1]]
+            if plan.result == c1[1] != c2[1]:
+                # the left node has the result type: keep it, as the right
+                a1, a2 = a2, a1
+                plan = self.h.plans[c2[1]][c1[1]]
+            args = self.exec_plan(plan, a2)
             # bind the left operand to the result before settling arguments;
             # cycles back into this pair then dereference to the same address
             self.bind(a1, self.deref(a2))

@@ -86,6 +86,9 @@ class UnifyPlan:
     right: int
     result: int | None
     steps: tuple[PlanStep, ...]
+    # when the result is the right type, the right node is kept as the
+    # result: the position in its arc block of each left feature, in order
+    kept: tuple[int, ...] | None = None
 
 
 def parse_type_spec(text) -> TypeSpec:
@@ -424,7 +427,8 @@ class TypeHierarchy:
                 steps.append(LeftOnly())
             else:
                 steps.append(Introduced(self.approps[result][k]))
-        return UnifyPlan(left, right, result, tuple(steps))
+        kept = tuple(rpos[f] for f in lf) if result == right else None
+        return UnifyPlan(left, right, result, tuple(steps), kept)
 
 
 def validate(spec: TypeSpec) -> TypeHierarchy:

@@ -343,19 +343,32 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     p = ChartParser(toy_grammar, verify_undo=True)
     info = toy_grammar.code.rules[0]
     active = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
-    complete = _complete(0, 1, "lex_w1", "a(d2,d)", h)
-    m = machine.MachineState(h)
-    monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
+    # the rule reads an a node where the head has a g node, so the result
+    # is a new node and the head's node is bound to it through the trail;
+    # a head of type a would be kept, and an undo that forgets the trail
+    # would have nothing to forget
+    complete = _complete(0, 1, "lex_w1", "g(d)", h)
+    written = []        # the trail entries each broken undo had to take back
+
+    def broken_machine():
+        m = machine.MachineState(h)
+
+        def undo(mark):
+            written.append(len(m.trail) - mark.trail)
+            broken(m, mark)
+        monkeypatch.setattr(m, "undo", undo)
+        return m
+
     with pytest.raises(machine.MachineError, match="undo left"):
-        p._combine(m, active, complete)
-    m = machine.MachineState(h)
-    monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
+        p._combine(broken_machine(), active, complete)
+    assert written.pop() > 0
     with pytest.raises(machine.MachineError, match="undo left"):
-        p._start_compatible(m, complete)
+        p._start_compatible(broken_machine(), complete)
+    assert written.pop() > 0
     # without the check the same breakage goes unnoticed
-    m = machine.MachineState(h)
-    monkeypatch.setattr(m, "undo", lambda mark: broken(m, mark))
-    assert isinstance(ChartParser(toy_grammar)._combine(m, active, complete), ActiveEdge)
+    assert isinstance(ChartParser(toy_grammar)._combine(broken_machine(), active, complete),
+                      ActiveEdge)
+    assert written.pop() > 0
 
 
 LOOP_GRAMMAR = LOOP_SPEC + """

@@ -125,6 +125,9 @@ def test_plan_step_shape_invariants_on_random_hierarchies():
                         pending += 1
                 # exec_plan returns one argument entry per left feature
                 assert pending == h.arity(a)
+                # a kept right node gives the Both steps' positions
+                assert p.kept == (tuple(s.pos for s in p.steps if isinstance(s, Both))
+                                  if p.result == b else None)
 
 
 def test_lub_agrees_with_brute_force_on_random_hierarchies():
