@@ -36,14 +36,19 @@ in common with one of these makes the code fail whatever else happens.
 A combine the check lets through runs on the machine as before, which
 stays the judge of it; a refused one is remembered as failed.
 
-The agenda holds edges, not only complete ones: a popped complete edge is
-tried against the active edges in cells (k,k) down to (0,k), and a popped
-active edge against the complete edges to its right.  Without the second
-scan, an active edge created after some complete edge was popped would
-never meet it.  Duplicate edges (same cell, rule, dot, and isomorphic
-saved structures) are dropped, so the chart grows to a fixed point.  A
-copy is a canonical form of its structures, so duplicates are found by a
-set lookup on a key built from it, not by comparing structures.
+The chart is filled in order of span, by width from 1 to n and from left
+to right, with no agenda: Kay 1980 ("Algorithm schemata and data
+structures in syntactic processing") shows that the order an agenda
+imposes is free.  A span (i, j) first combines the active edges of each
+(i, k) with the complete edges of (k, j), cells already closed, then
+closes itself under the dot-0 active edges of (i, i).  A cell's edges
+stand in the order they were made: a word's seeds, the splits k from
+left to right (each active edge of (i, k) against the complete edges of
+(k, j) in turn), then the closure.  Duplicate edges (same cell, rule,
+dot, and isomorphic saved structures) are dropped, so the chart grows to
+a fixed point.  A copy is a canonical form of its structures, so
+duplicates are found by a set lookup on a key built from it, not by
+comparing structures.
 
 Each distinct combine runs on the machine once per parse.  A dict local
 to the parse maps the rule, the dot and the two edges' copies to the
@@ -58,9 +63,9 @@ reached from the restored registers.  The dict is dropped when the parse
 returns, so nothing grows across parses.
 
 A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
-the chart holds more edges.  Every pop takes an edge that was counted
-when it was added, so the pops, which ``ParseResult.pops`` counts, never
-outnumber the items.
+the chart holds more edges.  ``ParseResult.pops`` counts the edges taken
+up, each once: every edge but the dot-0 active edges, which only wait in
+their cells, so the pops never outnumber the items.
 
 Within one parse every distinct copy is one object.  A dict local to the
 parse maps each copy to its canonical object; a seed's copy and the copy
@@ -77,7 +82,6 @@ keys therefore mean equal edges, as ``ActiveEdge.key`` and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import machine, terms
@@ -156,6 +160,8 @@ class Chart:
 
 @dataclass
 class ParseResult:
+    """``heads`` follow the order of chart cell (0, n); ``pops`` counts the
+    edges taken up, each once: ``items - len(words) * len(rules)``."""
     words: list
     accepted: bool
     heads: list             # spanning heads compatible with the start term
@@ -204,13 +210,12 @@ class ChartParser:
         # the active and the complete edges of each cell, in chart order
         actives = {}
         completes = {}
-        agenda = deque()
         canon = {EMPTY_SNAPSHOT: EMPTY_SNAPSHOT}    # copy -> its canonical object
         seen = set()    # edge keys with id(copy) in place of the copy
         outcomes = {}   # (rule id, dot, id(active copy), id(complete copy)) -> copy or None
         items = 0
 
-        def add(key, edge, enqueue=True):
+        def add(key, edge):
             nonlocal items
             seen.add(key)
             span = (edge.i, edge.j)
@@ -219,8 +224,6 @@ class ChartParser:
             items += 1
             if items > self.max_items:
                 raise LimitExceeded("chart item", self.max_items)
-            if enqueue:
-                agenda.append(edge)
 
         def combine(active, complete):
             info = active.info
@@ -254,29 +257,23 @@ class ChartParser:
         for i in range(n):
             for info in self.grammar.code.rules:
                 add((i, i, info.rule_id, 0, id(EMPTY_SNAPSHOT)),
-                    ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT), enqueue=False)
+                    ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT))
 
-        # No list below grows while it is iterated: a popped complete edge
-        # at (k, j) adds only to cells (i, j) with j > k, and an enqueued
-        # active edge at (i, k) has i < k, so it adds only to cells (i, j)
-        # with i != k.
-        pops = 0
-        while agenda:
-            edge = agenda.popleft()
-            pops += 1
-            if isinstance(edge, CompleteEdge):
-                k = edge.i
-                for i in range(k, -1, -1):
+        for width in range(1, n + 1):
+            for i in range(n - width + 1):
+                j = i + width
+                for k in range(i + 1, j):
                     for a in actives.get((i, k), ()):
-                        combine(a, edge)
-            else:
-                k = edge.j
-                for j in range(k + 1, n + 1):
-                    for c in completes.get((k, j), ()):
-                        combine(edge, c)
+                        for c in completes.get((k, j), ()):
+                            combine(a, c)
+                # the closure: this list grows while it is iterated, on purpose
+                for c in completes.get((i, j), ()):
+                    for a in actives.get((i, i), ()):
+                        combine(a, c)
 
         heads = [self._start_compatible(m, e) for e in completes.get((0, n), ())]
         heads = [h for h in heads if h is not None]
+        pops = items - n * len(self.grammar.code.rules)
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
     def _combine(self, m, active, complete):

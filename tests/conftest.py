@@ -50,7 +50,7 @@ start => bot.
 """
 
 # A unary rule must feed a binary one: the active edge needing the second
-# word appears only after that word's edge has left the agenda.
+# word appears only after the unary closure of the first word's cell.
 CHAIN_GRAMMAR = """
 bot sub [tp, tq, tx, ts].
 tp sub [].
@@ -72,6 +72,14 @@ tq sub [].
 lex q => tq.
 rule tq => tq.
 start => tq.
+"""
+
+# A grammar without rules: a sentence parses only as one word.
+LEXICON_ONLY_GRAMMAR = """
+bot sub [a].
+a sub [].
+lex w => a.
+start => a.
 """
 
 # The agreement grammar of the benchmark and of CI: a sentence is a run

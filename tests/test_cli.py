@@ -246,6 +246,13 @@ def test_parse_rejects(capsys, toy_file):
     assert out.strip() == "no parse"
 
 
+def test_parse_under_a_grammar_without_rules(capsys, tmp_path):
+    p = tmp_path / "lexicon.grammar"
+    p.write_text(conftest.LEXICON_ONLY_GRAMMAR, encoding="utf-8")
+    assert run(capsys, "parse", str(p), "w") == (0, "a\n", "")
+    assert run(capsys, "parse", str(p), "w w") == (0, "no parse\n", "")
+
+
 def test_parse_unknown_word(capsys, toy_file):
     code, _, err = run(capsys, "parse", toy_file, "w1 zz")
     assert code == 1

@@ -9,7 +9,7 @@ from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, U
 from tfsam.terms import iso, parse_term
 
 import oracle
-from conftest import AGREEMENT_GRAMMAR, EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
+from conftest import AGREEMENT_GRAMMAR, EXAMPLE_SPEC, LEXICON_ONLY_GRAMMAR, LOOP_SPEC, TOY_GRAMMAR
 
 
 def _complete(i, j, source, text, h):
@@ -61,10 +61,32 @@ def test_initial_chart_contents(toy_grammar):
 
 def test_unary_chain_edge_meets_later_complete(chain_grammar):
     # rule tq, tx => ts can only advance past tx after the unary rule
-    # tp => tq has produced tq, by which time tx has left the agenda
+    # tp => tq has produced tq in the unary closure of the first word's cell
     result = ChartParser(chain_grammar, verify_undo=True).parse(["p", "x"])
     assert result.accepted
     assert iso(result.heads[0], parse_term("ts", chain_grammar.hierarchy))
+
+
+def test_a_grammar_without_rules_parses_single_words():
+    g = grammar.load_grammar(LEXICON_ONLY_GRAMMAR)
+    p = ChartParser(g, verify_undo=True)
+    one = p.parse(["w"])
+    assert [terms.print_term(h) for h in one.heads] == ["a"]
+    assert (one.items, one.pops) == (1, 1)
+    two = p.parse(["w", "w"])
+    assert not two.accepted
+    assert (two.items, two.pops) == (2, 2)
+
+
+def test_heads_follow_the_span_order():
+    # cells fill by width, left to right; a cell's edges stand in the
+    # order they were made (splits left to right, then the closure), and
+    # the heads in the order of cell (0, n)
+    g = grammar.load_grammar(oracle.random_grammar(random.Random(98)))
+    result = ChartParser(g, verify_undo=True).parse(["w2", "w0", "w0"])
+    spanning = [e.head for e in result.chart.cell(0, 3) if isinstance(e, CompleteEdge)]
+    assert ([terms.print_term(h) for h in result.heads] == [terms.print_term(h) for h in spanning]
+            == ["t4", "t3", "t5", "t4", "t3", "t5"])
 
 
 def test_ambiguity_yields_distinct_heads(ambiguous_grammar):
@@ -395,12 +417,24 @@ AGREEMENT_SENTENCES = ["w", "w v", "w w w", "v w v v", "w w w w w",
                        "v v v v v v", "w w v w w w w", "v v v v v v v v"]
 
 
+def _random_closure_case(seed):
+    """A seeded random grammar's text and a sentence of one to four of its
+    words w0, w1, w2."""
+    rng = random.Random(seed)
+    text = oracle.random_grammar(rng)
+    return text, " ".join(f"w{rng.randrange(3)}" for _ in range(rng.randint(1, 4)))
+
+
+RANDOM_CLOSURE_CASES = {f"random{seed}": _random_closure_case(seed) for seed in range(20)}
+
 # the pinned sentences of the conftest grammars, named by their fixtures,
 # then the grammars given here by their text
-CLOSURE_TEXTS = {"loop": LOOP_GRAMMAR, "agreement": AGREEMENT_GRAMMAR}
+CLOSURE_TEXTS = {"loop": LOOP_GRAMMAR, "agreement": AGREEMENT_GRAMMAR,
+                 **{name: text for name, (text, _) in RANDOM_CLOSURE_CASES.items()}}
 CLOSURE_CASES = (list(dict.fromkeys((fixture, sentence) for fixture, sentence, *_ in PINNED))
                  + [("loop", "q")]
-                 + [("agreement", sentence) for sentence in AGREEMENT_SENTENCES])
+                 + [("agreement", sentence) for sentence in AGREEMENT_SENTENCES]
+                 + [(name, sentence) for name, (_, sentence) in RANDOM_CLOSURE_CASES.items()])
 
 
 @pytest.mark.parametrize("name,sentence", CLOSURE_CASES)
