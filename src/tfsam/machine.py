@@ -315,7 +315,10 @@ class MachineState:
             # node without arguments
             if c[0] is VAR and (args or plan.result != c[1]):
                 addr = self._expand(addr, c[1])[0]
-            entries = self.exec_plan(plan, addr)
+            work = []
+            entries = self.exec_plan(plan, addr, work)
+            if work:
+                self._unify(work)
         for (action, cell), (xj, is_set) in zip(entries, args):
             if not is_set:
                 r[xj] = cell
@@ -326,13 +329,16 @@ class MachineState:
 
     # -- plans ---------------------------------------------------------------
 
-    def exec_plan(self, plan, addr):
+    def exec_plan(self, plan, addr, work):
         """Apply a unification plan at *addr*, whose node has the plan's
         right type.  Returns an ``(action, cell)`` entry per left feature, in
         order: the cell awaits a value (``"copy"``) or holds one (``"unify"``).
         When the result is the right type, the node at *addr* is the result
         and nothing is written; otherwise a result node is built at the top
-        of the heap and *addr* is bound to it."""
+        of the heap and *addr* is bound to it.  Where the result narrows a
+        feature's value, its arc is a VAR cell of the narrowed type, which
+        the left value unifies with through its entry and the right value
+        through an item appended to the worklist *work*."""
         if plan.result is None:
             raise UnifyFailure(
                 f"{self.h.tname(plan.left)} and {self.h.tname(plan.right)} "
@@ -347,16 +353,22 @@ class MachineState:
         for step in plan.steps:
             cell = len(self.heap)
             cls = type(step)
-            if cls is typesys.RightOnly:
+            if cls is typesys.Introduced:
+                self.heap.append((VAR, step.vtype))
+            elif step.narrow is not None:
+                self.heap.append((VAR, step.narrow))
+                if cls is not typesys.LeftOnly:
+                    work.append(("unify", cell, addr + step.pos))
+                if cls is not typesys.RightOnly:
+                    pending.append(("unify", cell))
+            elif cls is typesys.RightOnly:
                 self.heap.append((REF, addr + step.pos))
             elif cls is typesys.LeftOnly:
                 self.heap.append((REF, cell))
                 pending.append(("copy", cell))
-            elif cls is typesys.Both:
+            else:
                 self.heap.append((REF, addr + step.pos))
                 pending.append(("unify", cell))
-            elif cls is typesys.Introduced:
-                self.heap.append((VAR, step.vtype))
         self.bind(addr, base)
         return pending
 
@@ -416,7 +428,7 @@ class MachineState:
                 # the left node has the result type: keep it, as the right
                 a1, a2 = a2, a1
                 plan = self.h.plans[c2[1]][c1[1]]
-            args = self.exec_plan(plan, a2)
+            args = self.exec_plan(plan, a2, work)
             # bind the left operand to the result before settling arguments;
             # cycles back into this pair then dereference to the same address
             self.bind(a1, self.deref(a2))

@@ -50,17 +50,19 @@ a fixed point.  A copy is a canonical form of its structures, so
 duplicates are found by a set lookup on a key built from it, not by
 comparing structures.
 
-Each distinct combine runs on the machine once per parse.  A dict local
-to the parse maps the rule, the dot and the two edges' copies to the
-copy of the resulting edge, or to None when the combine failed; a later
-combine with the same four inputs makes its edge from the stored copy,
-over its own span, without touching the machine.  This is sound because
-``_combine`` reads nothing else: it appends both copies at the top of the
-heap, runs the rule's linked pieces for that dot from the restored
-registers alone, copies the result canonically and rewinds.  The spans
-only label the new edge, and the heap below the checkpoint is never
-reached from the restored registers.  The dict is dropped when the parse
-returns, so nothing grows across parses.
+Each distinct combine runs on the machine once per parse.  Its memo is
+kept in rows local to the parse: an active edge sits in its cell next to
+the row of its rule, dot and copy, found once when the edge is added and
+shared by every active edge with those three, and the row maps a complete
+edge's copy to the key of the edge the combine made, or to None when the
+combine failed.  A later combine with the same inputs makes its edge from
+the stored key, over its own span, without touching the machine.  This
+is sound because ``_combine`` reads nothing else: it appends both copies
+at the top of the heap, runs the rule's linked pieces for that dot from
+the restored registers alone, copies the result canonically and rewinds.
+The spans only label the new edge, and the heap below the checkpoint is
+never reached from the restored registers.  The rows are dropped when the
+parse returns, so nothing grows across parses.
 
 A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
 the chart holds more edges.  ``ParseResult.pops`` counts the edges taken
@@ -70,14 +72,19 @@ their cells, so the pops never outnumber the items.
 Within one parse every distinct copy is one object.  A dict local to the
 parse maps each copy to its canonical object; a seed's copy and the copy
 of each machine combine's edge are swapped for it, so a copy is hashed
-once where it is made, not on every proposal.  The memo of combines and
-the duplicate check then key on ``id()`` of the copies, and a proposal
-whose key is already in the chart builds no edge.  This is sound: two
-canonical copies are the same object exactly when they are equal, and
-the dict holds every canonical copy until the parse returns, so no
-``id()`` is reused while a key that holds it is alive.  Equal identity
-keys therefore mean equal edges, as ``ActiveEdge.key`` and
-``CompleteEdge.key`` define them.
+once where it is made, not on every proposal.  A complete edge sits in
+its cell next to ``id()`` of its copy, which the rows key on, and an
+edge's key within its cell is its label, or its rule id and dot, with
+``id()`` of its copy.  Every edge a span's combines make lands in that
+span, so the duplicate check is one set per span, and a proposal is one
+dict read, a test for None and a set lookup; an edge object is built
+only for a key not yet in the cell.  This is sound: two canonical copies
+are the same object exactly when they are equal, and the dict holds
+every canonical copy until the parse returns, so no ``id()`` is reused
+while a key that holds it is alive.  Equal keys in one cell therefore
+mean equal edges, as ``ActiveEdge.key`` and ``CompleteEdge.key`` define
+them.  The seeds need no keys, as no rule's label is a lexical entry's
+or an input's.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ from . import machine, terms
 from .machine import REF, STR
 
 EMPTY_SNAPSHOT = machine.RegSnapshot((), (), ())
+MISSING = object()      # a memo row's answer for a combine not yet run
 
 
 class UnknownWordError(Exception):
@@ -207,71 +215,86 @@ class ChartParser:
     def _run(self, m, words, seeds) -> ParseResult:
         n = len(words)
         chart = Chart(n)
-        # the active and the complete edges of each cell, in chart order
+        cells = chart.cells
+        limit = self.max_items
+        # each cell's active edges next to their memo rows, and its complete
+        # edges next to id() of their copies, in chart order
         actives = {}
         completes = {}
         canon = {EMPTY_SNAPSHOT: EMPTY_SNAPSHOT}    # copy -> its canonical object
-        seen = set()    # edge keys with id(copy) in place of the copy
-        outcomes = {}   # (rule id, dot, id(active copy), id(complete copy)) -> copy or None
+        copies = {}     # id(canonical copy) -> the copy
+        # (rule id, dot, id(active copy)) -> memo row: id(complete copy) ->
+        # the new edge's key within its cell, or None when the combine fails
+        rows = {}
         items = 0
 
-        def add(key, edge):
+        def add(edge):
             nonlocal items
-            seen.add(key)
             span = (edge.i, edge.j)
-            chart.cells.setdefault(span, []).append(edge)
-            (actives if isinstance(edge, ActiveEdge) else completes).setdefault(span, []).append(edge)
-            items += 1
-            if items > self.max_items:
-                raise LimitExceeded("chart item", self.max_items)
-
-        def combine(active, complete):
-            info = active.info
-            memo_key = (info.rule_id, active.dot, id(active.snapshot), id(complete.snapshot))
-            new = None
-            try:
-                snap = outcomes[memo_key]
-            except KeyError:
-                new = self._combine(m, active, complete)
-                snap = None if new is None else canon.setdefault(new.snapshot, new.snapshot)
-                outcomes[memo_key] = snap
-            if snap is None:
-                return
-            i, j, dot = active.i, complete.j, active.dot + 1
-            done = dot == len(info.body_code)
-            key = (i, j, info.label, id(snap)) if done else (i, j, info.rule_id, dot, id(snap))
-            if key in seen:
-                return
-            if new is not None:
-                new.snapshot = snap
-            elif done:
-                new = CompleteEdge(i, j, info.label, snap, m.h)
+            cells.setdefault(span, []).append(edge)
+            if isinstance(edge, ActiveEdge):
+                row_key = (edge.info.rule_id, edge.dot, id(edge.snapshot))
+                row = rows.get(row_key)
+                if row is None:
+                    row = rows[row_key] = {}
+                actives.setdefault(span, []).append((edge, row))
             else:
-                new = ActiveEdge(i, j, info, dot, snap)
-            add(key, new)
+                completes.setdefault(span, []).append((id(edge.snapshot), edge))
+            items += 1
+            if items > limit:
+                raise LimitExceeded("chart item", limit)
+
+        def propose(seen, active, complete, cid, row, key):
+            """A proposal whose key is not in its cell yet: on a memo miss
+            run the combine, else make the edge the row names."""
+            info = active.info
+            dot = active.dot + 1
+            done = dot == len(info.body_code)
+            if key is MISSING:
+                new = self._combine(m, active, complete)
+                if new is None:
+                    row[cid] = None
+                    return
+                snap = new.snapshot = canon.setdefault(new.snapshot, new.snapshot)
+                copies[id(snap)] = snap
+                key = row[cid] = (info.label, id(snap)) if done else (info.rule_id, dot, id(snap))
+                if key in seen:
+                    return
+            elif done:
+                new = CompleteEdge(active.i, complete.j, info.label, copies[key[-1]], m.h)
+            else:
+                new = ActiveEdge(active.i, complete.j, info, dot, copies[key[-1]])
+            seen.add(key)
+            add(new)
 
         for e in seeds:
-            # a seed's label is unique to its position, so no seed is a duplicate
             e.snapshot = canon.setdefault(e.snapshot, e.snapshot)
-            add((e.i, e.j, e.source, id(e.snapshot)), e)
+            add(e)
         for i in range(n):
             for info in self.grammar.code.rules:
-                add((i, i, info.rule_id, 0, id(EMPTY_SNAPSHOT)),
-                    ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT))
+                add(ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT))
 
         for width in range(1, n + 1):
             for i in range(n - width + 1):
                 j = i + width
+                seen = set()    # the keys of the edges combines made in (i, j)
                 for k in range(i + 1, j):
-                    for a in actives.get((i, k), ()):
-                        for c in completes.get((k, j), ()):
-                            combine(a, c)
+                    right = completes.get((k, j))
+                    if right is None:
+                        continue
+                    for a, row in actives.get((i, k), ()):
+                        for cid, c in right:
+                            key = row.get(cid, MISSING)
+                            if key is not None and key not in seen:
+                                propose(seen, a, c, cid, row, key)
                 # the closure: this list grows while it is iterated, on purpose
-                for c in completes.get((i, j), ()):
-                    for a in actives.get((i, i), ()):
-                        combine(a, c)
+                for cid, c in completes.get((i, j), ()):
+                    for a, row in actives.get((i, i), ()):
+                        key = row.get(cid, MISSING)
+                        if key is not None and key not in seen:
+                            propose(seen, a, c, cid, row, key)
 
-        heads = [self._start_compatible(m, e) for e in completes.get((0, n), ())]
+        heads = [self._start_compatible(m, e) for _, e in completes.get((0, n), ())]
         heads = [h for h in heads if h is not None]
         pops = items - n * len(self.grammar.code.rules)
         return ParseResult(words, bool(heads), heads, items, pops, chart)

@@ -56,20 +56,24 @@ class TypeSpec:
 
 # Plan steps, one per feature of the result type, in the result's feature
 # order.  Positions are 1-based offsets into the right operand's arc block.
+# ``narrow`` is the result's appropriate value for the feature where the
+# result narrows it below every operand that has the feature, else None.
 
 @dataclass(frozen=True)
 class RightOnly:
     pos: int
+    narrow: int | None = None
 
 
 @dataclass(frozen=True)
 class LeftOnly:
-    pass
+    narrow: int | None = None
 
 
 @dataclass(frozen=True)
 class Both:
     pos: int
+    narrow: int | None = None
 
 
 @dataclass(frozen=True)
@@ -418,15 +422,18 @@ class TypeHierarchy:
             return UnifyPlan(left, right, None, ())
         lf = self.type_features[left]
         rf = self.type_features[right]
+        lvalue = dict(zip(lf, self.approps[left]))
+        rvalue = dict(zip(rf, self.approps[right]))
         rpos = {f: k + 1 for k, f in enumerate(rf)}
         steps = []
-        for k, f in enumerate(self.type_features[result]):
+        for f, v in zip(self.type_features[result], self.approps[result]):
+            narrow = None if v in (lvalue.get(f), rvalue.get(f)) else v
             if f in rpos:
-                steps.append(Both(rpos[f]) if f in lf else RightOnly(rpos[f]))
+                steps.append(Both(rpos[f], narrow) if f in lf else RightOnly(rpos[f], narrow))
             elif f in lf:
-                steps.append(LeftOnly())
+                steps.append(LeftOnly(narrow))
             else:
-                steps.append(Introduced(self.approps[result][k]))
+                steps.append(Introduced(v))
         kept = tuple(rpos[f] for f in lf) if result == right else None
         return UnifyPlan(left, right, result, tuple(steps), kept)
 

@@ -73,66 +73,7 @@ def brute_lub(h, a, b):
 
 def unify_terms(h, a, b):
     """Unify two terms; returns the result term, or None on failure."""
-    va, ra = _explode(h, a)
-    vb, rb = _explode(h, b)
-    off = len(va)
-    concrete = [not v[0] for v in va] + [not v[0] for v in vb]
-    ctype = [h.tid(v[1]) for v in va] + [h.tid(v[1]) for v in vb]
-    children = [dict(v[2]) for v in va] + \
-               [{f: c + off for f, c in v[2].items()} for v in vb]
-
-    parent = list(range(len(ctype)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    work = [(ra, rb + off)]
-    while work:
-        x, y = work.pop()
-        x, y = find(x), find(y)
-        if x == y:
-            continue
-        t = brute_lub(h, ctype[x], ctype[y])
-        if t is None:
-            return None
-        parent[y] = x
-        ctype[x] = t
-        concrete[x] = concrete[x] or concrete[y]
-        for f, c in children[y].items():
-            if f in children[x]:
-                work.append((children[x][f], c))
-            else:
-                children[x][f] = c
-    return _readout(h, find, ctype, concrete, children, find(ra))
-
-
-def _explode(h, term):
-    """Vertex table for a term graph: (is_mg, type name, {feature: vid})."""
-    defs = {}
-    _collect_defs(term, defs, set())
-    ids = {}
-    verts = []
-
-    def visit(t):
-        if isinstance(t, terms.BackRef):
-            return visit(defs[t.tag])
-        if id(t) in ids:
-            return ids[id(t)]
-        vid = len(verts)
-        ids[id(t)] = vid
-        if isinstance(t, terms.MostGeneral):
-            verts.append((True, t.type, {}))
-            return vid
-        row = (False, t.type, {})
-        verts.append(row)
-        for f, arg in zip(h.features(t.type), t.args):
-            row[2][f] = visit(arg)
-        return vid
-
-    return verts, visit(term)
+    return unify_scopes(h, [[a], [b]], [(0, 1)], 0)
 
 
 def _collect_defs(t, defs, seen):
@@ -204,9 +145,9 @@ class EagerMachine(machine.MachineState):
                     f"eager expansion cannot terminate")
         return root
 
-    def exec_plan(self, plan, addr):
+    def exec_plan(self, plan, addr, work):
         base = len(self.heap)
-        pending = super().exec_plan(plan, addr)
+        pending = super().exec_plan(plan, addr, work)
         if len(self.heap) > base:      # the plan built a result node
             for a in range(base + 1, base + 1 + self.h.arities[plan.result]):
                 c = self.heap[a]
@@ -267,12 +208,24 @@ def unify_scopes(h, scopes, pairs, out):
                 work.append((children[x][f], c))
             else:
                 children[x][f] = c
+        # raise each value to what type t allows for its feature: unify it
+        # with a fresh most general vertex of that type
+        for f, c in children[x].items():
+            v = h.approp(t, f)
+            c = find(c)
+            if brute_lub(h, ctype[c], v) != ctype[c]:
+                work.append((c, len(parent)))
+                parent.append(len(parent))
+                concrete.append(False)
+                ctype.append(v)
+                children.append({})
     return _readout(h, find, ctype, concrete, children, find(roots[out]))
 
 
 def _explode_scope(h, roots, verts):
     """Append the vertices of terms that share one tag scope to *verts*,
-    as _explode makes them; returns the vertex of each root."""
+    each as (is_mg, type name, {feature: vid}); returns the vertex of
+    each root."""
     defs = {}
     seen = set()
     for r in roots:

@@ -86,16 +86,20 @@ def check_compile_goldens(capsys, tmp_path, suffix, *flags):
         assert out == (GOLDEN / f"{name}.{suffix}.txt").read_text(encoding="utf-8"), name
 
 
-# the sentence each grammar's golden/<grammar>.parse.txt was made from
+# the sentence each grammar's golden/<grammar>.parse.txt was made from;
+# the last two have spans with several splits each
+PARSE_GRAMMARS = {**GRAMMARS, "hpsg": conftest.HPSG_GRAMMAR,
+                  "agreement": conftest.AGREEMENT_GRAMMAR}
 PARSE_SENTENCES = {"readme": "w1 w2", "toy": "w2 w1", "ambiguous": "w1 w2",
-                   "chain": "p x", "self_feeding": "q q"}
+                   "chain": "p x", "self_feeding": "q q",
+                   "hpsg": "kim and kim sees dogs and dogs", "agreement": "w w w w w w"}
 
 
 def test_parse_chart_goldens(capsys, tmp_path):
     """``tfsam parse --chart`` prints golden/<grammar>.parse.txt byte for
     byte for the README grammar and each test grammar, and without
     ``--chart`` the same heads (or ``no parse``) alone."""
-    for name, text in GRAMMARS.items():
+    for name, text in PARSE_GRAMMARS.items():
         p = tmp_path / f"{name}.grammar"
         p.write_text(text, encoding="utf-8")
         golden = (GOLDEN / f"{name}.parse.txt").read_text(encoding="utf-8")
@@ -133,6 +137,16 @@ def test_unify_fail_is_an_answer(capsys, spec_file):
     code, out, _ = run(capsys, "unify", spec_file, "d1", "d2")
     assert code == 0
     assert out.strip() == "FAIL"
+
+
+def test_unify_narrows_an_inherited_value(capsys, tmp_path):
+    # w narrows the f it inherits from v to d, so a w made from v(c) and a
+    # has f: d (CI runs the same check on the installed command)
+    p = tmp_path / "narrow.types"
+    p.write_text("bot sub [a, v, c].\nc sub [d].\nd sub [].\nv sub [w] intro [f: c].\n"
+                 "a sub [w].\nw sub [] intro [f: d].\n", encoding="utf-8")
+    for left, right in [("v(c)", "a"), ("a", "v(c)")]:
+        assert run(capsys, "unify", str(p), left, right) == (0, "w(d)\n", "")
 
 
 # full --dump-heap output, pinned so that no change to the machine moves a

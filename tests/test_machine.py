@@ -535,9 +535,7 @@ def test_lazy_and_eager_agree_on_loop_free_corpus(example_hierarchy):
             assert iso(lazy, eager)
 
 
-# w narrows the value of the feature f it inherits from v, from c to d;
-# on some pairs both machines read back a value other than
-# oracle.unify_terms does (w(c) for ~v and a), which is not checked here
+# w narrows the value of the feature f it inherits from v, from c to d
 NARROWING_SPEC = """
 bot sub [a, v, c].
 c sub [d].
@@ -553,15 +551,63 @@ NARROWING_TERMS = ["a", "c", "d", "~a", "~c", "~v", "~w", "v(c)", "v(d)", "v(~c)
 
 def test_lazy_and_eager_agree_on_a_narrowing_hierarchy():
     # the machine keeps a node or a VAR cell whose type is already the
-    # join, and builds a node otherwise, in both modes alike
+    # join, and builds a node otherwise, in both modes alike, and both
+    # agree with the oracle
     h = typesys.load_hierarchy(NARROWING_SPEC)
     for left in NARROWING_TERMS:
         for right in NARROWING_TERMS:
             a, b = parse_term(left, h), parse_term(right, h)
             lazy = oracle.machine_unify(h, a, b)
             eager = oracle.machine_unify(h, a, b, eager=True)
-            assert (lazy is None) == (eager is None), (left, right)
-            assert lazy is None or iso(lazy, eager), (left, right)
+            want = oracle.unify_terms(h, a, b)
+            assert (lazy is None) == (eager is None) == (want is None), (left, right)
+            assert lazy is None or iso(lazy, eager) and iso(lazy, want), (left, right)
+
+
+# p and q both inherit f: c from v, and their common subtype w narrows it
+NARROWING_BOTH_SPEC = """
+bot sub [v, c].
+c sub [d].
+d sub [].
+v sub [p, q] intro [f: c].
+p sub [w].
+q sub [w].
+w sub [] intro [f: d].
+"""
+
+
+@pytest.mark.parametrize("spec,left,right", [
+    (NARROWING_SPEC, "~v", "a"), (NARROWING_SPEC, "~w", "v(c)"), (NARROWING_SPEC, "v(c)", "a"),
+    (NARROWING_SPEC, "~v", "~a"), (NARROWING_SPEC, "a", "v(c)"),
+    (NARROWING_BOTH_SPEC, "p(c)", "q(c)"), (NARROWING_BOTH_SPEC, "p(~c)", "q(c)"),
+    (NARROWING_BOTH_SPEC, "~p", "q(c)")])
+def test_a_result_type_narrows_the_values_of_its_features(spec, left, right):
+    # w's f takes d, below the c its supertypes give it, so every w made
+    # here reads back as w(d)
+    h = typesys.load_hierarchy(spec)
+    a, b = parse_term(left, h), parse_term(right, h)
+    want = parse_term("w(d)", h)
+    for got in (oracle.machine_unify(h, a, b), oracle.machine_unify(h, a, b, eager=True),
+                oracle.unify_terms(h, a, b)):
+        assert iso(got, want), terms.print_term(got)
+    if "~" not in right:
+        # the right term as program code: get_structure runs the plan
+        m = fresh(h)
+        m.set_reg(1, m.build_term(a))
+        m.execute(compiler.compile_program(flatten(b)))
+        assert iso(m.extract(m.reg(1)), want)
+
+
+def test_plans_record_a_narrowed_value():
+    h = typesys.load_hierarchy(NARROWING_SPEC)
+    d = h.tid("d")
+    assert h.plan("v", "a").steps == (typesys.LeftOnly(d),)
+    assert h.plan("a", "v").steps == (typesys.RightOnly(1, d),)
+    # a w operand's own value is already d
+    assert h.plan("v", "w").steps == (typesys.Both(1),)
+    assert h.plan("w", "v").steps == (typesys.Both(1),)
+    h = typesys.load_hierarchy(NARROWING_BOTH_SPEC)
+    assert h.plan("p", "q").steps == (typesys.Both(1, h.tid("d")),)
 
 
 # -- undo --------------------------------------------------------------------------

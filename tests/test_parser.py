@@ -89,6 +89,17 @@ def test_heads_follow_the_span_order():
             == ["t4", "t3", "t5", "t4", "t3", "t5"])
 
 
+def test_a_cells_edges_follow_the_split_order():
+    # the edge of split k = 1 stands before the edge of split k = 2; no
+    # conftest grammar makes distinct edges from two splits of one span
+    g = grammar.load_grammar(oracle.random_grammar(random.Random(220)))
+    result = ChartParser(g, verify_undo=True).parse(["w0", "w2", "w1"])
+    spanning = [(e.source, terms.print_term(e.head)) for e in result.chart.cell(0, 3)
+                if isinstance(e, CompleteEdge)]
+    assert spanning == [("rule0", "#1 t3(#1,t1)"), ("rule1", "#1 t3(#1,t1)")]
+    assert [terms.print_term(h) for h in result.heads] == [h for _, h in spanning]
+
+
 def test_ambiguity_yields_distinct_heads(ambiguous_grammar):
     result = ChartParser(ambiguous_grammar, verify_undo=True).parse(["w1", "w2"])
     assert result.accepted
@@ -189,6 +200,26 @@ def test_item_limit(toy_grammar):
     assert err.value.what == "chart item"
     with pytest.raises(ValueError, match="at least 1"):
         ChartParser(toy_grammar, max_items=0)
+
+
+@pytest.mark.parametrize("fixture,sentence", [
+    ("toy_grammar", "w1 w2"), ("toy_grammar", "w2 w1"), ("ambiguous_grammar", "w1 w2"),
+    ("chain_grammar", "p x"), ("self_feeding_grammar", "q"), ("self_feeding_grammar", "q q"),
+    ("lexicon_only", "w w w"), ("agreement_grammar", "w w w"),
+    ("agreement_grammar", "v w v v w w"), ("hpsg_grammar", "kim sees dogs"),
+    ("hpsg_grammar", "kim and kim sees dogs and dogs")])
+def test_item_limit_is_exact(request, fixture, sentence):
+    # a chart of exactly max_items edges parses; one edge fewer is refused
+    if fixture == "lexicon_only":
+        g = grammar.load_grammar(LEXICON_ONLY_GRAMMAR)
+    else:
+        g = request.getfixturevalue(fixture)
+    words = sentence.split()
+    full = ChartParser(g).parse(words)
+    limited = ChartParser(g, max_items=full.items).parse(words)
+    assert (limited.items, limited.chart.dump()) == (full.items, full.chart.dump())
+    with pytest.raises(LimitExceeded):
+        ChartParser(g, max_items=full.items - 1).parse(words)
 
 
 def test_parse_is_deterministic(ambiguous_grammar):
