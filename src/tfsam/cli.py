@@ -25,10 +25,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (scan.SourceError, compiler.CompileError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except parser.UnknownWordError as e:
+    except (scan.SourceError, compiler.CompileError, ValueError,
+            parser.UnknownWordError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except parser.LimitExceeded as e:

@@ -237,10 +237,10 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
             code.add_label(label)
             instrs = compile_query(terms.flatten(term))
             code.extend(instrs)
-            m.regs = {}
-            m.execute(instrs)
+            regs = {}
+            m.execute(instrs, regs)
             code.lexicon.setdefault(word, []).append(
-                LexEntry(word, k, label, m.snapshot_regs([1])))
+                LexEntry(word, k, label, m.snapshot_regs(regs, [1])))
     return code
 
 

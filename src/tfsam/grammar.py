@@ -6,13 +6,16 @@ order:
     t sub [s1,s2] intro [f: v].      % type characterization
     rule body1, body2 => head.       % phrase structure rule over terms
     lex word => term.                % lexical entry
-    start => term.                   % what a spanning head must unify with
+    start => term.                   % what a spanning head must be an instance of
 
 Rule and lexicon terms must be totally well-typed.  The start term is only
 parsed, not checked: it is usually more general than any derivable head
-(e.g. a bare type), and the parser unifies it against candidates anyway.
-It is built once, when the grammar loads, and the parser restores that
-copy (``CodeArea.start``) for every spanning head it checks.  Lexical
+(e.g. a bare type).  The parser accepts a spanning head only when the
+start term subsumes it, that is when unifying the two gives back a
+structure isomorphic to the head; a head that merely unifies with the
+start term, but is more general than it, is not accepted.  The start
+term is built once, when the grammar loads, and the parser restores
+that copy (``CodeArea.start``) for every spanning head it checks.  Lexical
 entries are copies too: compiling the grammar runs each entry's query
 code once and keeps the cells it builds (``LexEntry.snapshot``), which
 the parser takes as a word's seed edges, so a parse runs rule code only.
@@ -80,8 +83,7 @@ def load_grammar(text) -> Grammar:
 
     code = compiler.compile_grammar(hierarchy, rules, lexicon)
     m = machine.MachineState(hierarchy)
-    m.regs = {0: m.build_term(start)}
-    code.start = m.snapshot_regs([0])
+    code.start = m.snapshot_regs({0: m.build_term(start)}, [0])
     return Grammar(hierarchy, rules, lexicon, start, code)
 
 

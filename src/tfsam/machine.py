@@ -1,4 +1,5 @@
-"""The abstract machine: a heap of tagged cells plus the unification engine.
+"""The abstract machine: a heap of tagged cells, a trail, and the
+unification engine.
 
 Heap cells are (tag, value) pairs: ``STR t`` starts a node of type t whose
 arc cells occupy the following arity(t) addresses, ``REF a`` points at
@@ -13,12 +14,14 @@ the result type is one operand's own type, that operand's node is the
 result and the other is bound to it; only when the result is more
 specific than both is a result skeleton built at the top of the heap and
 both operands bound to it.  So a unification writes new cells only where
-the result differs from an operand.  The argument pairs the plan
-scheduled are then settled, depth first, from a worklist instead of
-recursing.  Binding the operands before their arguments is what makes
-unification of cyclic structures terminate: when a cycle leads back to
-the pair being unified, both sides dereference to the same node and the
-pair is already settled.  Each node pair binds an operand to another
+the result differs from an operand.  Applying the plan gives, for each
+feature of the left operand, the address of the result's value for it;
+each is paired with the left operand's own argument, and these address
+pairs, the worklist's only kind of item, are then settled depth first
+instead of recursing.  Binding the operands before their arguments is
+what makes unification of cyclic structures terminate: when a cycle
+leads back to the pair being unified, both sides dereference to the
+same node and the pair is already settled.  Each node pair binds an operand to another
 node, so REF chains grow with every level of sharing, and ``deref``
 compresses any chain of more than one link it walks (through the trail),
 which keeps a unification near-linear in the cells it reads.
@@ -36,6 +39,11 @@ when it is compiled, and its lexical entries' query code runs then, once,
 to make their copies; a parse runs only the linked rule code.  A plain
 instruction list is linked on entry to ``execute``, so nothing runs
 unless all of it links.
+
+The machine holds no registers.  A register file is a dict from register
+number to heap address that the caller owns: ``execute`` runs code in
+the one it is given, ``restore_regs`` returns a new one and
+``snapshot_regs`` copies the structures of some of its registers.
 
 Structures leave the heap as copies of its cells (``RegSnapshot``), not
 as code: a chart edge is such a copy, and restoring it appends the cells
@@ -194,10 +202,9 @@ class MachineState:
     def __init__(self, hierarchy):
         self.h = hierarchy
         self.heap = []
-        self.regs = {}
         self.trail = []          # (address, previous cell)
 
-    # -- cells and registers ----------------------------------------------
+    # -- cells -------------------------------------------------------------
 
     @property
     def top(self):
@@ -215,15 +222,6 @@ class MachineState:
     def _set(self, a, cell):
         self.trail.append((a, self.heap[a]))
         self.heap[a] = cell
-
-    def reg(self, i):
-        a = self.regs.get(i)
-        if a is None:
-            raise MachineError(f"register X{i} is unset")
-        return a
-
-    def set_reg(self, i, a):
-        self.regs[i] = a
 
     # -- trail ---------------------------------------------------------------
 
@@ -263,8 +261,9 @@ class MachineState:
 
     # -- instruction execution ------------------------------------------------
 
-    def execute(self, code, regs=None):
-        """Run *code* in register file *regs* (the machine's own by default).
+    def execute(self, code, regs):
+        """Run *code* in the register file *regs*, a dict from register
+        number to heap address that the caller owns.
 
         *code* is either ``Linked`` code or a plain instruction list, which
         is linked first; either way every instruction is checked against
@@ -273,41 +272,43 @@ class MachineState:
             code = link(code, self.h)
         elif code.h is not self.h:
             raise MachineError("code was linked against another hierarchy")
-        r = self.regs if regs is None else regs
         heap = self.heap
         trail = self.trail
         for op, a, b, c in code.ops:
             if op == PUT_ARC:
                 try:
-                    addr = r[a] + b
-                    target = r[c]
+                    addr = regs[a] + b
+                    target = regs[c]
                 except KeyError:
                     raise MachineError("put_arc register is unset") from None
                 trail.append((addr, heap[addr]))
                 heap[addr] = (REF, target)
             elif op == PUT_NODE:
-                r[c] = len(heap)
+                regs[c] = len(heap)
                 heap.extend(a)
             elif op == GET_STRUCTURE:
-                self._get_structure(a, b, c, r)
+                self._get_structure(a, b, c, regs)
             elif op == PUT_VAR:
-                r[c] = len(heap)
+                regs[c] = len(heap)
                 heap.append(a)
 
     def _get_structure(self, node, args, xi, r):
         """The get_structure op: match register *xi* against the node *node*
         starts, then settle *args* in feature order: a register's first
-        occurrence points it at its argument, a later one unifies the two."""
+        occurrence points it at its argument, a later one unifies the two.
+        The plan's narrowing pairs settle first, then the later occurrences
+        in feature order, each pair with everything it leads to."""
         if xi not in r:
             raise MachineError(f"register X{xi} is unset")
         addr = self.deref(r[xi])
         r[xi] = addr
         c = self.cell(addr)
+        work = []
         if c[0] is REF:
             # value not known yet: build the type's skeleton, arguments unbound
             base = len(self.heap)
-            entries = [("copy", base + j) for j in range(1, len(args) + 1)]
-            self.heap += [node] + [(REF, a) for _, a in entries]
+            cells = range(base + 1, base + 1 + len(args))
+            self.heap += [node] + [(REF, a) for a in cells]
             self.bind(addr, base)
         else:
             plan = self.h.plans[node[1]][c[1]]
@@ -315,36 +316,36 @@ class MachineState:
             # node without arguments
             if c[0] is VAR and (args or plan.result != c[1]):
                 addr = self._expand(addr, c[1])[0]
-            work = []
-            entries = self.exec_plan(plan, addr, work)
-            if work:
-                self._unify(work)
-        for (action, cell), (xj, is_set) in zip(entries, args):
+            cells = self.exec_plan(plan, addr, work)
+        pairs = []
+        for cell, (xj, is_set) in zip(cells, args):
             if not is_set:
                 r[xj] = cell
             elif xj in r:
-                self._unify([(action, cell, r[xj])])
+                pairs.append((cell, r[xj]))
             else:
                 raise MachineError(f"register X{xj} is unset")
+        if pairs or work:
+            self._unify(pairs[::-1] + work)
 
     # -- plans ---------------------------------------------------------------
 
     def exec_plan(self, plan, addr, work):
         """Apply a unification plan at *addr*, whose node has the plan's
-        right type.  Returns an ``(action, cell)`` entry per left feature, in
-        order: the cell awaits a value (``"copy"``) or holds one (``"unify"``).
-        When the result is the right type, the node at *addr* is the result
-        and nothing is written; otherwise a result node is built at the top
-        of the heap and *addr* is bound to it.  Where the result narrows a
+        right type.  Returns, per left feature in order, the address of
+        the cell its value unifies with.  When the result is the right
+        type, the node at *addr* is the result and nothing is written;
+        otherwise a result node is built at the top of the heap and *addr*
+        is bound to it.  Where the result narrows a
         feature's value, its arc is a VAR cell of the narrowed type, which
-        the left value unifies with through its entry and the right value
-        through an item appended to the worklist *work*."""
+        the left value unifies with through its address and the right value
+        through a pair appended to the worklist *work*."""
         if plan.result is None:
             raise UnifyFailure(
                 f"{self.h.tname(plan.left)} and {self.h.tname(plan.right)} "
                 f"have no upper bound")
         if plan.kept is not None:
-            return [("unify", addr + p) for p in plan.kept]
+            return [addr + p for p in plan.kept]
         base = len(self.heap)
         self.heap.append((STR, plan.result))
         pending = []
@@ -358,17 +359,17 @@ class MachineState:
             elif step.narrow is not None:
                 self.heap.append((VAR, step.narrow))
                 if cls is not typesys.LeftOnly:
-                    work.append(("unify", cell, addr + step.pos))
+                    work.append((cell, addr + step.pos))
                 if cls is not typesys.RightOnly:
-                    pending.append(("unify", cell))
+                    pending.append(cell)
             elif cls is typesys.RightOnly:
                 self.heap.append((REF, addr + step.pos))
             elif cls is typesys.LeftOnly:
                 self.heap.append((REF, cell))
-                pending.append(("copy", cell))
+                pending.append(cell)
             else:
                 self.heap.append((REF, addr + step.pos))
-                pending.append(("unify", cell))
+                pending.append(cell)
         self.bind(addr, base)
         return pending
 
@@ -376,23 +377,19 @@ class MachineState:
 
     def unify(self, a1, a2) -> bool:
         try:
-            self._unify([("unify", a1, a2)])
+            self._unify([(a1, a2)])
             return True
         except UnifyFailure:
             return False
 
     def _unify(self, work):
-        """Settle a worklist of ``(action, cell, address)`` items until it is
-        empty.  An item settles when popped, not when pushed, since an earlier
-        item can bind a pending copy cell through a cycle: a ``"copy"`` cell
-        still unbound is pointed at the address, any other item unifies both.
-        A node pair's argument entries go onto the worklist reversed, so
-        they settle depth first and in argument order."""
+        """Unify the two addresses of each pair on the worklist *work*, until
+        it is empty.  A pair settles when popped, not when pushed, since an
+        earlier pair can bind either address through a cycle.  A node
+        pair's argument pairs go onto the worklist reversed, so they settle
+        depth first and in argument order."""
         while work:
-            action, a1, a2 = work.pop()
-            if action == "copy" and self.heap[a1] == (REF, a1):
-                self._set(a1, (REF, a2))
-                continue
+            a1, a2 = work.pop()
             a1 = self.deref(a1)
             a2 = self.deref(a2)
             if a1 == a2:
@@ -432,8 +429,7 @@ class MachineState:
             # bind the left operand to the result before settling arguments;
             # cycles back into this pair then dereference to the same address
             self.bind(a1, self.deref(a2))
-            for k in range(len(args), 0, -1):
-                work.append(args[k - 1] + (a1 + k,))
+            work += zip(reversed(args), range(a1 + len(args), a1, -1))
 
     def _join(self, t1, t2) -> int:
         t = self.h.lub(t1, t2)
@@ -460,12 +456,12 @@ class MachineState:
     # -- building and reading back ------------------------------------------------
 
     def build(self, roots) -> list[int]:
-        """Build term graphs on the heap via query code, in a scratch
-        register file; sharing between the given roots is preserved."""
+        """Build term graphs on the heap via query code, in a register file
+        of its own; sharing between the given roots is preserved."""
         eqs = terms.flatten(terms.MRS(list(roots)))
-        scratch = {}
-        self.execute(compiler.compile_query(eqs), scratch)
-        return [scratch[r] for r in eqs.roots]
+        regs = {}
+        self.execute(compiler.compile_query(eqs), regs)
+        return [regs[r] for r in eqs.roots]
 
     def build_snapshot(self, snap: RegSnapshot) -> list[int]:
         """Append a snapshot's cells to the heap; returns the address of
@@ -519,9 +515,9 @@ class MachineState:
             args.append(t)
         return out
 
-    def snapshot_regs(self, live) -> RegSnapshot:
-        """Copy the structures in registers *live*, walking from an
-        explicit stack (see ``RegSnapshot``)."""
+    def snapshot_regs(self, regs, live) -> RegSnapshot:
+        """Copy the structures in registers *live* of the register file
+        *regs*, walking from an explicit stack (see ``RegSnapshot``)."""
         heap = self.heap
         arities = self.h.arities
         offset = {}             # dereferenced heap address -> offset in the copy
@@ -530,7 +526,7 @@ class MachineState:
         # each stack entry is (the arc cell of the copy that points at the
         # address, or -1 for a root, address); roots, and a node's arcs,
         # are popped in order, so each root is copied before the next
-        stack = [(-1, self.regs[i]) for i in reversed(live)]
+        stack = [(-1, regs[i]) for i in reversed(live)]
         while stack:
             arc, a = stack.pop()
             c = heap[a]
@@ -552,8 +548,10 @@ class MachineState:
                 cells[arc] = (REF, o)
         return RegSnapshot(tuple(live), tuple(cells), tuple(roots))
 
-    def restore_regs(self, snap: RegSnapshot):
-        self.regs = dict(zip(snap.live, self.build_snapshot(snap)))
+    def restore_regs(self, snap: RegSnapshot) -> dict:
+        """Append a snapshot's cells to the heap; returns the register file
+        that points its live registers at their structures."""
+        return dict(zip(snap.live, self.build_snapshot(snap)))
 
     # -- inspection -------------------------------------------------------------
 

@@ -208,8 +208,8 @@ class ChartParser:
         m = machine.MachineState(self.grammar.hierarchy)
         seeds = []
         for i, root in enumerate(roots):
-            m.regs = {0: m.build_term(root)}
-            seeds.append(CompleteEdge(i, i + 1, f"input{i}", m.snapshot_regs([0]), m.h))
+            snap = m.snapshot_regs({0: m.build_term(root)}, [0])
+            seeds.append(CompleteEdge(i, i + 1, f"input{i}", snap, m.h))
         return self._run(m, [terms.print_term(r) for r in roots], seeds)
 
     def _run(self, m, words, seeds) -> ParseResult:
@@ -308,23 +308,24 @@ class ChartParser:
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
-            m.restore_regs(active.snapshot)
+            regs = m.restore_regs(active.snapshot)
             head_addr = m.build_snapshot(complete.snapshot)[0]
-            r = info.body_root_regs[active.dot]
+            x = info.body_root_regs[active.dot]
             if info.body_root_shared[active.dot]:
                 # this element's root was already built by an earlier one
-                if not m.unify(m.reg(r), head_addr):
+                if not m.unify(regs[x], head_addr):
                     raise machine.UnifyFailure
             else:
-                m.set_reg(r, head_addr)
-            m.execute(info.body_code[active.dot])
+                regs[x] = head_addr
+            m.execute(info.body_code[active.dot], regs)
             dot = active.dot + 1
             if dot == len(info.body_code):
-                m.execute(info.head_code)
+                m.execute(info.head_code, regs)
                 new = CompleteEdge(active.i, complete.j, info.label,
-                                   m.snapshot_regs([info.head_root_reg]), m.h)
+                                   m.snapshot_regs(regs, [info.head_root_reg]), m.h)
             else:
-                new = ActiveEdge(active.i, complete.j, info, dot, m.snapshot_regs(sorted(m.regs)))
+                new = ActiveEdge(active.i, complete.j, info, dot,
+                                 m.snapshot_regs(regs, sorted(regs)))
         except machine.UnifyFailure:
             new = None
         m.undo(mark)

@@ -130,7 +130,8 @@ def parse_mrs_tokens(cur, hierarchy, stop=()) -> MRS:
             break
         else:
             break
-    if not (cur.at_end() or cur.peek().text in stop):
+    # after a head, the caller says what may follow
+    if not (is_rule or cur.at_end() or cur.peek().text in stop):
         cur.fail("expected ',' or '=>' between roots")
     p.finish()
     return MRS(roots, is_rule)

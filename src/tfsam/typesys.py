@@ -15,8 +15,8 @@ Subsumption is kept as bit masks, after Ait-Kaci, Boyer, Lincoln and Nasr
 ("Efficient implementation of lattice operations", TOPLAS 11(1), 1989):
 each type has a mask of its subtypes, so subsumption is a bit test and
 the least upper bound of two types is the most general type in the AND
-of their masks.  The step-by-step unification plan of a pair of types,
-and with it their least upper bound, is made the first time it is asked
+of their masks, so no table is needed for it.  The step-by-step
+unification plan of a pair of types is made the first time it is asked
 for and kept; nothing is tabled for every pair.
 
 Types and features are interned to dense integer ids at validation time,
@@ -168,8 +168,8 @@ class TypeHierarchy:
     types so that each comes before its subtypes; two types have an upper
     bound exactly when their masks share a bit.  ``type_features[t]``
     holds t's features in order.  ``plans[left][right]`` builds the
-    pair's plan on first use and keeps it; the least upper bound of a
-    pair is the result of its plan.
+    pair's plan on first use and keeps it; ``lub`` reads the masks, so
+    it makes no plan.
     """
 
     def __init__(self, spec: TypeSpec):
@@ -197,7 +197,12 @@ class TypeHierarchy:
         return bool(self.ups[self.tid(a)] >> self._rank[self.tid(b)] & 1)
 
     def lub(self, a, b) -> int | None:
-        return self.plans[self.tid(a)][self.tid(b)].result
+        """The least upper bound, or None: the type of lowest rank among
+        the common subtypes, which is the most general of them."""
+        common = self.ups[self.tid(a)] & self.ups[self.tid(b)]
+        if not common:
+            return None
+        return self._by_rank[(common & -common).bit_length() - 1]
 
     def plan(self, left, right) -> UnifyPlan:
         return self.plans[self.tid(left)][self.tid(right)]
@@ -310,7 +315,7 @@ class TypeHierarchy:
             partners = meets[a] & ~ups[a] & ~downs[a]
             for b in sorted(order[r] for r in _bits(partners) if order[r] > a):
                 common = ups[a] & ups[b]
-                if ups[self._lub_of(a, b)] != common:
+                if ups[self.lub(a, b)] != common:
                     minimal = [order[r] for r in _bits(common)
                                if downs[order[r]] & common == 1 << r]
                     ms = ", ".join(sorted(names[m] for m in minimal))
@@ -363,7 +368,7 @@ class TypeHierarchy:
                 inherited = [v for d, v, _, _ in declared[f] if subsumes(d, t)]
                 v = inherited[0]
                 for w in inherited[1:]:
-                    v2 = self._lub_of(v, w)
+                    v2 = self.lub(v, w)
                     if v2 is None:
                         raise SpecError(
                             f"non-monotone appropriateness: inherited value types "
@@ -408,16 +413,8 @@ class TypeHierarchy:
         post.reverse()
         return post
 
-    def _lub_of(self, a, b):
-        """The least upper bound from the masks: the type of lowest rank
-        among the common subtypes, which is the most general of them."""
-        common = self.ups[a] & self.ups[b]
-        if not common:
-            return None
-        return self._by_rank[(common & -common).bit_length() - 1]
-
     def _make_plan(self, left, right):
-        result = self._lub_of(left, right)
+        result = self.lub(left, right)
         if result is None:
             return UnifyPlan(left, right, None, ())
         lf = self.type_features[left]

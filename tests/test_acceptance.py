@@ -60,7 +60,7 @@ def test_01_heap_layout(example_hierarchy):
     h = example_hierarchy
     start = time.perf_counter()
     m = MachineState(h)
-    m.execute(compiler.compile_query(flatten(parse_term("b(b(#1 d,#1),d)", h))))
+    m.execute(compiler.compile_query(flatten(parse_term("b(b(#1 d,#1),d)", h))), {})
     expected = [
         (STR, h.tid("b")),
         (REF, 3),

@@ -121,6 +121,14 @@ def test_compile_disasm(capsys, tmp_path):
     check_compile_goldens(capsys, tmp_path, "disasm", "--disasm")
 
 
+def test_compile_disasm_lists_a_most_general_leaf(capsys, tmp_path):
+    p = tmp_path / "loop.grammar"
+    p.write_text(LOOP_SPEC + "lex w => t(~t).\nstart => ~t.\n", encoding="utf-8")
+    code, out, err = run(capsys, "compile", str(p), "--disasm")
+    assert (code, err) == (0, "")
+    assert out == "lex_w:\nput_node t/1,X1\nput_var t,X2\nput_arc X1,1,X2\n"
+
+
 def test_unify_success(capsys, spec_file):
     code, out, _ = run(capsys, "unify", spec_file,
                        "a(#1 d1,#1)", "b(b(#2 d,#2),d)")

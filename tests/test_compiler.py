@@ -113,8 +113,9 @@ def test_rule_needs_body_and_head(example_hierarchy):
 def _lexical_copy(h, term):
     """The copy of X1 after running the query code of *term* on a fresh machine."""
     m = machine.MachineState(h)
-    m.execute(compile_query(flatten(term)))
-    return m.snapshot_regs([1])
+    regs = {}
+    m.execute(compile_query(flatten(term)), regs)
+    return m.snapshot_regs(regs, [1])
 
 
 def test_grammar_code_area_labels(toy_grammar):

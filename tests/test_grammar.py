@@ -64,6 +64,9 @@ def test_duplicate_start_clause():
 def test_rule_without_arrow():
     _reject(EXAMPLE_SPEC + "rule d, d1.\nstart => bot.\n",
             "a rule needs '=>' before its head")
+    # after the head, only the clause's period may follow
+    _reject(EXAMPLE_SPEC + "rule d => d d1.\nstart => bot.\n",
+            "expected '.', found 'd1'")
 
 
 def test_ill_typed_lexical_entry():

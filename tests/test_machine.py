@@ -21,7 +21,8 @@ def test_query_execution_heap_layout(example_hierarchy):
     m = fresh(example_hierarchy)
     code = compiler.compile_query(flatten(parse_term("b(b(#1 d,#1),d)",
                                                      example_hierarchy)))
-    m.execute(code)
+    regs = {}
+    m.execute(code, regs)
     assert m.dump() == "\n".join([
         "0: STR b",
         "1: REF 3",
@@ -32,7 +33,7 @@ def test_query_execution_heap_layout(example_hierarchy):
         "6: STR d",
         "7: STR d",
     ])
-    assert m.reg(1) == 0
+    assert regs[1] == 0
 
 
 def test_build_and_extract_round_trip(example_hierarchy):
@@ -84,8 +85,7 @@ def test_program_code_builds_under_unbound_root(example_hierarchy):
     h = example_hierarchy
     m = fresh(h)
     m.heap.append((REF, 0))
-    m.set_reg(1, 0)
-    m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))))
+    m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))), {1: 0})
     assert iso(m.extract(0), parse_term("a(#1 d1,#1)", h))
 
 
@@ -93,8 +93,7 @@ def test_get_structure_retypes_unexpanded_var(example_hierarchy):
     h = example_hierarchy
     m = fresh(h)
     m.heap.append((VAR, h.tid("g")))
-    m.set_reg(1, 0)
-    m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))))
+    m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))), {1: 0})
     assert iso(m.extract(0), parse_term("a(#1 d1,#1)", h))
 
 
@@ -104,8 +103,7 @@ def test_get_structure_leaves_a_var_of_the_join_type_alone(example_hierarchy):
     h = example_hierarchy
     m = fresh(h)
     m.heap.append((VAR, h.tid("d1")))
-    m.set_reg(1, 0)
-    m.execute(compiler.compile_program(flatten(parse_term("d", h))))
+    m.execute(compiler.compile_program(flatten(parse_term("d", h))), {1: 0})
     assert (m.heap, m.trail) == ([(VAR, h.tid("d1"))], [])
     assert iso(m.extract(0), parse_term("d1", h))
 
@@ -114,32 +112,31 @@ def test_program_code_against_matching_structure_changes_nothing(example_hierarc
     h = example_hierarchy
     m = fresh(h)
     root = m.build_term(parse_term("a(#1 d1,#1)", h))
-    m.set_reg(1, root)
-    m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))))
+    m.execute(compiler.compile_program(flatten(parse_term("a(#1 d1,#1)", h))), {1: root})
     assert iso(m.extract(root), parse_term("a(#1 d1,#1)", h))
 
 
 def test_matching_a_leaf_adds_no_cells(example_hierarchy):
     h = example_hierarchy
     m = fresh(h)
-    m.set_reg(1, m.build_term(parse_term("d", h)))
+    regs = {1: m.build_term(parse_term("d", h))}
     top = m.top
-    m.execute(compiler.compile_program(flatten(parse_term("d", h))))
+    m.execute(compiler.compile_program(flatten(parse_term("d", h))), regs)
     assert m.top == top
 
 
 def test_program_code_fails_on_clash(example_hierarchy):
     h = example_hierarchy
     m = fresh(h)
-    m.set_reg(1, m.build_term(parse_term("d1", h)))
+    regs = {1: m.build_term(parse_term("d1", h))}
     with pytest.raises(machine.UnifyFailure):
-        m.execute(compiler.compile_program(flatten(parse_term("d2", h))))
+        m.execute(compiler.compile_program(flatten(parse_term("d2", h))), regs)
 
 
 def test_put_node_arity_must_match(example_hierarchy):
     m = fresh(example_hierarchy)
     with pytest.raises(MachineError, match="arity"):
-        m.execute([PutNode("a", 1, 1)])
+        m.execute([PutNode("a", 1, 1)], {})
 
 
 def test_control_instructions_refuse_direct_execution(example_hierarchy):
@@ -147,7 +144,7 @@ def test_control_instructions_refuse_direct_execution(example_hierarchy):
     for ins in [StartRule(1), compiler.MoveDot(), compiler.NextItem(),
                 compiler.EndRule()]:
         with pytest.raises(MachineError, match="only valid under the parser"):
-            m.execute([ins])
+            m.execute([ins], {})
 
 
 @pytest.mark.parametrize("prefix", ["query", "program"])
@@ -173,18 +170,13 @@ def test_linking_checks_every_instruction_before_any_runs(example_hierarchy, pre
     # the earlier instructions would write cells and registers if they ran
     h = example_hierarchy
     m = fresh(h)
-    m.set_reg(1, m.build_term(parse_term("b(b(#1 d,#1),d)", h)))
+    regs = {1: m.build_term(parse_term("b(b(#1 d,#1),d)", h))}
     compile_ = compiler.compile_query if prefix == "query" else compiler.compile_program
     code = compile_(flatten(parse_term("b(b(#1 d,#1),d)", h))) + bad
-    before = (list(m.heap), list(m.trail), dict(m.regs))
+    before = (list(m.heap), list(m.trail), dict(regs))
     with pytest.raises(error, match=match):
-        m.execute(code)
-    assert (m.heap, m.trail, m.regs) == before
-    scratch = {1: m.reg(1)}
-    with pytest.raises(error, match=match):
-        m.execute(code, scratch)
-    assert (m.heap, m.trail, m.regs) == before
-    assert scratch == {1: m.reg(1)}
+        m.execute(code, regs)
+    assert (m.heap, m.trail, regs) == before
 
 
 def test_linked_code_runs_only_on_its_own_hierarchy(example_hierarchy, loop_hierarchy):
@@ -192,31 +184,35 @@ def test_linked_code_runs_only_on_its_own_hierarchy(example_hierarchy, loop_hier
     linked = machine.link(code, example_hierarchy)
     assert len(linked) == len(code)
     m = fresh(example_hierarchy)
-    m.execute(linked)
+    m.execute(linked, {})
     assert m.dump() == "0: STR d"
     with pytest.raises(MachineError, match="another hierarchy"):
-        fresh(loop_hierarchy).execute(linked)
+        fresh(loop_hierarchy).execute(linked, {})
 
 
 def test_bad_accesses_are_reported(example_hierarchy):
     m = fresh(example_hierarchy)
+    regs = {}
     with pytest.raises(MachineError, match="beyond heap top"):
         m.cell(0)
-    with pytest.raises(MachineError, match="register X5 is unset"):
-        m.reg(5)
     with pytest.raises(MachineError, match="outside a get_structure"):
-        m.execute([UnifyVariable(1)])
+        m.execute([UnifyVariable(1)], regs)
     with pytest.raises(MachineError, match="outside a get_structure"):
-        m.execute([UnifyValue(1)])
+        m.execute([UnifyValue(1)], regs)
     with pytest.raises(MachineError, match="unset"):
-        m.execute([PutArc(1, 1, 2)])
-    m.execute([PutNode("a", 2, 1)])
+        m.execute([PutArc(1, 1, 2)], regs)
+    # the node's register is checked when linking, the target's only when running
+    with pytest.raises(MachineError, match="put_arc register is unset"):
+        m.execute([PutNode("a", 2, 1), PutArc(1, 1, 2)], {})
+    with pytest.raises(MachineError, match="register X5 is unset"):
+        m.execute([GetStructure("d", 0, 5)], regs)
+    m.execute([PutNode("a", 2, 1)], regs)
     with pytest.raises(MachineError, match="before it was written"):
-        m.cell(m.reg(1) + 1)
+        m.cell(regs[1] + 1)
     # a unify_value register is set by earlier code, so only running finds it unset
-    m.set_reg(1, m.build_term(parse_term("a(d2,d)", example_hierarchy)))
+    regs = {1: m.build_term(parse_term("a(d2,d)", example_hierarchy))}
     with pytest.raises(MachineError, match="register X7 is unset"):
-        m.execute([GetStructure("a", 2, 1), UnifyVariable(2), UnifyValue(7)])
+        m.execute([GetStructure("a", 2, 1), UnifyVariable(2), UnifyValue(7)], regs)
 
 
 # -- dereferencing ----------------------------------------------------------------
@@ -434,13 +430,11 @@ def test_snapshot_of_deep_chain_without_recursion(loop_hierarchy):
         m = fresh(h)
         left = build_chain(m, "t", depth, cyclic)
         assert m.unify(left, build_chain(m, "u", depth, cyclic))
-        m.set_reg(1, left)
         expected = m.extract(left)
-        snap = m.snapshot_regs([1])
+        snap = m.snapshot_regs({1: left}, [1])
         assert len(snap.cells) == 2 * depth + (not cyclic)
         other = fresh(h)
-        other.restore_regs(snap)
-        restored = other.extract(other.reg(1))
+        restored = other.extract(other.restore_regs(snap)[1])
         assert iso(restored, expected)
         nodes = 0
         while isinstance(restored, terms.Node) and restored.type == "u":
@@ -593,9 +587,9 @@ def test_a_result_type_narrows_the_values_of_its_features(spec, left, right):
     if "~" not in right:
         # the right term as program code: get_structure runs the plan
         m = fresh(h)
-        m.set_reg(1, m.build_term(a))
-        m.execute(compiler.compile_program(flatten(b)))
-        assert iso(m.extract(m.reg(1)), want)
+        regs = {1: m.build_term(a)}
+        m.execute(compiler.compile_program(flatten(b)), regs)
+        assert iso(m.extract(regs[1]), want)
 
 
 def test_plans_record_a_narrowed_value():
@@ -672,16 +666,14 @@ def test_snapshot_survives_undo(example_hierarchy):
     mrs = terms.parse_mrs("a(bot,#3 d), #3", h)
     m = fresh(h)
     mark = m.checkpoint()
-    for i, addr in enumerate(m.build(mrs.roots), start=1):
-        m.set_reg(i, addr)
-    snap = m.snapshot_regs([1, 2])
+    regs = dict(enumerate(m.build(mrs.roots), start=1))
+    snap = m.snapshot_regs(regs, [1, 2])
     m.undo(mark)
-    m.regs = {}
-    m.restore_regs(snap)
-    out = m.extract_multi([m.reg(1), m.reg(2)])
+    regs = m.restore_regs(snap)
+    out = m.extract_multi([regs[1], regs[2]])
     assert iso_roots(out, mrs.roots)
     # sharing between registers is still physical, not just isomorphic
-    assert m.deref(m.reg(1) + 2) == m.deref(m.reg(2))
+    assert m.deref(regs[1] + 2) == m.deref(regs[2])
 
 
 def test_reading_a_restored_copy_writes_nothing(example_hierarchy):
@@ -697,23 +689,13 @@ def test_reading_a_restored_copy_writes_nothing(example_hierarchy):
         pa = m.build_term(a)
         if not m.unify(pa, m.build_term(b)):
             continue
-        m.set_reg(1, pa)
         copy = fresh(h)
-        root = copy.build_snapshot(m.snapshot_regs([1]))[0]
+        root = copy.build_snapshot(m.snapshot_regs({1: pa}, [1]))[0]
         cells = list(copy.heap)
         assert iso(copy.extract(root), m.extract(pa))
         assert copy.trail == [] and copy.heap == cells
         read += 1
     assert read > 10
-
-
-def test_scratch_registers_leave_machine_registers_alone(example_hierarchy):
-    m = fresh(example_hierarchy)
-    scratch = {}
-    m.execute(compiler.compile_query(flatten(parse_term("d", example_hierarchy))),
-              scratch)
-    assert scratch == {1: 0}
-    assert m.regs == {}
 
 
 # -- machine vs oracle on random inputs ------------------------------------------------

@@ -15,8 +15,8 @@ from conftest import AGREEMENT_GRAMMAR, EXAMPLE_SPEC, LEXICON_ONLY_GRAMMAR, LOOP
 def _complete(i, j, source, text, h):
     """A complete edge whose head is *text*, built on a machine and copied."""
     m = machine.MachineState(h)
-    m.regs = {1: m.build_term(parse_term(text, h))}
-    return CompleteEdge(i, j, source, m.snapshot_regs([1]), h)
+    snap = m.snapshot_regs({1: m.build_term(parse_term(text, h))}, [1])
+    return CompleteEdge(i, j, source, snap, h)
 
 
 def test_toy_parse_accepts(toy_grammar):
@@ -156,7 +156,7 @@ def test_a_parse_runs_only_rule_code(toy_grammar, monkeypatch):
     ran = []
     execute = machine.MachineState.execute
 
-    def recorded(self, code, regs=None):
+    def recorded(self, code, regs):
         ran.append(code)
         return execute(self, code, regs)
 
@@ -641,9 +641,9 @@ def test_the_quick_check_refuses_only_failing_unifications():
             info.body_code = [machine.link(piece, h) for piece in info.body_code]
             check = compiler.quick_checks(info, h)[0]
             m = machine.MachineState(h)
-            m.regs = {1: m.build_term(a)}
+            snap = m.snapshot_regs({1: m.build_term(a)}, [1])
             fail = oracle.unify_terms(h, a, b) is None
-            if parser._clashes(check, parser.EMPTY_SNAPSHOT, m.snapshot_regs([1]), h):
+            if parser._clashes(check, parser.EMPTY_SNAPSHOT, snap, h):
                 assert fail, (terms.print_term(a), terms.print_term(b))
                 refused += 1
             fails += fail

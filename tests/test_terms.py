@@ -153,6 +153,12 @@ def test_mrs_rejects_missing_separator(example_hierarchy):
         parse_mrs("a(d2,d) d", example_hierarchy)
 
 
+def test_mrs_rejects_input_after_the_head(example_hierarchy):
+    with pytest.raises(terms.TermError, match="unexpected input after structure") as err:
+        parse_mrs("d => d1 d2", example_hierarchy)
+    assert (err.value.line, err.value.col) == (1, 9)
+
+
 # -- well-typedness ------------------------------------------------------------
 
 def test_well_typed_accepts_concrete_and_mg_leaves(example_hierarchy):
@@ -297,6 +303,15 @@ def test_iso_roots_respects_cross_root_sharing(example_hierarchy):
     assert not iso_roots(shared.roots, shared.roots[:1])
 
 
+def test_iso_roots_compares_argument_counts():
+    # the reader never makes two nodes of one type with different arities,
+    # but iso_roots takes terms of any shape
+    one = Node("t", [Node("d")])
+    assert not iso_roots([one], [Node("t", [])])
+    assert not iso_roots([Node("t", [])], [one])
+    assert iso_roots([one], [Node("t", [Node("d")])])
+
+
 def test_iso_roots_is_positional(example_hierarchy):
     h = example_hierarchy
     a = [parse_term("d", h), parse_term("d1", h)]
@@ -332,8 +347,7 @@ def test_most_general_term_of_a_deep_type_chain_without_recursion(deep_chain_hie
 def _key(roots, h):
     """The roots built on a fresh machine, one register each, and copied."""
     m = MachineState(h)
-    m.regs = dict(enumerate(m.build(roots)))
-    return m.snapshot_regs(range(len(roots)))
+    return m.snapshot_regs(dict(enumerate(m.build(roots))), range(len(roots)))
 
 
 def _retagged(roots, h, prefix):
@@ -354,8 +368,8 @@ def test_key_covers_root_and_live_registers(example_hierarchy):
     assert x != y
     m = MachineState(h)
     d = m.build_term(parse_term("d", h))
-    m.regs = {1: d, 2: d}
-    one, two = m.snapshot_regs([1]), m.snapshot_regs([2])
+    regs = {1: d, 2: d}
+    one, two = m.snapshot_regs(regs, [1]), m.snapshot_regs(regs, [2])
     assert (one.cells, one.roots) == (two.cells, two.roots)
     assert one != two
 

@@ -123,7 +123,7 @@ def test_plan_step_shape_invariants_on_random_hierarchies():
                         assert 1 <= step.pos <= h.arity(b)
                     if isinstance(step, (LeftOnly, Both)):
                         pending += 1
-                # exec_plan returns one argument entry per left feature
+                # exec_plan returns one address per left feature
                 assert pending == h.arity(a)
                 # a kept right node gives the Both steps' positions
                 assert p.kept == (tuple(s.pos for s in p.steps if isinstance(s, Both))
@@ -333,7 +333,8 @@ def test_large_tree_loads_without_pair_tables():
     p = h.plan(top, a)
     assert h.plan(top, a) is p
     assert len(p.steps) == h.arity(a)
-    assert sum(map(len, h.plans)) == 3
+    # lub reads the masks, so the one plan asked for is the only one made
+    assert sum(map(len, h.plans)) == 1
 
 
 def test_empty_spec_is_just_bot():
