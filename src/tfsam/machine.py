@@ -45,6 +45,10 @@ number to heap address that the caller owns: ``execute`` runs code in
 the one it is given, ``restore_regs`` returns a new one and
 ``snapshot_regs`` copies the structures of some of its registers.
 
+Query code writes no trail entries: a put_arc fills a slot of a node a
+put_node of the same run made (``link`` checks that), so the slot lies
+above every mark and an undo drops it with the heap top.
+
 Structures leave the heap as copies of its cells (``RegSnapshot``), not
 as code: a chart edge is such a copy, and restoring it appends the cells
 again, rebased to the top of the heap.
@@ -156,8 +160,7 @@ def link(instrs, h) -> Linked:
             else:
                 raise MachineError(f"instruction {ins!r} is only valid under the parser")
     except KeyError:
-        h.tid(ins.type)       # an unknown type name: raises the hierarchy's SpecError
-        raise
+        raise typesys.SpecError(f"unknown type {ins.type!r}") from None
     return Linked(tuple(ops), h)
 
 
@@ -273,7 +276,6 @@ class MachineState:
         elif code.h is not self.h:
             raise MachineError("code was linked against another hierarchy")
         heap = self.heap
-        trail = self.trail
         for op, a, b, c in code.ops:
             if op == PUT_ARC:
                 try:
@@ -281,7 +283,6 @@ class MachineState:
                     target = regs[c]
                 except KeyError:
                     raise MachineError("put_arc register is unset") from None
-                trail.append((addr, heap[addr]))
                 heap[addr] = (REF, target)
             elif op == PUT_NODE:
                 regs[c] = len(heap)

@@ -47,44 +47,46 @@ left to right (each active edge of (i, k) against the complete edges of
 (k, j) in turn), then the closure.  Duplicate edges (same cell, rule,
 dot, and isomorphic saved structures) are dropped, so the chart grows to
 a fixed point.  A copy is a canonical form of its structures, so
-duplicates are found by a set lookup on a key built from it, not by
-comparing structures.
+duplicates are found by the identity of edges made once per parse
+(below), not by comparing structures.
 
 Each distinct combine runs on the machine once per parse.  Its memo is
-kept in rows local to the parse: an active edge sits in its cell next to
-the row of its rule, dot and copy, found once when the edge is added and
-shared by every active edge with those three, and the row maps a complete
-edge's copy to the key of the edge the combine made, or to None when the
-combine failed.  A later combine with the same inputs makes its edge from
-the stored key, over its own span, without touching the machine.  This
-is sound because ``_combine`` reads nothing else: it appends both copies
-at the top of the heap, runs the rule's linked pieces for that dot from
-the restored registers alone, copies the result canonically and rewinds.
-The spans only label the new edge, and the heap below the checkpoint is
-never reached from the restored registers.  The rows are dropped when the
-parse returns, so nothing grows across parses.
+kept in rows local to the parse, one per active edge, and a row maps a
+complete edge's copy to the edge the combine made, or to None when the
+combine failed.  A later combine with the same inputs adds that edge to
+its own cell without touching the machine.  This is sound because
+``_combine`` reads nothing else: it appends both copies at the top of the
+heap, runs the rule's linked pieces for that dot from the restored
+registers alone, copies the result canonically and rewinds, and returns
+the copy.  The heap below the checkpoint is never reached from the
+restored registers, and no span reaches the machine.  The rows are
+dropped when the parse returns, so nothing grows across parses.
 
 A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
 the chart holds more edges.  ``ParseResult.pops`` counts the edges taken
 up, each once: every edge but the dot-0 active edges, which only wait in
 their cells, so the pops never outnumber the items.
 
-Within one parse every distinct copy is one object.  A dict local to the
-parse maps each copy to its canonical object; a seed's copy and the copy
-of each machine combine's edge are swapped for it, so a copy is hashed
-once where it is made, not on every proposal.  A complete edge sits in
-its cell next to ``id()`` of its copy, which the rows key on, and an
-edge's key within its cell is its label, or its rule id and dot, with
-``id()`` of its copy.  Every edge a span's combines make lands in that
-span, so the duplicate check is one set per span, and a proposal is one
-dict read, a test for None and a set lookup; an edge object is built
-only for a key not yet in the cell.  This is sound: two canonical copies
-are the same object exactly when they are equal, and the dict holds
-every canonical copy until the parse returns, so no ``id()`` is reused
-while a key that holds it is alive.  Equal keys in one cell therefore
-mean equal edges, as ``ActiveEdge.key`` and ``CompleteEdge.key`` define
-them.  The seeds need no keys, as no rule's label is a lexical entry's
-or an input's.
+An edge holds no span, as the cell that holds it states one: an active
+edge is its rule, dot and copy, a complete edge its label and copy.
+Within one parse every distinct copy is one object, and so is every
+distinct edge.  A dict local to the parse maps each copy to its
+canonical object, and another maps an edge's label, or its rule id and
+dot, with ``id()`` of its canonical copy, to the edge; the seeds, the
+dot-0 active edges and every combine's result are made through them, so
+a copy is hashed once where it is made, and one edge object sits in
+every cell it belongs to: a word's seed in each cell of that word, a
+rule's dot-0 edge in every (i, i).  A complete edge sits in its cell
+next to ``id()`` of its copy, which the rows key on.  Every edge a
+span's combines make lands in that span, so the duplicate check is one
+identity set of edges per span, and a proposal is one dict read, a test
+for None and a set lookup.  This is sound: two canonical copies are the
+same object exactly when they are equal, and the dict holds every
+canonical copy until the parse returns, so no ``id()`` is reused while a
+key that holds it is alive.  Two edges of one cell are therefore one
+object exactly when they have equal keys, as ``ActiveEdge.key`` and
+``CompleteEdge.key`` define them, and no combine makes a seed, as no
+rule's label is a lexical entry's or an input's.
 """
 
 from __future__ import annotations
@@ -114,22 +116,18 @@ class LimitExceeded(Exception):
 
 @dataclass(eq=False)
 class ActiveEdge:
-    i: int
-    j: int
     info: object            # RuleInfo of the rule being matched
     dot: int                # body elements already matched
     snapshot: machine.RegSnapshot
 
     @property
     def key(self):
-        """Equal for two edges exactly when one duplicates the other."""
-        return (self.i, self.j, self.info.rule_id, self.dot, self.snapshot)
+        """Equal for two edges of one cell exactly when one duplicates the other."""
+        return (self.info.rule_id, self.dot, self.snapshot)
 
 
 @dataclass(eq=False)
 class CompleteEdge:
-    i: int
-    j: int
     source: str             # rule label or lexical entry label
     snapshot: machine.RegSnapshot   # a copy of the head alone
     h: object = field(repr=False)   # the hierarchy of the copy's type ids
@@ -142,8 +140,8 @@ class CompleteEdge:
 
     @property
     def key(self):
-        """Equal for two edges exactly when one duplicates the other."""
-        return (self.i, self.j, self.source, self.snapshot)
+        """Equal for two edges of one cell exactly when one duplicates the other."""
+        return (self.source, self.snapshot)
 
 
 class Chart:
@@ -191,14 +189,13 @@ class ChartParser:
         words = list(words)
         if not words:
             raise ValueError("input must contain at least one word")
-        h = self.grammar.hierarchy
         seeds = []
         for i, w in enumerate(words):
             entries = self.grammar.code.lexicon.get(w)
             if not entries:
                 raise UnknownWordError(w, i)
-            seeds += [CompleteEdge(i, i + 1, e.label, e.snapshot, h) for e in entries]
-        return self._run(machine.MachineState(h), words, seeds)
+            seeds += [(i, e.label, e.snapshot) for e in entries]
+        return self._run(machine.MachineState(self.grammar.hierarchy), words, seeds)
 
     def parse_terms(self, roots) -> ParseResult:
         """Parse an input given directly as terms, one per position."""
@@ -206,102 +203,105 @@ class ChartParser:
         if not roots:
             raise ValueError("input must contain at least one term")
         m = machine.MachineState(self.grammar.hierarchy)
-        seeds = []
-        for i, root in enumerate(roots):
-            snap = m.snapshot_regs({0: m.build_term(root)}, [0])
-            seeds.append(CompleteEdge(i, i + 1, f"input{i}", snap, m.h))
+        seeds = [(i, f"input{i}", m.snapshot_regs({0: m.build_term(root)}, [0]))
+                 for i, root in enumerate(roots)]
         return self._run(m, [terms.print_term(r) for r in roots], seeds)
 
     def _run(self, m, words, seeds) -> ParseResult:
+        """Fill the chart of *words* from *seeds*, (position, label, copy)
+        triples."""
         n = len(words)
         chart = Chart(n)
         cells = chart.cells
         limit = self.max_items
+        rules = self.grammar.code.rules
         # each cell's active edges next to their memo rows, and its complete
         # edges next to id() of their copies, in chart order
         actives = {}
         completes = {}
         canon = {EMPTY_SNAPSHOT: EMPTY_SNAPSHOT}    # copy -> its canonical object
-        copies = {}     # id(canonical copy) -> the copy
-        # (rule id, dot, id(active copy)) -> memo row: id(complete copy) ->
-        # the new edge's key within its cell, or None when the combine fails
+        edges = {}      # (label or (rule id, dot), id(canonical copy)) -> the edge
+        # active edge -> memo row: id(complete copy) -> the edge the
+        # combine made, or None when it fails
         rows = {}
         items = 0
 
-        def add(edge):
+        def edge(snap, label, info=None, dot=0):
+            """The parse's one complete edge of *label*, or active edge of
+            *info* at *dot* when *info* is given, with this copy."""
+            snap = canon.setdefault(snap, snap)
+            key = (label if info is None else (info.rule_id, dot), id(snap))
+            e = edges.get(key)
+            if e is None:
+                if info is None:
+                    e = edges[key] = CompleteEdge(label, snap, m.h)
+                else:
+                    e = edges[key] = ActiveEdge(info, dot, snap)
+                    rows[e] = {}
+            return e
+
+        def add(span, e):
             nonlocal items
-            span = (edge.i, edge.j)
-            cells.setdefault(span, []).append(edge)
-            if isinstance(edge, ActiveEdge):
-                row_key = (edge.info.rule_id, edge.dot, id(edge.snapshot))
-                row = rows.get(row_key)
-                if row is None:
-                    row = rows[row_key] = {}
-                actives.setdefault(span, []).append((edge, row))
+            cells.setdefault(span, []).append(e)
+            if type(e) is ActiveEdge:
+                actives.setdefault(span, []).append((e, rows[e]))
             else:
-                completes.setdefault(span, []).append((id(edge.snapshot), edge))
+                completes.setdefault(span, []).append((id(e.snapshot), e))
             items += 1
             if items > limit:
                 raise LimitExceeded("chart item", limit)
 
-        def propose(seen, active, complete, cid, row, key):
-            """A proposal whose key is not in its cell yet: on a memo miss
-            run the combine, else make the edge the row names."""
-            info = active.info
-            dot = active.dot + 1
-            done = dot == len(info.body_code)
-            if key is MISSING:
-                new = self._combine(m, active, complete)
-                if new is None:
-                    row[cid] = None
+        def propose(span, seen, active, complete, cid, row, new):
+            """A proposal whose edge is not in its cell yet: on a memo miss
+            run the combine first."""
+            if new is MISSING:
+                snap = self._combine(m, active, complete)
+                info = active.info
+                dot = active.dot + 1
+                new = row[cid] = None if snap is None else edge(
+                    snap, info.label, info if dot < len(info.body_code) else None, dot)
+                if new is None or new in seen:
                     return
-                snap = new.snapshot = canon.setdefault(new.snapshot, new.snapshot)
-                copies[id(snap)] = snap
-                key = row[cid] = (info.label, id(snap)) if done else (info.rule_id, dot, id(snap))
-                if key in seen:
-                    return
-            elif done:
-                new = CompleteEdge(active.i, complete.j, info.label, copies[key[-1]], m.h)
-            else:
-                new = ActiveEdge(active.i, complete.j, info, dot, copies[key[-1]])
-            seen.add(key)
-            add(new)
+            seen.add(new)
+            add(span, new)
 
-        for e in seeds:
-            e.snapshot = canon.setdefault(e.snapshot, e.snapshot)
-            add(e)
+        for i, label, snap in seeds:
+            add((i, i + 1), edge(snap, label))
+        dot0 = [edge(EMPTY_SNAPSHOT, info.label, info) for info in rules]
         for i in range(n):
-            for info in self.grammar.code.rules:
-                add(ActiveEdge(i, i, info, 0, EMPTY_SNAPSHOT))
+            for e in dot0:
+                add((i, i), e)
 
         for width in range(1, n + 1):
             for i in range(n - width + 1):
                 j = i + width
-                seen = set()    # the keys of the edges combines made in (i, j)
+                span = (i, j)
+                seen = set()    # the edges combines put in this span
                 for k in range(i + 1, j):
                     right = completes.get((k, j))
                     if right is None:
                         continue
                     for a, row in actives.get((i, k), ()):
                         for cid, c in right:
-                            key = row.get(cid, MISSING)
-                            if key is not None and key not in seen:
-                                propose(seen, a, c, cid, row, key)
+                            new = row.get(cid, MISSING)
+                            if new is not None and new not in seen:
+                                propose(span, seen, a, c, cid, row, new)
                 # the closure: this list grows while it is iterated, on purpose
-                for cid, c in completes.get((i, j), ()):
+                for cid, c in completes.get(span, ()):
                     for a, row in actives.get((i, i), ()):
-                        key = row.get(cid, MISSING)
-                        if key is not None and key not in seen:
-                            propose(seen, a, c, cid, row, key)
+                        new = row.get(cid, MISSING)
+                        if new is not None and new not in seen:
+                            propose(span, seen, a, c, cid, row, new)
 
         heads = [self._start_compatible(m, e) for _, e in completes.get((0, n), ())]
         heads = [h for h in heads if h is not None]
-        pops = items - n * len(self.grammar.code.rules)
+        pops = items - n * len(rules)
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
     def _combine(self, m, active, complete):
         """The fundamental rule: match a complete head against the next
-        body element of an active edge.  Returns the new edge, or None."""
+        body element of an active edge.  Returns the new edge's copy (its
+        registers, or its head alone once the body is matched), or None."""
         info = active.info
         if _clashes(info.checks[active.dot], active.snapshot, complete.snapshot, m.h):
             return None
@@ -318,14 +318,11 @@ class ChartParser:
             else:
                 regs[x] = head_addr
             m.execute(info.body_code[active.dot], regs)
-            dot = active.dot + 1
-            if dot == len(info.body_code):
+            if active.dot + 1 == len(info.body_code):
                 m.execute(info.head_code, regs)
-                new = CompleteEdge(active.i, complete.j, info.label,
-                                   m.snapshot_regs(regs, [info.head_root_reg]), m.h)
+                new = m.snapshot_regs(regs, [info.head_root_reg])
             else:
-                new = ActiveEdge(active.i, complete.j, info, dot,
-                                 m.snapshot_regs(regs, sorted(regs)))
+                new = m.snapshot_regs(regs, sorted(regs))
         except machine.UnifyFailure:
             new = None
         m.undo(mark)

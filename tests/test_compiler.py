@@ -180,3 +180,22 @@ def test_disassemble_golden(example_hierarchy):
         "get_structure d1/0,X2"
     )
 
+
+def test_a_code_area_refuses_a_duplicate_label():
+    code = compiler.CodeArea()
+    code.add_label("rule0")
+    with pytest.raises(CompileError, match="duplicate label 'rule0'"):
+        code.add_label("rule0")
+
+
+def test_format_instruction_refuses_an_unknown_instruction():
+    with pytest.raises(CompileError, match="unknown instruction 'nope'"):
+        compiler.format_instruction("nope")
+
+
+def test_disassemble_lists_a_label_after_the_last_instruction():
+    code = compiler.CodeArea()
+    code.add_label("first")
+    code.extend([PutNode("d", 0, 1)])
+    code.add_label("end")
+    assert disassemble(code) == "first:\nput_node d/0,X1\nend:"

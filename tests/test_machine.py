@@ -215,6 +215,19 @@ def test_bad_accesses_are_reported(example_hierarchy):
         m.execute([GetStructure("a", 2, 1), UnifyVariable(2), UnifyValue(7)], regs)
 
 
+def test_dump_shows_an_unwritten_arc_slot(example_hierarchy):
+    # a put_node without its put_arcs leaves its arc slots unwritten
+    m = fresh(example_hierarchy)
+    m.execute([PutNode("a", 2, 1)], {})
+    assert m.dump() == "0: STR a\n1: ---\n2: ---"
+
+
+def test_link_reports_an_unknown_type_id(example_hierarchy):
+    # a type given as an id is not a name of the hierarchy's table either
+    with pytest.raises(typesys.SpecError, match="unknown type 3"):
+        machine.link([PutNode(3, 0, 1)], example_hierarchy)
+
+
 # -- dereferencing ----------------------------------------------------------------
 
 def test_deref_compresses_long_chains(example_hierarchy):
@@ -618,6 +631,27 @@ def test_undo_restores_heap_exactly(example_hierarchy):
     m.undo(mark)
     assert m.heap == before
     assert len(m.trail) == mark.trail
+
+
+def test_query_code_writes_no_trail_entries(example_hierarchy):
+    # every put_arc fills a slot of a node built by the same code, above
+    # any mark, so undo drops it with the heap top and needs no entry
+    h = example_hierarchy
+    m = fresh(h)
+    a = m.build_term(parse_term("a(#1 d1,#1)", h))
+    code = compiler.compile_query(flatten(parse_term("b(b(#2 d,#2),d)", h)))
+    assert any(isinstance(ins, PutArc) for ins in code)
+    m.execute(code, {})
+    assert m.trail == []
+    before = list(m.heap)
+    mark = m.checkpoint()
+    regs = {}
+    m.execute(code, regs)
+    assert m.trail == []
+    assert m.unify(a, regs[1])
+    assert m.trail
+    m.undo(mark)
+    assert m.heap == before and m.trail == []
 
 
 def test_undo_after_failed_unification(example_hierarchy):

@@ -12,11 +12,11 @@ import oracle
 from conftest import AGREEMENT_GRAMMAR, EXAMPLE_SPEC, LEXICON_ONLY_GRAMMAR, LOOP_SPEC, TOY_GRAMMAR
 
 
-def _complete(i, j, source, text, h):
+def _complete(source, text, h):
     """A complete edge whose head is *text*, built on a machine and copied."""
     m = machine.MachineState(h)
     snap = m.snapshot_regs({1: m.build_term(parse_term(text, h))}, [1])
-    return CompleteEdge(i, j, source, snap, h)
+    return CompleteEdge(source, snap, h)
 
 
 def test_toy_parse_accepts(toy_grammar):
@@ -254,14 +254,14 @@ def test_combine_rewinds_heap_even_on_success(toy_grammar):
     m = machine.MachineState(toy_grammar.hierarchy)
     h = toy_grammar.hierarchy
     info = toy_grammar.code.rules[0]
-    active = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
-    complete = _complete(0, 1, "lex_w1", "a(d2,d)", h)
+    active = ActiveEdge(info, 0, parser.EMPTY_SNAPSHOT)
+    complete = _complete("lex_w1", "a(d2,d)", h)
     before = list(m.heap)
     new = p._combine(m, active, complete)
-    assert isinstance(new, ActiveEdge)
-    assert new.dot == 1
+    assert isinstance(new, machine.RegSnapshot)
+    assert len(new.live) > 1     # an active edge's registers, not a head alone
     assert m.heap == before
-    failing = _complete(0, 1, "lex_w2", "d", h)
+    failing = _complete("lex_w2", "d", h)
     assert p._combine(m, active, failing) is None
     assert m.heap == before
 
@@ -362,11 +362,15 @@ def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
     p = ChartParser(toy_grammar, verify_undo=True)
     m = machine.MachineState(h)
     info = toy_grammar.code.rules[0]
-    start = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
+    start = ActiveEdge(info, 0, parser.EMPTY_SNAPSHOT)
     # a complete edge may be built from any term, tags and all
-    mid = p._combine(m, start, _complete(0, 1, "lex_w1", "a(d2,#5 d)", h))
-    done = p._combine(m, mid, _complete(1, 2, "lex_w2", "d", h))
-    assert isinstance(done, CompleteEdge) and done.source == "rule0"
+    mid_copy = p._combine(m, start, _complete("lex_w1", "a(d2,#5 d)", h))
+    assert isinstance(mid_copy, machine.RegSnapshot)
+    mid = ActiveEdge(info, 1, mid_copy)
+    done_copy = p._combine(m, mid, _complete("lex_w2", "d", h))
+    assert isinstance(done_copy, machine.RegSnapshot)
+    done = CompleteEdge(info.label, done_copy, h)
+    assert done.source == "rule0"
     assert terms.print_term(done.head) == "a(d2,d)"
     chart = p.parse(["w1", "w2"]).chart
     assert mid.key in {e.key for e in chart.cell(0, 1)}
@@ -395,12 +399,12 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     h = toy_grammar.hierarchy
     p = ChartParser(toy_grammar, verify_undo=True)
     info = toy_grammar.code.rules[0]
-    active = ActiveEdge(0, 0, info, 0, parser.EMPTY_SNAPSHOT)
+    active = ActiveEdge(info, 0, parser.EMPTY_SNAPSHOT)
     # the rule reads an a node where the head has a g node, so the result
     # is a new node and the head's node is bound to it through the trail;
     # a head of type a would be kept, and an undo that forgets the trail
     # would have nothing to forget
-    complete = _complete(0, 1, "lex_w1", "g(d)", h)
+    complete = _complete("lex_w1", "g(d)", h)
     written = []        # the trail entries each broken undo had to take back
 
     def broken_machine():
@@ -420,7 +424,7 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     assert written.pop() > 0
     # without the check the same breakage goes unnoticed
     assert isinstance(ChartParser(toy_grammar)._combine(broken_machine(), active, complete),
-                      ActiveEdge)
+                      machine.RegSnapshot)
     assert written.pop() > 0
 
 
@@ -476,18 +480,22 @@ def test_chart_is_closed_under_the_fundamental_rule(request, name, sentence):
     text = CLOSURE_TEXTS.get(name)
     g = request.getfixturevalue(name) if text is None else grammar.load_grammar(text)
     chart = ChartParser(g, verify_undo=True).parse(sentence.split()).chart
-    keys = {e.key for cell in chart.cells.values() for e in cell}
+    keys = {(span, e.key) for span, cell in chart.cells.items() for e in cell}
     p = ChartParser(g, verify_undo=True)
     tried = 0
-    for (_, k), cell in list(chart.cells.items()):
+    for (i, k), cell in list(chart.cells.items()):
         for a in cell:
             if not isinstance(a, ActiveEdge):
                 continue
+            info = a.info
+            dot = a.dot + 1
             for j in range(k + 1, chart.n + 1):
                 for c in chart.cell(k, j):
                     if isinstance(c, CompleteEdge):
                         new = p._combine(machine.MachineState(g.hierarchy), a, c)
-                        assert new is None or new.key in keys, (a, c)
+                        key = ((info.label, new) if dot == len(info.body_code)
+                               else (info.rule_id, dot, new))
+                        assert new is None or ((i, j), key) in keys, (a, c)
                         tried += 1
     assert tried
 
@@ -518,8 +526,9 @@ def test_each_distinct_combine_runs_once(monkeypatch):
 
 @pytest.mark.parametrize("sentence", ["w w w w w w w w", "w v w w"])
 def test_a_duplicate_proposal_builds_no_edge(monkeypatch, sentence):
-    # every edge object made during a parse goes into the chart, and the
-    # identity keys of the parse agree with the public edge keys
+    # every edge object made during a parse goes into the chart, none twice
+    # in one cell, and the identity keys of the parse agree with the public
+    # edge keys: no two edges of a cell have equal keys
     g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     built = []
     for cls in (ActiveEdge, CompleteEdge):
@@ -528,8 +537,25 @@ def test_a_duplicate_proposal_builds_no_edge(monkeypatch, sentence):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     result = ChartParser(g, verify_undo=True).parse(sentence.split())
-    assert len(built) == result.items
-    assert len({e.key for cell in result.chart.cells.values() for e in cell}) == result.items
+    cells = result.chart.cells.values()
+    assert {id(e) for e in built} == {id(e) for cell in cells for e in cell}
+    assert all(len({id(e) for e in cell}) == len(cell) for cell in cells)
+    assert sum(len({e.key for e in cell}) for cell in cells) == result.items
+    assert len(built) < result.items
+
+
+def test_an_edge_is_one_object_in_every_cell_it_belongs_to(agreement_grammar):
+    # an edge is its rule, dot and copy, or its label and copy; the cell
+    # states its span, so a parse makes each edge once, whatever its cells
+    result = ChartParser(agreement_grammar, verify_undo=True).parse(["w", "w", "w"])
+    cell = result.chart.cell
+    seed = [e for e in cell(0, 1) if isinstance(e, CompleteEdge) and e.source == "lex_w"]
+    assert len(seed) == 1
+    assert all(seed[0] in cell(i, i + 1) for i in (1, 2))
+    dot0 = cell(0, 0)
+    assert [e.info.label for e in dot0] == [info.label for info in agreement_grammar.code.rules]
+    assert all(len(cell(i, i)) == len(dot0) and all(a is b for a, b in zip(cell(i, i), dot0))
+               for i in (1, 2))
 
 
 def test_no_hierarchy_outlives_its_grammar():
