@@ -109,7 +109,10 @@ class RuleInfo:
     rule_id: int
     label: str
     body_root_regs: list[int]
-    body_root_shared: list[bool]  # root register already bound by an earlier fragment
+    # per body element, the registers an active edge holds before it,
+    # sorted: the order of its copy's roots, as a copy keeps no register
+    # numbers.  The element's root is in it when an earlier element set it
+    held: list[tuple[int, ...]]
     head_root_reg: int
     # program code of each body element and query code of the head, without
     # the control instructions; linked by compile_grammar
@@ -191,15 +194,15 @@ def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
     body_len = len(rule.roots) - 1
 
     seen = set()
-    shared = []
+    held = []
     body_code = []
     for m in range(body_len):
-        shared.append(eqs.roots[m] in seen)
+        held.append(tuple(sorted(seen)))
         frag = EquationSet(eqs.equations[bounds[m]:bounds[m + 1]], [eqs.roots[m]], [])
         body_code.append(compile_program(frag, seen))
     head = EquationSet(eqs.equations[bounds[body_len]:bounds[body_len + 1]],
                        [eqs.roots[body_len]], [])
-    return RuleInfo(rule_id, label, eqs.roots[:body_len], shared, eqs.roots[body_len],
+    return RuleInfo(rule_id, label, eqs.roots[:body_len], held, eqs.roots[body_len],
                     body_code, compile_query(head))
 
 
@@ -247,18 +250,18 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
 def quick_checks(info, h) -> list:
     """The quick check of each body element of a linked rule, read off its
     program code (see ``parser``): a pair ``(path, type id)`` per
-    get_structure, and a pair ``(path, register)`` per unify_value of a
-    register the active edge holds, with ``((), root)`` for a root that an
-    earlier element shares.  A path is a tuple of feature names from the
-    root.  A get_structure whose type is at most as specific as what any
+    get_structure, and a pair ``(path, k)`` per unify_value of a register
+    the active edge holds, k its index in ``info.held`` and so in the
+    edge's copy, with ``((), k)`` for a root that an earlier element
+    shares.  A path is a tuple of feature names from the root.  A
+    get_structure whose type is at most as specific as what any
     well-typed node at its path has gets no pair: bot at the root, and
     the value its introducer gives the last feature below it."""
     checks = []
-    held = set()    # the registers of the active edge before each element
-    for root, piece in zip(info.body_root_regs, info.body_code):
+    for root, piece, held in zip(info.body_root_regs, info.body_code, info.held):
         paths = {root: ()}
         types = []
-        values = [((), root)] if root in held else []
+        values = [((), held.index(root))] if root in held else []
         # linked program code is all get_structure ops, (opcode, STR cell,
         # (register, already set) per feature, register); each register is
         # reached from the root before its own op, since flattening emits
@@ -272,9 +275,8 @@ def quick_checks(info, h) -> list:
                 if not is_set:
                     paths[y] = path + (f,)
                 elif y in held:
-                    values.append((path + (f,), y))
+                    values.append((path + (f,), held.index(y)))
         checks.append((tuple(types), tuple(values)))
-        held.update(paths)
     return checks
 
 

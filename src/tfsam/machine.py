@@ -42,8 +42,12 @@ unless all of it links.
 
 The machine holds no registers.  A register file is a dict from register
 number to heap address that the caller owns: ``execute`` runs code in
-the one it is given, ``restore_regs`` returns a new one and
-``snapshot_regs`` copies the structures of some of its registers.
+the one it is given, ``snapshot_regs`` copies the structures of a list
+of its registers, and ``restore_regs`` takes a copy and a register list
+of the same length and returns a new one.  The copy keeps no register
+numbers: which register holds which root is the caller's to know (the
+parser reads it off the rule and dot, as a WAM clause, not its saved
+environment, knows which variable sits in which slot).
 
 Query code writes no trail entries: a put_arc fills a slot of a node a
 put_node of the same run made (``link`` checks that), so the slot lies
@@ -178,25 +182,26 @@ def _put_arc_error(ins, arity):
 
 
 class RegSnapshot(NamedTuple):
-    """Heap-independent copy of the structures in registers ``live``.
+    """Heap-independent copy of the structures at some root addresses.
 
-    ``cells`` holds every cell reachable from those registers,
-    dereferenced, in first-visit order over ordered arcs, with each REF
-    cell's address rebased to 0: a node is its STR cell followed by one
-    REF per arc, a VAR cell stays unexpanded and an unbound cell is a REF
-    to itself.  ``roots`` holds the offset of each register's structure.
+    ``cells`` holds every cell reachable from the roots, dereferenced, in
+    first-visit order over ordered arcs, with each REF cell's address
+    rebased to 0: a node is its STR cell followed by one REF per arc, a
+    VAR cell stays unexpanded and an unbound cell is a REF to itself.
+    ``roots`` holds the offset of each root's structure, in order.
     Restoring the copy appends the cells at the top of the heap, adding
     the base to every REF.
 
-    The walk visits nodes in an order fixed by the structure alone, so
-    the copy is a canonical form: two snapshots compare and hash equal
-    exactly when their live registers match and their structures are
-    isomorphic, sharing across registers included.  The parser uses
-    snapshots as chart edges, as their duplicate keys and as keys of the
-    combines it has already run.  A snapshot is a ``NamedTuple`` and
-    compares and hashes like the tuple of its three fields, in C.
+    A copy does not record which registers its roots came from: the
+    caller knows them (the parser from the rule and dot).  The walk
+    visits nodes in an order fixed by the structure alone, so the copy
+    is a canonical form: two snapshots compare and hash equal exactly
+    when their structures are isomorphic, root for root, sharing across
+    roots included.  The parser uses snapshots as chart edges, as their
+    duplicate keys and as keys of the combines it has already run.  A
+    snapshot is a ``NamedTuple`` and compares and hashes like the tuple
+    of its two fields, in C.
     """
-    live: tuple[int, ...]
     cells: tuple
     roots: tuple[int, ...]
 
@@ -214,6 +219,8 @@ class MachineState:
         return len(self.heap)
 
     def cell(self, a):
+        if a < 0:
+            raise MachineError(f"address {a} is below the heap")
         try:
             c = self.heap[a]
         except IndexError:
@@ -301,8 +308,7 @@ class MachineState:
         in feature order, each pair with everything it leads to."""
         if xi not in r:
             raise MachineError(f"register X{xi} is unset")
-        addr = self.deref(r[xi])
-        r[xi] = addr
+        addr = r[xi] = self.deref(r[xi])
         c = self.cell(addr)
         work = []
         if c[0] is REF:
@@ -518,8 +524,13 @@ class MachineState:
 
     def snapshot_regs(self, regs, live) -> RegSnapshot:
         """Copy the structures in registers *live* of the register file
-        *regs*, walking from an explicit stack (see ``RegSnapshot``)."""
+        *regs*, in that order, walking from an explicit stack (see
+        ``RegSnapshot``).  Each register must be set to an address on the
+        heap."""
         heap = self.heap
+        for x in live:
+            if not 0 <= regs.get(x, -1) < len(heap):
+                raise MachineError(f"X{x} holds {regs.get(x, 'nothing')}, not a heap address")
         arities = self.h.arities
         offset = {}             # dereferenced heap address -> offset in the copy
         cells = []
@@ -547,12 +558,15 @@ class MachineState:
                 roots.append(o)
             else:
                 cells[arc] = (REF, o)
-        return RegSnapshot(tuple(live), tuple(cells), tuple(roots))
+        return RegSnapshot(tuple(cells), tuple(roots))
 
-    def restore_regs(self, snap: RegSnapshot) -> dict:
+    def restore_regs(self, snap: RegSnapshot, live) -> dict:
         """Append a snapshot's cells to the heap; returns the register file
-        that points its live registers at their structures."""
-        return dict(zip(snap.live, self.build_snapshot(snap)))
+        that points registers *live*, one per root in order, at their
+        structures."""
+        if len(live) != len(snap.roots):
+            raise MachineError(f"{len(live)} registers for a copy of {len(snap.roots)} roots")
+        return dict(zip(live, self.build_snapshot(snap)))
 
     # -- inspection -------------------------------------------------------------
 

@@ -2,21 +2,29 @@
 
 The chart is an (n+1) x (n+1) table of edge sets.  An active edge is a
 rule with its first ``dot`` body elements already matched; a complete
-edge is a finished head.  Instead of heap pointers an edge carries a copy
-of heap cells (``machine.RegSnapshot``): an active edge of its registers,
-a complete edge of its head alone.  Edges thus stay valid after the heap
-is rewound, and a head is read back as a term only where it is printed or
-checked against the start term.  A word's seed edges are the copies its
-lexical entries made when the grammar compiled (``LexEntry.snapshot``),
-so a parse runs rule code only: the pieces ``compile_grammar`` linked,
-one per body element and head.  The parser never reads the listing.
+edge is a finished head.  Instead of heap pointers an edge carries a
+copy of heap cells (``machine.RegSnapshot``): an active edge of its
+registers, a complete edge of its head alone.  A copy holds structures,
+not register numbers: the registers an active edge holds are fixed by
+its rule and dot, and ``RuleInfo.held`` lists them, sorted, once per
+dot, so the copy's k-th root is the k-th register of that list.  A
+head's register means nothing once the rule is done, so equal heads from
+different rules or lexical entries are one copy and share the memo
+entries keyed on it.  Edges thus stay valid after the heap is rewound,
+and a head is read back as a term only where it is printed or checked
+against the start term.  A word's seed edges are the copies its lexical
+entries made when the grammar compiled (``LexEntry.snapshot``), so a
+parse runs rule code only: the pieces ``compile_grammar`` linked, one
+per body element and head.  The parser never reads the listing.
 
-Combining an active edge ending at k with a complete edge spanning (k, j)
-appends the active edge's copy to the heap to restore its registers,
-appends the complete edge's copy as a fresh instance of its head, points
-the next body element's root register at it, and executes that element's
-program code.  Whatever the outcome, the heap is rewound to the
-checkpoint afterwards; a new edge leaves only as a copy.
+Combining an active edge ending at k with a complete edge spanning
+(k, j) appends the active edge's copy to the heap to restore the
+registers its rule and dot list, appends the complete edge's copy as a
+fresh instance of its head, points the next body element's root register
+at it (or unifies the two, where an earlier element set that register),
+and executes that element's program code.  Whatever the outcome, the
+heap is rewound to the checkpoint afterwards; a new edge leaves only as
+a copy.
 
 Before that, a quick check (after Kiefer et al. 1999, "A bag of useful
 techniques for efficient and robust parsing", and Malouf, Carroll and
@@ -25,16 +33,18 @@ the heap.  ``compile_grammar`` reads off each body element's program
 code the type each get_structure requires at a feature path from the
 element's root (leaving out types no well-typed node there can clash
 with), and the path of each unify_value of a register the active edge
-already holds.  The check walks the complete edge's copy along each
-path, resolving every feature by the type of the node it reaches, and
-gives up on a path that leads below a VAR or an unbound cell or along a
-feature the node's type lacks.  Where it reaches a node, the node's type must have an upper
-bound in common with the required type, or with the type of the
-register's node in the active edge's copy.  This is sound: unification
-only makes types more specific, so a node whose type has no upper bound
-in common with one of these makes the code fail whatever else happens.
-A combine the check lets through runs on the machine as before, which
-stays the judge of it; a refused one is remembered as failed.
+already holds, next to that register's index in ``RuleInfo.held``, by
+which the check reads its root off the active edge's copy.  The check
+walks the complete edge's copy along each path, resolving every feature
+by the type of the node it reaches, and gives up on a path that leads
+below a VAR or an unbound cell or along a feature the node's type lacks.
+Where it reaches a node, the node's type must have an upper bound in
+common with the required type, or with the type of the register's node
+in the active edge's copy.  This is sound: unification only makes types
+more specific, so a node whose type has no upper bound in common with
+one of these makes the code fail whatever else happens.  A combine the
+check lets through runs on the machine as before, which stays the judge
+of it; a refused one is remembered as failed.
 
 The chart is filled in order of span, by width from 1 to n and from left
 to right, with no agenda: Kay 1980 ("Algorithm schemata and data
@@ -96,7 +106,7 @@ from dataclasses import dataclass, field
 from . import machine, terms
 from .machine import REF, STR
 
-EMPTY_SNAPSHOT = machine.RegSnapshot((), (), ())
+EMPTY_SNAPSHOT = machine.RegSnapshot((), ())
 MISSING = object()      # a memo row's answer for a combine not yet run
 
 
@@ -308,21 +318,19 @@ class ChartParser:
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
-            regs = m.restore_regs(active.snapshot)
+            regs = m.restore_regs(active.snapshot, info.held[active.dot])
             head_addr = m.build_snapshot(complete.snapshot)[0]
             x = info.body_root_regs[active.dot]
-            if info.body_root_shared[active.dot]:
-                # this element's root was already built by an earlier one
-                if not m.unify(regs[x], head_addr):
-                    raise machine.UnifyFailure
-            else:
-                regs[x] = head_addr
+            # a root an earlier element built must unify with the head
+            if x in regs and not m.unify(regs[x], head_addr):
+                raise machine.UnifyFailure
+            regs.setdefault(x, head_addr)
             m.execute(info.body_code[active.dot], regs)
             if active.dot + 1 == len(info.body_code):
                 m.execute(info.head_code, regs)
                 new = m.snapshot_regs(regs, [info.head_root_reg])
             else:
-                new = m.snapshot_regs(regs, sorted(regs))
+                new = m.snapshot_regs(regs, info.held[active.dot + 1])
         except machine.UnifyFailure:
             new = None
         m.undo(mark)
@@ -365,12 +373,11 @@ def _clashes(check, active, complete, h):
         c = _cell_at(cells, root, path, features)
         if c is not None and not ups[c[1]] & ups[t]:
             return True
-    for path, r in values:
+    for path, k in values:
         c = _cell_at(cells, root, path, features)
-        if c is not None:
-            held = active.cells[active.roots[active.live.index(r)]]
-            if held[0] is not REF and not ups[c[1]] & ups[held[1]]:
-                return True
+        held = active.cells[active.roots[k]]
+        if c is not None and held[0] is not REF and not ups[c[1]] & ups[held[1]]:
+            return True
     return False
 
 

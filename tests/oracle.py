@@ -87,7 +87,9 @@ def _collect_defs(t, defs, seen):
             _collect_defs(a, defs, seen)
 
 
-def _readout(h, find, ctype, concrete, children, root):
+def _readout(h, find, ctype, concrete, children, roots):
+    """The terms at *roots*, read in one tag scope, so sharing across them
+    is kept."""
     shared = []
     visited = set()
 
@@ -103,7 +105,8 @@ def _readout(h, find, ctype, concrete, children, root):
             if f in children[c]:
                 scout(find(children[c][f]))
 
-    scout(root)
+    for root in roots:
+        scout(root)
     tags = {c: str(i + 1) for i, c in enumerate(shared)}
     built = {}
 
@@ -124,7 +127,7 @@ def _readout(h, find, ctype, concrete, children, root):
                 node.args.append(terms.most_general_term(h, h.approp(ctype[c], f)))
         return node
 
-    return read(root)
+    return [read(root) for root in roots]
 
 
 class EagerMachine(machine.MachineState):
@@ -178,6 +181,13 @@ def unify_scopes(h, scopes, pairs, out):
     roots of one list share a tag scope.  The roots are numbered in order
     across the lists, each of *pairs* names two roots to unify, and the
     result is the term at root *out*, or None on failure."""
+    result = unify_scopes_roots(h, scopes, pairs, [out])
+    return None if result is None else result[0]
+
+
+def unify_scopes_roots(h, scopes, pairs, outs):
+    """``unify_scopes``, reading the terms at each root of *outs* in one
+    tag scope, so that sharing across them is kept; None on failure."""
     verts = []
     roots = [v for scope in scopes for v in _explode_scope(h, scope, verts)]
     concrete = [not v[0] for v in verts]
@@ -219,7 +229,7 @@ def unify_scopes(h, scopes, pairs, out):
                 concrete.append(False)
                 ctype.append(v)
                 children.append({})
-    return _readout(h, find, ctype, concrete, children, find(roots[out]))
+    return _readout(h, find, ctype, concrete, children, [find(roots[o]) for o in outs])
 
 
 def _explode_scope(h, roots, verts):

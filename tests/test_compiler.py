@@ -79,7 +79,7 @@ def test_rule_layout(example_hierarchy):
         PutArc(5, 2, 3),   # reentrancy with the first body element
     ]
     assert info.body_root_regs == [1, 4]
-    assert info.body_root_shared == [False, False]
+    assert info.held == [(), (1, 2, 3)]
     assert info.head_root_reg == 5
     # the listing wraps the same pieces in the control instructions
     assert compile_rule(rule) == [
@@ -99,7 +99,8 @@ def test_rule_marks_body_root_bound_by_earlier_fragment(example_hierarchy):
     rule = parse_mrs("#1 a(bot,d), #1 => a(d2,d)", example_hierarchy)
     info = compile_rule_with_info(rule, 0, "rule0")
     assert info.body_root_regs == [1, 1]
-    assert info.body_root_shared == [False, True]
+    assert info.held == [(), (1, 2, 3)]
+    assert info.body_root_regs[1] in info.held[1]
     # the second fragment has no equations of its own
     assert info.body_code[1] == []
 

@@ -215,6 +215,36 @@ def test_bad_accesses_are_reported(example_hierarchy):
         m.execute([GetStructure("a", 2, 1), UnifyVariable(2), UnifyValue(7)], regs)
 
 
+def test_a_negative_address_is_refused(example_hierarchy):
+    # Python reads a negative index from the end of the heap; the machine
+    # refuses it before anything is read or written, so a unify cannot
+    # trail address -1 and an undo cannot write into the wrong slot
+    h = example_hierarchy
+    m = fresh(h)
+    a = m.build_term(parse_term("d1", h))
+    m.build_term(parse_term("d", h))
+    mark = m.checkpoint()
+    before = list(m.heap)
+    for op, error in [(lambda: m.unify(a, -1), "address -1 is below the heap"),
+                      (lambda: m.unify(-1, a), "address -1 is below the heap"),
+                      (lambda: m.deref(-1), "address -1 is below the heap"),
+                      (lambda: m.extract(-1), "address -1 is below the heap"),
+                      (lambda: m.snapshot_regs({0: -1}, [0]), "X0 holds -1, not a heap address"),
+                      (lambda: m.snapshot_regs({0: a}, [0, 5]), "X5 holds nothing")]:
+        with pytest.raises(MachineError, match=error):
+            op()
+        assert m.heap == before and len(m.trail) == mark.trail
+    m.build_term(parse_term("d2", h))
+    m.undo(mark)
+    assert m.heap == before and m.trail == []
+    # on an empty heap an IndexError or a KeyError escaped
+    empty = fresh(h)
+    for regs, live, error in [({0: -1}, [0], "X0 holds -1"), ({}, [5], "X5 holds nothing"),
+                              ({0: 0}, [0], "X0 holds 0")]:
+        with pytest.raises(MachineError, match=error):
+            empty.snapshot_regs(regs, live)
+
+
 def test_dump_shows_an_unwritten_arc_slot(example_hierarchy):
     # a put_node without its put_arcs leaves its arc slots unwritten
     m = fresh(example_hierarchy)
@@ -447,7 +477,7 @@ def test_snapshot_of_deep_chain_without_recursion(loop_hierarchy):
         snap = m.snapshot_regs({1: left}, [1])
         assert len(snap.cells) == 2 * depth + (not cyclic)
         other = fresh(h)
-        restored = other.extract(other.restore_regs(snap)[1])
+        restored = other.extract(other.restore_regs(snap, [1])[1])
         assert iso(restored, expected)
         nodes = 0
         while isinstance(restored, terms.Node) and restored.type == "u":
@@ -703,11 +733,27 @@ def test_snapshot_survives_undo(example_hierarchy):
     regs = dict(enumerate(m.build(mrs.roots), start=1))
     snap = m.snapshot_regs(regs, [1, 2])
     m.undo(mark)
-    regs = m.restore_regs(snap)
+    regs = m.restore_regs(snap, [1, 2])
     out = m.extract_multi([regs[1], regs[2]])
     assert iso_roots(out, mrs.roots)
     # sharing between registers is still physical, not just isomorphic
     assert m.deref(regs[1] + 2) == m.deref(regs[2])
+
+
+def test_restore_regs_takes_one_register_per_root(example_hierarchy):
+    # a copy keeps no register numbers; a register list of the wrong
+    # length is refused before any cell is appended, where zip would drop
+    # registers without a word
+    h = example_hierarchy
+    m = fresh(h)
+    snap = m.snapshot_regs({1: m.build_term(parse_term("a(bot,#3 d)", h)), 2: 0}, [1, 2])
+    top = m.top
+    for live in ([1], [1, 2, 3]):
+        with pytest.raises(MachineError, match=f"{len(live)} registers for a copy of 2 roots"):
+            m.restore_regs(snap, live)
+    assert m.top == top
+    regs = m.restore_regs(snap, [7, 4])
+    assert sorted(regs) == [4, 7] and m.deref(regs[7]) == m.deref(regs[4])
 
 
 def test_reading_a_restored_copy_writes_nothing(example_hierarchy):
@@ -768,3 +814,67 @@ def test_unification_is_idempotent(example_hierarchy):
         a = oracle.random_term(rng, h)
         out = oracle.machine_unify(h, a, a)
         assert iso(out, oracle.canonical(h, a))
+
+
+# -- a stateful test ---------------------------------------------------------------
+
+def _run_machine_sequence(rng, h, n_roots=3, steps=12):
+    """One seeded sequence of machine operations over *n_roots* random
+    roots, each checked against ``oracle.unify_scopes_roots`` over the
+    pairs applied so far; returns the names of the steps taken."""
+    roots = [oracle.random_term(rng, h, max_nodes=5) for _ in range(n_roots)]
+    scopes = [[t] for t in roots]
+    m = fresh(h)
+    addrs = [m.build_term(t) for t in roots]
+    applied = []        # the pairs of roots unified so far
+    marks = []          # (mark, heap copy, len(applied)) per open checkpoint
+    taken = []
+    for _ in range(steps):
+        step = rng.choice(["checkpoint", "unify", "unify", "snapshot"] + ["undo"] * bool(marks))
+        if step == "checkpoint":
+            marks.append((m.checkpoint(), list(m.heap), len(applied)))
+        elif step == "unify":
+            x, y = rng.sample(range(n_roots), 2)
+            if oracle.unify_scopes(h, scopes, applied + [(x, y)], 0) is None:
+                # a failure leaves the heap dirty: like the parser, fail only
+                # above a mark and undo at once
+                taken.append("fail")
+                marks.append((m.checkpoint(), list(m.heap), len(applied)))
+                assert not m.unify(addrs[x], addrs[y])
+                step = "undo"
+            else:
+                assert m.unify(addrs[x], addrs[y])
+                applied.append((x, y))
+        if step == "undo":
+            mark, heap, n_applied = marks.pop()
+            m.undo(mark)
+            assert m.heap == heap and len(m.trail) == mark.trail
+            del applied[n_applied:]
+        elif step == "snapshot":
+            live = rng.sample(range(n_roots), n_roots)
+            heap = list(m.heap)
+            snap = m.snapshot_regs(dict(enumerate(addrs)), live)
+            assert m.heap == heap
+            other = fresh(h)
+            regs = other.restore_regs(snap, live)
+            assert iso_roots(other.extract_multi([regs[r] for r in range(n_roots)]),
+                             m.extract_multi(addrs))
+        taken.append(step)
+        # the roots read in one scope: one node bijection for all of them
+        # checks each root's structure and the sharing across roots
+        want = oracle.unify_scopes_roots(h, scopes, applied, range(n_roots))
+        assert want is not None and iso_roots(m.extract_multi(addrs), want)
+    return taken
+
+
+def test_machine_sequences_match_the_oracle():
+    # checkpoints, unifications that succeed and fail, undos and copies,
+    # in random order over hierarchies with appropriateness loops allowed
+    rng = random.Random(43)
+    taken = []
+    for _ in range(10):
+        h, _ = oracle.random_hierarchy(rng, allow_loops=True)
+        for _ in range(8):
+            taken += _run_machine_sequence(rng, h)
+    for step in ("checkpoint", "unify", "fail", "undo", "snapshot"):
+        assert taken.count(step) > 50

@@ -259,7 +259,7 @@ def test_combine_rewinds_heap_even_on_success(toy_grammar):
     before = list(m.heap)
     new = p._combine(m, active, complete)
     assert isinstance(new, machine.RegSnapshot)
-    assert len(new.live) > 1     # an active edge's registers, not a head alone
+    assert len(new.roots) > 1    # an active edge's registers, not a head alone
     assert m.heap == before
     failing = _complete("lex_w2", "d", h)
     assert p._combine(m, active, failing) is None
@@ -521,7 +521,7 @@ def test_each_distinct_combine_runs_once(monkeypatch):
         result = p.parse(["w"] * n)
         assert [terms.print_term(head) for head in result.heads] == ["s(sg)"]
         counts.append(len(calls))
-    assert counts == [9, 9, 9]
+    assert counts == [6, 6, 6]
 
 
 @pytest.mark.parametrize("sentence", ["w w w w w w w w", "w v w w"])
@@ -556,6 +556,19 @@ def test_an_edge_is_one_object_in_every_cell_it_belongs_to(agreement_grammar):
     assert [e.info.label for e in dot0] == [info.label for info in agreement_grammar.code.rules]
     assert all(len(cell(i, i)) == len(dot0) and all(a is b for a, b in zip(cell(i, i), dot0))
                for i in (1, 2))
+
+
+def test_equal_heads_from_different_rules_are_one_copy(agreement_grammar):
+    # rule 0 makes s(sg) from register 3 and rule 1 from register 4; a copy
+    # does not record its registers, so both heads are one canonical copy
+    # and share the memo entries keyed on it
+    result = ChartParser(agreement_grammar, verify_undo=True).parse(["w", "w"])
+    cell = result.chart.cell
+    (by_rule0,) = [e for e in cell(0, 1) if isinstance(e, CompleteEdge) and e.source == "rule0"]
+    (by_rule1,) = [e for e in cell(0, 2) if isinstance(e, CompleteEdge) and e.source == "rule1"]
+    assert terms.print_term(by_rule0.head) == terms.print_term(by_rule1.head) == "s(sg)"
+    assert by_rule0.snapshot is by_rule1.snapshot
+    assert [info.head_root_reg for info in agreement_grammar.code.rules] == [3, 4]
 
 
 def test_no_hierarchy_outlives_its_grammar():
