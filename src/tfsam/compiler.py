@@ -18,7 +18,8 @@ are, after the quick check ``compile_grammar`` reads off each linked
 body piece (``quick_checks``).  A lexical entry compiles to query code
 only, which ``compile_grammar`` runs once: the entry keeps the copy of
 heap cells it builds (``LexEntry.snapshot``), so a parse runs rule code
-only.
+only.  The parser keeps each word's closed width-1 chart cell on the code
+area (``CodeArea.word_cells``) the first time it parses the word.
 
 The listing wraps a rule's pieces in control instructions,
 
@@ -137,6 +138,10 @@ class CodeArea:
     rules: list = field(default_factory=list)
     lexicon: dict = field(default_factory=dict)   # word -> [LexEntry]
     start: object = None    # the start term's copy, a machine.RegSnapshot; set by load_grammar
+    # word -> its closed width-1 chart cell, one (copy, label, RuleInfo or
+    # None, dot) per edge in cell order; set by the parser on the word's
+    # first parse and never changed afterwards
+    word_cells: dict = field(default_factory=dict)
 
     def add_label(self, name):
         if name in self.labels:

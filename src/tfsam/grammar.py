@@ -19,6 +19,9 @@ that copy (``CodeArea.start``) for every spanning head it checks.  Lexical
 entries are copies too: compiling the grammar runs each entry's query
 code once and keeps the cells it builds (``LexEntry.snapshot``), which
 the parser takes as a word's seed edges, so a parse runs rule code only.
+A word's chart cell, its seeds closed under the rules, is kept with the
+grammar too (``CodeArea.word_cells``), but lazily: the first parse of
+the word makes it, so loading a grammar pays for no cell.
 
 A file is tokenized once and read by one cursor in two passes: the first
 parses the type clauses in place and validates the hierarchy, and the

@@ -539,25 +539,30 @@ class MachineState:
         # address, or -1 for a root, address); roots, and a node's arcs,
         # are popped in order, so each root is copied before the next
         stack = [(-1, regs[i]) for i in reversed(live)]
-        while stack:
-            arc, a = stack.pop()
-            c = heap[a]
-            while c[0] is REF and c[1] != a:
-                a = c[1]
+        try:
+            while stack:
+                arc, a = stack.pop()
                 c = heap[a]
-            o = offset.get(a)
-            if o is None:
-                o = offset[a] = len(cells)
-                if c[0] is STR:
-                    n = arities[c[1]]
-                    cells += [c] + [None] * n
-                    stack.extend([(o + k, a + k) for k in range(n, 0, -1)])
+                while c[0] is REF and c[1] != a:
+                    a = c[1]
+                    c = heap[a]
+                o = offset.get(a)
+                if o is None:
+                    o = offset[a] = len(cells)
+                    if c[0] is STR:
+                        n = arities[c[1]]
+                        cells += [c] + [None] * n
+                        stack.extend([(o + k, a + k) for k in range(n, 0, -1)])
+                    else:
+                        cells.append((REF, o) if c[0] is REF else c)
+                if arc < 0:
+                    roots.append(o)
                 else:
-                    cells.append((REF, o) if c[0] is REF else c)
-            if arc < 0:
-                roots.append(o)
-            else:
-                cells[arc] = (REF, o)
+                    cells[arc] = (REF, o)
+        except TypeError:
+            # c was an arc slot no put_arc wrote, None; caught once here
+            # rather than tested on every cell
+            raise MachineError(f"arc slot {a} read before it was written") from None
         return RegSnapshot(tuple(cells), tuple(roots))
 
     def restore_regs(self, snap: RegSnapshot, live) -> dict:

@@ -15,7 +15,9 @@ and a head is read back as a term only where it is printed or checked
 against the start term.  A word's seed edges are the copies its lexical
 entries made when the grammar compiled (``LexEntry.snapshot``), so a
 parse runs rule code only: the pieces ``compile_grammar`` linked, one
-per body element and head.  The parser never reads the listing.
+per body element and head.  The parser never reads the listing.  Rule
+code runs only in spans of two words or more once a word has been
+parsed, as its cell is kept with the grammar (below).
 
 Combining an active edge ending at k with a complete edge spanning
 (k, j) appends the active edge's copy to the heap to restore the
@@ -60,17 +62,32 @@ a fixed point.  A copy is a canonical form of its structures, so
 duplicates are found by the identity of edges made once per parse
 (below), not by comparing structures.
 
-Each distinct combine runs on the machine once per parse.  Its memo is
-kept in rows local to the parse, one per active edge, and a row maps a
-complete edge's copy to the edge the combine made, or to None when the
-combine failed.  A later combine with the same inputs adds that edge to
-its own cell without touching the machine.  This is sound because
-``_combine`` reads nothing else: it appends both copies at the top of the
-heap, runs the rule's linked pieces for that dot from the restored
-registers alone, copies the result canonically and rewinds, and returns
-the copy.  The heap below the checkpoint is never reached from the
-restored registers, and no span reaches the machine.  The rows are
-dropped when the parse returns, so nothing grows across parses.
+A width-1 cell is a word's seeds closed under the dot-0 edges, so the
+grammar and the word alone fix it.  The first parse that closes it keeps
+it with the grammar (``CodeArea.word_cells``): one (copy, label,
+RuleInfo or None, dot) per edge, in cell order.  Later parses replay
+it, each edge made and added as the closure would make and add it, so
+canonical copies, edge identity, the item count and the limit behave
+as before; a memo function over the static part of the input (Michie
+1968, "'Memo' functions and machine learning").  A closure cut short by
+the item limit keeps nothing.  The kept cells stay with the grammar and
+never change, one per lexicon word at most.  An input of terms is not
+words, so it neither reads nor fills them.
+
+Each distinct combine runs on the machine at most once per parse.  Its
+memo is kept in rows local to the parse, one per active edge, and a row
+maps a complete edge's copy to the edge the combine made, or to None
+when the combine failed.  A later combine with the same inputs adds
+that edge to its own cell without touching the machine.  This is sound
+because ``_combine`` reads nothing else: it appends both copies at the
+top of the heap, runs the rule's linked pieces for that dot from the
+restored registers alone, copies the result canonically and rewinds,
+and returns the copy.  The heap below the checkpoint is never reached
+from the restored registers, and no span reaches the machine.  The rows
+are dropped when the parse returns, and a replayed word cell brings
+none back: a wider span that reaches a dot-0 edge with a copy of that
+cell runs the combine again and gets the same edge.  So only the word
+cells grow across parses, bounded by the lexicon.
 
 A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
 the chart holds more edges.  ``ParseResult.pops`` counts the edges taken
@@ -83,20 +100,21 @@ Within one parse every distinct copy is one object, and so is every
 distinct edge.  A dict local to the parse maps each copy to its
 canonical object, and another maps an edge's label, or its rule id and
 dot, with ``id()`` of its canonical copy, to the edge; the seeds, the
-dot-0 active edges and every combine's result are made through them, so
-a copy is hashed once where it is made, and one edge object sits in
-every cell it belongs to: a word's seed in each cell of that word, a
-rule's dot-0 edge in every (i, i).  A complete edge sits in its cell
-next to ``id()`` of its copy, which the rows key on.  Every edge a
-span's combines make lands in that span, so the duplicate check is one
-identity set of edges per span, and a proposal is one dict read, a test
-for None and a set lookup.  This is sound: two canonical copies are the
-same object exactly when they are equal, and the dict holds every
-canonical copy until the parse returns, so no ``id()`` is reused while a
-key that holds it is alive.  Two edges of one cell are therefore one
-object exactly when they have equal keys, as ``ActiveEdge.key`` and
-``CompleteEdge.key`` define them, and no combine makes a seed, as no
-rule's label is a lexical entry's or an input's.
+dot-0 active edges, every combine's result and every replayed edge are
+made through them, so a combine's copy is hashed once, where it is
+made, and one edge object sits in every cell it belongs to: a word's
+seed in each cell of that word, a rule's dot-0 edge in every (i, i).  A
+complete edge sits in its cell next to ``id()`` of its copy, which the
+rows key on.  Every edge a span's combines make lands in that span, so
+the duplicate check is one identity set of edges per span, and a
+proposal is one dict read, a test for None and a set lookup.  This is
+sound: two canonical copies are the same object exactly when they are
+equal, and the dict holds every canonical copy until the parse returns,
+so no ``id()`` is reused while a key that holds it is alive.  Two edges
+of one cell are therefore one object exactly when they have equal keys,
+as ``ActiveEdge.key`` and ``CompleteEdge.key`` define them, and no
+combine makes a seed, as no rule's label is a lexical entry's or an
+input's.
 """
 
 from __future__ import annotations
@@ -199,13 +217,15 @@ class ChartParser:
         words = list(words)
         if not words:
             raise ValueError("input must contain at least one word")
+        lexicon = self.grammar.code.lexicon
         seeds = []
         for i, w in enumerate(words):
-            entries = self.grammar.code.lexicon.get(w)
+            entries = lexicon.get(w)
             if not entries:
                 raise UnknownWordError(w, i)
-            seeds += [(i, e.label, e.snapshot) for e in entries]
-        return self._run(machine.MachineState(self.grammar.hierarchy), words, seeds)
+            seeds.append([(e.label, e.snapshot) for e in entries])
+        return self._run(machine.MachineState(self.grammar.hierarchy), words, seeds,
+                         self.grammar.code.word_cells)
 
     def parse_terms(self, roots) -> ParseResult:
         """Parse an input given directly as terms, one per position."""
@@ -213,13 +233,14 @@ class ChartParser:
         if not roots:
             raise ValueError("input must contain at least one term")
         m = machine.MachineState(self.grammar.hierarchy)
-        seeds = [(i, f"input{i}", m.snapshot_regs({0: m.build_term(root)}, [0]))
+        seeds = [[(f"input{i}", m.snapshot_regs({0: m.build_term(root)}, [0]))]
                  for i, root in enumerate(roots)]
         return self._run(m, [terms.print_term(r) for r in roots], seeds)
 
-    def _run(self, m, words, seeds) -> ParseResult:
-        """Fill the chart of *words* from *seeds*, (position, label, copy)
-        triples."""
+    def _run(self, m, words, seeds, word_cells=None) -> ParseResult:
+        """Fill the chart of *words* from *seeds*, a list per position of
+        (label, copy) pairs.  *word_cells*, the grammar's kept width-1
+        cells by word, is read and filled when given."""
         n = len(words)
         chart = Chart(n)
         cells = chart.cells
@@ -275,14 +296,41 @@ class ChartParser:
             seen.add(new)
             add(span, new)
 
-        for i, label, snap in seeds:
-            add((i, i + 1), edge(snap, label))
+        def close(i, span, seen):
+            """Close *span*, starting at *i*, under the dot-0 active edges
+            of (i, i)."""
+            # this list grows while it is iterated, on purpose
+            for cid, c in completes.get(span, ()):
+                for a, row in actives.get((i, i), ()):
+                    new = row.get(cid, MISSING)
+                    if new is not None and new not in seen:
+                        propose(span, seen, a, c, cid, row, new)
+
         dot0 = [edge(EMPTY_SNAPSHOT, info.label, info) for info in rules]
         for i in range(n):
             for e in dot0:
                 add((i, i), e)
 
-        for width in range(1, n + 1):
+        # width 1: a word's cell is its seeds closed under the dot-0 edges,
+        # which the grammar and the word alone fix.  Replay the cell the
+        # word's first parse kept, or build it and keep it once its closure
+        # has finished; a LimitExceeded on the way keeps nothing
+        for i, w in enumerate(words):
+            span = (i, i + 1)
+            kept = None if word_cells is None else word_cells.get(w)
+            if kept is not None:
+                for spec in kept:
+                    add(span, edge(*spec))
+                continue
+            for label, snap in seeds[i]:
+                add(span, edge(snap, label))
+            close(i, span, set())
+            if word_cells is not None:
+                word_cells[w] = tuple(
+                    (e.snapshot, e.info.label, e.info, e.dot) if type(e) is ActiveEdge
+                    else (e.snapshot, e.source, None, 0) for e in cells[span])
+
+        for width in range(2, n + 1):
             for i in range(n - width + 1):
                 j = i + width
                 span = (i, j)
@@ -296,12 +344,7 @@ class ChartParser:
                             new = row.get(cid, MISSING)
                             if new is not None and new not in seen:
                                 propose(span, seen, a, c, cid, row, new)
-                # the closure: this list grows while it is iterated, on purpose
-                for cid, c in completes.get(span, ()):
-                    for a, row in actives.get((i, i), ()):
-                        new = row.get(cid, MISSING)
-                        if new is not None and new not in seen:
-                            propose(span, seen, a, c, cid, row, new)
+                close(i, span, seen)
 
         heads = [self._start_compatible(m, e) for _, e in completes.get((0, n), ())]
         heads = [h for h in heads if h is not None]

@@ -740,6 +740,18 @@ def test_snapshot_survives_undo(example_hierarchy):
     assert m.deref(regs[1] + 2) == m.deref(regs[2])
 
 
+def test_snapshot_of_an_unwritten_arc_slot_is_reported(example_hierarchy):
+    # put_node leaves its arc slots empty until put_arc writes them; the
+    # copy reports the first empty slot it reaches as extract does
+    m = fresh(example_hierarchy)
+    regs = {}
+    m.execute([PutNode("a", 2, 1)], regs)
+    with pytest.raises(MachineError, match="arc slot 1 read before it was written"):
+        m.extract(regs[1])
+    with pytest.raises(MachineError, match="arc slot 1 read before it was written"):
+        m.snapshot_regs(regs, [1])
+
+
 def test_restore_regs_takes_one_register_per_root(example_hierarchy):
     # a copy keeps no register numbers; a register list of the wrong
     # length is refused before any cell is appended, where zip would drop

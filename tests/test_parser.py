@@ -9,7 +9,8 @@ from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, U
 from tfsam.terms import iso, parse_term
 
 import oracle
-from conftest import AGREEMENT_GRAMMAR, EXAMPLE_SPEC, LEXICON_ONLY_GRAMMAR, LOOP_SPEC, TOY_GRAMMAR
+from conftest import (AGREEMENT_GRAMMAR, AMBIGUOUS_GRAMMAR, CHAIN_GRAMMAR, EXAMPLE_SPEC, HPSG_GRAMMAR,
+                      LEXICON_ONLY_GRAMMAR, LOOP_SPEC, SELF_FEEDING_GRAMMAR, TOY_GRAMMAR)
 
 
 def _complete(source, text, h):
@@ -503,8 +504,11 @@ def test_chart_is_closed_under_the_fundamental_rule(request, name, sentence):
 def test_each_distinct_combine_runs_once(monkeypatch):
     # a uniform sentence repeats the same few combines over every span;
     # only the first of each is tried (by the quick check, then on the
-    # machine), so the count does not grow with the sentence, and a second
-    # parse starts afresh
+    # machine), so the count does not grow with the sentence.  A later
+    # parse starts its memo afresh but replays the w cell the first one
+    # kept: only the combines of wider spans run, the two of rule1 @ 1 and
+    # the two dot-0 ones on s(sg) in the closure of (0, 2), whose outcomes
+    # the replay does not carry over
     g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     calls = []
     combine = ChartParser._combine
@@ -521,7 +525,116 @@ def test_each_distinct_combine_runs_once(monkeypatch):
         result = p.parse(["w"] * n)
         assert [terms.print_term(head) for head in result.heads] == ["s(sg)"]
         counts.append(len(calls))
-    assert counts == [6, 6, 6]
+    assert counts == [6, 4, 4]
+
+
+# -- word cells kept on the grammar ---------------------------------------------------
+
+# every conftest grammar by its text, with sentences that repeat words
+GRAMMAR_TEXTS = {"toy": TOY_GRAMMAR, "ambiguous": AMBIGUOUS_GRAMMAR, "chain": CHAIN_GRAMMAR,
+                 "self_feeding": SELF_FEEDING_GRAMMAR, "lexicon_only": LEXICON_ONLY_GRAMMAR,
+                 "agreement": AGREEMENT_GRAMMAR, "hpsg": HPSG_GRAMMAR}
+WARM_CASES = [("toy", "w1 w2 w2"), ("toy", "w2 w1 w1 w2"), ("ambiguous", "w1 w2 w1 w2"),
+              ("chain", "p x p x"), ("chain", "p p x"), ("self_feeding", "q q q"),
+              ("lexicon_only", "w w"), ("agreement", "w v w w v"),
+              ("hpsg", "kim sees kim and kim"), ("hpsg", "kim and kim sees dogs and dogs")]
+
+
+def _outcome(result):
+    return (result.items, result.pops, [terms.print_term(h) for h in result.heads],
+            result.chart.dump())
+
+
+@pytest.mark.parametrize("name,sentence", WARM_CASES)
+def test_a_warm_parse_equals_a_cold_one(name, sentence):
+    # the first parse on a grammar keeps each word's cell, and later ones
+    # replay it: the same parse again, and on another grammar the parse
+    # after one of the reversed sentence, whose cells these words share
+    words = sentence.split()
+    g = grammar.load_grammar(GRAMMAR_TEXTS[name])
+    p = ChartParser(g, verify_undo=True)
+    cold = _outcome(p.parse(words))
+    assert _outcome(p.parse(words)) == cold
+    other = grammar.load_grammar(GRAMMAR_TEXTS[name])
+    ChartParser(other, verify_undo=True).parse(words[::-1])
+    assert _outcome(ChartParser(other, verify_undo=True).parse(words)) == cold
+
+
+@pytest.mark.parametrize("name,sentence", WARM_CASES)
+def test_a_warm_parse_runs_no_dot0_combine_on_a_seed(monkeypatch, name, sentence):
+    # a seed sits only in its word's cell, whose closure the first parse
+    # ran and later ones replay
+    g = grammar.load_grammar(GRAMMAR_TEXTS[name])
+    words = sentence.split()
+    seeds = {e.label for w in words for e in g.code.lexicon[w]}
+    tried = []
+    combine = ChartParser._combine
+
+    def counted(p, m, active, complete):
+        tried.append((active.dot, complete.source))
+        return combine(p, m, active, complete)
+
+    monkeypatch.setattr(ChartParser, "_combine", counted)
+    on_seeds = []
+    for _ in range(2):
+        tried.clear()
+        ChartParser(g, verify_undo=True).parse(words)
+        on_seeds.append(sum(dot == 0 and source in seeds for dot, source in tried))
+    assert on_seeds[1] == 0
+    assert on_seeds[0] > 0 or not g.code.rules
+
+
+def test_word_cells_hold_one_entry_per_distinct_word_parsed():
+    # a word's cell is kept on its first parse and never changed; an input
+    # of terms is not words, so it neither reads nor fills them
+    g = grammar.load_grammar(HPSG_GRAMMAR)
+    p = ChartParser(g)
+    kim = parse_term("sign(sg, noun, nil, human, nil)", g.hierarchy)
+    p.parse_terms([kim])
+    assert g.code.word_cells == {}
+    parsed = set()
+    for sentence in HPSG_SENTENCES:
+        kept = dict(g.code.word_cells)
+        p.parse(sentence.split())
+        parsed.update(sentence.split())
+        assert set(g.code.word_cells) == parsed
+        assert all(g.code.word_cells[w] is cell for w, cell in kept.items())
+    kept = dict(g.code.word_cells)
+    p.parse_terms([kim, kim])
+    assert g.code.word_cells == kept
+    # a cell holds its word's seeds first, in entry order, then its closure
+    for w, cell in kept.items():
+        labels = [e.label for e in g.code.lexicon[w]]
+        assert [label for _, label, _, _ in cell[:len(labels)]] == labels
+
+
+@pytest.mark.parametrize("name,sentence", [("chain", "p x p"), ("agreement", "w v w"),
+                                           ("hpsg", "kim sees kim and kim")])
+def test_a_cell_is_kept_only_once_its_closure_finishes(name, sentence):
+    # under each item limit below the chart's size, a cold parse keeps the
+    # cells of the words whose closure finished before the limit was hit,
+    # each as a full parse keeps it, and a warm parse raises as the cold
+    # one does
+    text = GRAMMAR_TEXTS[name]
+    words = sentence.split()
+    warm = grammar.load_grammar(text)
+    full = ChartParser(warm).parse(words)
+    reference = warm.code.word_cells
+    for limit in range(1, full.items):
+        closed = set()
+        items = len(words) * len(warm.code.rules)
+        for w in words:
+            items += len(reference[w])
+            if items > limit:
+                break
+            closed.add(w)
+        cold = grammar.load_grammar(text)
+        with pytest.raises(LimitExceeded):
+            ChartParser(cold, max_items=limit).parse(words)
+        assert cold.code.word_cells == {w: reference[w] for w in closed}
+        with pytest.raises(LimitExceeded):
+            ChartParser(warm, max_items=limit).parse(words)
+    assert _outcome(ChartParser(warm, max_items=full.items).parse(words)) == _outcome(full)
 
 
 @pytest.mark.parametrize("sentence", ["w w w w w w w w", "w v w w"])
@@ -598,10 +711,11 @@ QUICK_CHECK_CASES = ([("toy_grammar", s) for s in ("w1 w2", "w2 w1", "w1 w2 w2",
 
 
 @pytest.mark.parametrize("name,sentence", QUICK_CHECK_CASES)
-def test_the_quick_check_changes_no_parse(request, monkeypatch, name, sentence):
+def test_the_quick_check_changes_no_parse(monkeypatch, name, sentence):
     # a combine the check refuses fails on the machine too, so forcing
-    # the check to pass changes no count, head or chart
-    g = request.getfixturevalue(name)
+    # the check to pass changes no count, head or chart.  Each outcome
+    # loads its grammar afresh, so it runs the combines of the word cells
+    # too rather than replaying them
     refused = []
     clashes = parser._clashes
 
@@ -610,8 +724,8 @@ def test_the_quick_check_changes_no_parse(request, monkeypatch, name, sentence):
         return refused[-1]
 
     def outcome():
-        r = ChartParser(g, verify_undo=True).parse(sentence.split())
-        return r.items, r.pops, [terms.print_term(h) for h in r.heads], r.chart.dump()
+        g = grammar.load_grammar(GRAMMAR_TEXTS[name.removesuffix("_grammar")])
+        return _outcome(ChartParser(g, verify_undo=True).parse(sentence.split()))
 
     monkeypatch.setattr(parser, "_clashes", check)
     checked = outcome()
@@ -621,11 +735,13 @@ def test_the_quick_check_changes_no_parse(request, monkeypatch, name, sentence):
         assert any(refused) and not all(refused)
 
 
-def test_a_refused_combine_never_reaches_the_machine(agreement_grammar, monkeypatch):
+def test_a_refused_combine_never_reaches_the_machine(monkeypatch):
     # on "w v" the s + s combine clashes in agreement and every other
     # one that fails in category: the check refuses them before
     # restore_regs or execute runs, and each combine it lets through runs
-    # on the machine
+    # on the machine.  The grammar is loaded afresh, so no word cell is
+    # replayed
+    g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     log = []
     clashes = parser._clashes
 
@@ -647,7 +763,7 @@ def test_a_refused_combine_never_reaches_the_machine(agreement_grammar, monkeypa
         return combine(p, m, active, complete)
 
     monkeypatch.setattr(ChartParser, "_combine", tried)
-    result = ChartParser(agreement_grammar, verify_undo=True).parse(["w", "v"])
+    result = ChartParser(g, verify_undo=True).parse(["w", "v"])
     assert result.heads == []
     runs = []       # (the combine tried, what it ran)
     for entry in log:
