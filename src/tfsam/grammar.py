@@ -8,20 +8,21 @@ order:
     lex word => term.                % lexical entry
     start => term.                   % what a spanning head must be an instance of
 
-Rule and lexicon terms must be totally well-typed.  The start term is only
-parsed, not checked: it is usually more general than any derivable head
-(e.g. a bare type).  The parser accepts a spanning head only when the
-start term subsumes it, that is when unifying the two gives back a
-structure isomorphic to the head; a head that merely unifies with the
-start term, but is more general than it, is not accepted.  The start
-term is built once, when the grammar loads, and the parser restores
-that copy (``CodeArea.start``) for every spanning head it checks.  Lexical
-entries are copies too: compiling the grammar runs each entry's query
-code once and keeps the cells it builds (``LexEntry.snapshot``), which
-the parser takes as a word's seed edges, so a parse runs rule code only.
-A word's chart cell, its seeds closed under the rules, is kept with the
-grammar too (``CodeArea.word_cells``), but lazily: the first parse of
-the word makes it, so loading a grammar pays for no cell.
+Rule and lexicon terms must be totally well-typed.  The start term is
+only parsed, not checked: it is usually more general than any derivable
+head (e.g. a bare type).  The parser accepts a spanning head only when
+the start term subsumes it; a head that merely unifies with the start
+term, but is more general than it, is not accepted.  An unexpanded
+``~t`` counts as the most general structure of t on either side.  The
+start term is built once, when the grammar loads, and its copy
+(``CodeArea.start``) is walked against each spanning head's copy; it is
+never restored on a heap.  Lexical entries are copies too: compiling the
+grammar runs each entry's query code once and keeps the cells it builds
+(``LexEntry.snapshot``), which the parser takes as a word's seed edges,
+so a parse runs rule code only.  A word's chart cell, its seeds closed
+under the rules, is kept with the grammar too (``CodeArea.word_cells``),
+but lazily: the first parse of the word makes it, so loading a grammar
+pays for no cell.
 
 A file is tokenized once and read by one cursor in two passes: the first
 parses the type clauses in place and validates the hierarchy, and the

@@ -11,13 +11,13 @@ dot, so the copy's k-th root is the k-th register of that list.  A
 head's register means nothing once the rule is done, so equal heads from
 different rules or lexical entries are one copy and share the memo
 entries keyed on it.  Edges thus stay valid after the heap is rewound,
-and a head is read back as a term only where it is printed or checked
-against the start term.  A word's seed edges are the copies its lexical
-entries made when the grammar compiled (``LexEntry.snapshot``), so a
-parse runs rule code only: the pieces ``compile_grammar`` linked, one
-per body element and head.  The parser never reads the listing.  Rule
-code runs only in spans of two words or more once a word has been
-parsed, as its cell is kept with the grammar (below).
+and a head is read back as a term only where it is printed or accepted.
+A word's seed edges are the copies its lexical entries made when the
+grammar compiled (``LexEntry.snapshot``), so a parse runs rule code
+only: the pieces ``compile_grammar`` linked, one per body element and
+head.  The parser never reads the listing.  Rule code runs only in
+spans of two words or more once a word has been parsed, as its cell is
+kept with the grammar (below).
 
 Combining an active edge ending at k with a complete edge spanning
 (k, j) appends the active edge's copy to the heap to restore the
@@ -89,6 +89,13 @@ none back: a wider span that reaches a dot-0 edge with a copy of that
 cell runs the combine again and gets the same edge.  So only the word
 cells grow across parses, bounded by the lexicon.
 
+A spanning head is accepted when the start term subsumes it.  That is
+tested on the copies alone, the start copy the grammar made when it
+loaded (``CodeArea.start``) and the head's, in one walk over both
+(``_subsumes``), and only an accepted head is read back.  So
+``_combine`` is the only code of the parser that touches a parse's
+heap, and ``verify_undo`` checks the heap and the trail there.
+
 A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
 the chart holds more edges.  ``ParseResult.pops`` counts the edges taken
 up, each once: every edge but the dot-0 active edges, which only wait in
@@ -122,7 +129,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import machine, terms
-from .machine import REF, STR
+from .machine import REF, STR, VAR
 
 EMPTY_SNAPSHOT = machine.RegSnapshot((), ())
 MISSING = object()      # a memo row's answer for a combine not yet run
@@ -346,8 +353,8 @@ class ChartParser:
                                 propose(span, seen, a, c, cid, row, new)
                 close(i, span, seen)
 
-        heads = [self._start_compatible(m, e) for _, e in completes.get((0, n), ())]
-        heads = [h for h in heads if h is not None]
+        start = self.grammar.code.start
+        heads = [e.head for _, e in completes.get((0, n), ()) if _subsumes(start, e.snapshot, m.h)]
         pops = items - n * len(rules)
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
@@ -377,29 +384,57 @@ class ChartParser:
         except machine.UnifyFailure:
             new = None
         m.undo(mark)
-        if before is not None:
-            _check_undo(m, mark, before)
+        if before is not None and m.heap != before:
+            raise machine.MachineError("undo left the heap changed")
+        if before is not None and len(m.trail) != mark.trail:
+            raise machine.MachineError("undo left the trail longer than its mark")
         return new
 
-    def _start_compatible(self, m, edge):
-        """The complete *edge*'s head as a term when the start term
-        subsumes it (unifying the two gives back something isomorphic to
-        the head), else None."""
-        mark = m.checkpoint()
-        before = list(m.heap) if self.verify_undo else None
-        try:
-            a_start = m.build_snapshot(self.grammar.code.start)[0]
-            a_head = m.build_snapshot(edge.snapshot)[0]
-            # the copy's arcs point straight at their targets, so this
-            # readout compresses no chain and writes nothing
-            head = m.extract(a_head)
-            if not m.unify(a_start, a_head):
-                return None
-            return head if terms.iso(m.extract(a_head), head) else None
-        finally:
-            m.undo(mark)
-            if before is not None:
-                _check_undo(m, mark, before)
+
+def _subsumes(general, specific, h):
+    """True when the copy *general* subsumes the copy *specific*, tested
+    in one walk over both from their first roots (as Malouf, Carroll and
+    Copestake 2000 test it, in one pass over two graphs).
+
+    A map from offsets of the general copy to offsets of the specific one
+    makes sharing in the general copy sharing in the specific one.  Types
+    are compared by their masks: t subsumes u when ``ups[u]`` lies within
+    ``ups[t]``.  A feature's arc is found by the specific node's type, so
+    features a subtype adds and values it narrows are read where they lie.
+    A VAR cell is the most general structure of its type, as the
+    machine's ``_unify`` takes it: a general VAR t ends its branch, as
+    every well-typed node of a type at least t is an instance of it, and a
+    specific VAR u reads as a node whose every feature k holds a VAR cell
+    of ``approps[u][k]``.
+    Those virtual cells are shared with nothing, so sharing in the general
+    copy that reaches below a specific VAR fails.  Copies of heads and of
+    the start term hold no unbound cell: query code fills every slot, and
+    every register of program code gets its own get_structure."""
+    ups = h.ups
+    features = h.type_features
+    gcells = general.cells
+    scells = specific.cells
+    # general offset -> specific offset, or the virtual cell below a specific VAR
+    mapped = {}
+    stack = [(general.roots[0], specific.roots[0])]
+    while stack:
+        g, s = stack.pop()
+        if g in mapped:
+            if type(s) is tuple or mapped[g] != s:
+                return False
+            continue
+        mapped[g] = s
+        c = s if type(s) is tuple else scells[s]
+        tag, t = gcells[g]
+        if ups[t] | ups[c[1]] != ups[t]:
+            return False
+        if tag is STR:
+            fs = features[c[1]]
+            for arc, f in enumerate(features[t], g + 1):
+                k = fs.index(f)
+                stack.append((gcells[arc][1], scells[s + 1 + k][1] if c[0] is STR
+                              else (VAR, h.approps[c[1]][k])))
+    return True
 
 
 def _clashes(check, active, complete, h):
@@ -438,12 +473,3 @@ def _cell_at(cells, o, path, features):
         o = cells[o + 1 + fs.index(f)][1]
         c = cells[o]
     return None if c[0] is REF else c
-
-
-def _check_undo(m, mark, before):
-    """Raise unless undoing to *mark* restored the heap to *before* cell
-    for cell and cut the trail back to the mark."""
-    if m.heap != before:
-        raise machine.MachineError("undo left the heap changed")
-    if len(m.trail) != mark.trail:
-        raise machine.MachineError("undo left the trail longer than its mark")

@@ -17,6 +17,15 @@ the same union-find, extended to several roots: a rule's roots share one
 tag scope and each edge's head has its own.  It keeps terms, not copies
 of heap cells, and compares edges with iso(), not by key.
 
+Subsumption has two references.  ``start_compatible`` is the parser's
+start filter as it was before the parser walked copies: it restores both
+copies on a machine and accepts when unifying them reads back a head
+isomorphic to the one read before.  It inherits the readout's cut under
+appropriateness loops, so it is the reference on loop-free hierarchies
+only.  ``subsumes_terms`` works on terms, type names and
+``TypeHierarchy.subsumes``, and takes ``~t`` as the most general
+structure of t, so it holds with loops as well.
+
 The reference tokenizer matches blanks and comments with one pattern and
 a token with another, and tells names from punctuation by the first
 character.
@@ -313,6 +322,61 @@ def _runs(chart, i, m):
             for _, x in edges:
                 for j, rest in _runs(chart, b, m - 1):
                     yield j, [x] + rest
+
+
+# -- subsumption ---------------------------------------------------------------
+
+def start_compatible(m, start_copy, head_copy):
+    """True when unifying the two copies, restored on machine *m*, gives
+    back a head whose readout is isomorphic to the head's readout before
+    the unification; the heap is rewound afterwards."""
+    mark = m.checkpoint()
+    try:
+        a_start = m.build_snapshot(start_copy)[0]
+        a_head = m.build_snapshot(head_copy)[0]
+        head = m.extract(a_head)
+        return m.unify(a_start, a_head) and terms.iso(m.extract(a_head), head)
+    finally:
+        m.undo(mark)
+
+
+def subsumes_terms(h, general, specific):
+    """True when the term *general* subsumes the term *specific*.
+
+    Each node of *general* maps to one node of *specific*, its type
+    subsumes that node's type and its values, found by feature name,
+    subsume that node's values.  ``~t`` is the most general structure of
+    t: on the general side it subsumes every well-typed node of a type t
+    subsumes, and on the specific side each of its features holds a fresh
+    ``~`` of the feature's appropriate value, shared with nothing."""
+    gdefs, sdefs = {}, {}
+    _collect_defs(general, gdefs, set())
+    _collect_defs(specific, sdefs, set())
+
+    def resolve(t, defs):
+        return defs[t.tag] if isinstance(t, terms.BackRef) else t
+
+    image = {}      # id(general node) -> (the node, its specific node)
+    stack = [(general, specific)]
+    while stack:
+        g, s = stack.pop()
+        g, s = resolve(g, gdefs), resolve(s, sdefs)
+        if id(g) in image:
+            if image[id(g)][1] is not s:
+                return False
+            continue
+        image[id(g)] = (g, s)
+        if not h.subsumes(g.type, s.type):
+            return False
+        if isinstance(g, terms.MostGeneral):
+            continue
+        if isinstance(s, terms.Node):
+            values = dict(zip(h.features(s.type), s.args))
+        else:
+            values = {f: terms.MostGeneral(h.tname(h.approp(s.type, f)))
+                      for f in h.features(s.type)}
+        stack += [(arg, values[f]) for f, arg in zip(h.features(g.type), g.args)]
+    return True
 
 
 # -- random inputs ------------------------------------------------------------

@@ -275,6 +275,17 @@ def test_parse_under_a_grammar_without_rules(capsys, tmp_path):
     assert run(capsys, "parse", str(p), "w w") == (0, "no parse\n", "")
 
 
+
+def test_parse_accepts_a_head_equal_to_the_start_term_under_a_loop(capsys, tmp_path):
+    # the head t(~t) is the most general structure of t, and so is the
+    # start term t(t(~t)); unifying the two and reading the head back
+    # again went one level deeper, and the parse printed "no parse"
+    p = tmp_path / "loop.grammar"
+    p.write_text(LOOP_SPEC + "lex w => t(~t).\nstart => t(t(~t)).\n", encoding="utf-8")
+    assert run(capsys, "parse", str(p), "w") == (0, "t(t(~t))\n", "")
+    assert run(capsys, "parse", str(p), "w", "--chart") == (
+        0, "t(t(~t))\n(0,1):\n  lex_w: t(t(~t))\n", "")
+
 def test_parse_unknown_word(capsys, toy_file):
     code, _, err = run(capsys, "parse", toy_file, "w1 zz")
     assert code == 1

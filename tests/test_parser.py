@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from tfsam import compiler, grammar, machine, parser, terms
+from tfsam import compiler, grammar, machine, parser, terms, typesys
 from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, UnknownWordError
 from tfsam.terms import iso, parse_term
 
@@ -376,7 +376,7 @@ def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
     chart = p.parse(["w1", "w2"]).chart
     assert mid.key in {e.key for e in chart.cell(0, 1)}
     assert done.key in {e.key for e in chart.cell(0, 2)}
-    assert p._start_compatible(m, done)
+    assert parser._subsumes(toy_grammar.code.start, done_copy, h)
     assert m.heap == [] and m.trail == []
 
 
@@ -420,9 +420,6 @@ def test_verify_undo_catches_a_broken_undo(toy_grammar, monkeypatch, broken):
     with pytest.raises(machine.MachineError, match="undo left"):
         p._combine(broken_machine(), active, complete)
     assert written.pop() > 0
-    with pytest.raises(machine.MachineError, match="undo left"):
-        p._start_compatible(broken_machine(), complete)
-    assert written.pop() > 0
     # without the check the same breakage goes unnoticed
     assert isinstance(ChartParser(toy_grammar)._combine(broken_machine(), active, complete),
                       machine.RegSnapshot)
@@ -445,6 +442,14 @@ def test_unexpanded_leaf_reaches_a_fixed_point():
     assert (result.items, result.pops) == (3, 2)
     assert [terms.print_term(head) for head in result.heads] == ["t(t(~t))"] * 2
     assert result.chart.dump() == "(0,0):\n  rule0 @ 0\n(0,1):\n  lex_q: t(t(~t))\n  rule0: t(t(~t))"
+
+
+def test_a_head_equal_to_the_start_term_under_a_loop_is_accepted():
+    # the start term t(t(~t)) and the head t(~t) are both the most general
+    # structure of t; read back, the head prints as the start term does
+    g = grammar.load_grammar(LOOP_SPEC + "lex w => t(~t).\nstart => t(t(~t)).\n")
+    result = ChartParser(g, verify_undo=True).parse(["w"])
+    assert [terms.print_term(head) for head in result.heads] == ["t(t(~t))"]
 
 
 # -- the per-parse memo of combines --------------------------------------------------
@@ -806,6 +811,135 @@ def test_the_quick_check_refuses_only_failing_unifications():
     assert pairs > 1000 and refused > fails // 2
 
 
+# -- the start filter: subsumption on copies -----------------------------------------
+
+FILTER_SPECS = {
+    # t's only feature loops back to t; x's value is an agr
+    "loop": """
+        bot sub [t, x, agr].
+        t sub [] intro [f: t].
+        x sub [] intro [g: agr].
+        agr sub [sg].
+        sg sub [].
+    """,
+    # q adds k, which comes before p's m and n; w narrows v's f from c to d
+    "subtypes": """
+        bot sub [p, v, c].
+        p sub [q] intro [m: bot, n: bot].
+        q sub [] intro [k: c].
+        v sub [w] intro [f: c].
+        w sub [] intro [f: d].
+        c sub [d].
+        d sub [].
+    """,
+}
+FILTER_CASES = [
+    # (hierarchy, start term, head, whether the start term subsumes the head)
+    ("loop", "t(t(~t))", "t(~t)", True),
+    ("loop", "x(bot)", "~x", True),
+    ("loop", "x(sg)", "~x", False),
+    ("loop", "#1 t(#1)", "t(~t)", False),
+    ("loop", "#1 t(#1)", "#1 t(#1)", True),
+    # sharing in the general term that the specific one lacks
+    ("subtypes", "p(#1 c,#1)", "p(c,c)", False),
+    ("subtypes", "p(#1 bot,#1)", "~p", False),
+    # sharing only in the specific term
+    ("subtypes", "p(c,c)", "p(#1 c,#1)", True),
+    # a value that a subtype narrows
+    ("subtypes", "v(d)", "~w", True),
+    ("subtypes", "v(c)", "w(d)", True),
+    ("subtypes", "w(d)", "v(c)", False),
+    # features that a subtype adds
+    ("subtypes", "p(c,d)", "q(c,c,d)", True),
+    ("subtypes", "p(d,c)", "q(d,c,d)", False),
+    ("subtypes", "p(c,bot)", "~q", False),
+    ("subtypes", "p(bot,bot)", "~q", True),
+]
+
+
+@pytest.mark.parametrize("spec,start,head,expected", FILTER_CASES)
+def test_start_filter_cases(spec, start, head, expected):
+    h = typesys.load_hierarchy(FILTER_SPECS[spec])
+    general = _complete("start", start, h).snapshot
+    specific = _complete("head", head, h).snapshot
+    assert parser._subsumes(general, specific, h) is expected
+    assert oracle.subsumes_terms(h, parse_term(start, h), parse_term(head, h)) is expected
+
+
+def test_subsumption_walk_agrees_with_the_references_on_random_pairs():
+    # seeded random pairs, half over hierarchies with appropriateness
+    # loops, each compared both ways, and each term against the pair's
+    # unification read off the heap; the old start filter cuts loops as
+    # the readout does, so it is compared on loop-free hierarchies only
+    compared = accepted = 0
+    for seed in range(1300):
+        rng = random.Random(seed)
+        loops = seed % 2 == 1
+        h, _ = oracle.random_hierarchy(rng, allow_loops=loops)
+        a, b = oracle.random_pair(rng, h)
+        m = machine.MachineState(h)
+        pa, pb = m.build_term(a), m.build_term(b)
+        copies = [(a, m.snapshot_regs({0: pa}, [0])), (b, m.snapshot_regs({0: pb}, [0]))]
+        cases = [(copies[0], copies[1]), (copies[1], copies[0])]
+        if m.unify(pa, pb):
+            u = (m.extract(pa), m.snapshot_regs({0: pa}, [0]))
+            cases += [(copies[0], u), (copies[1], u)]
+        for (g, g_copy), (s, s_copy) in cases:
+            walk = parser._subsumes(g_copy, s_copy, h)
+            case = (seed, terms.print_term(g), terms.print_term(s))
+            assert walk == oracle.subsumes_terms(h, g, s), case
+            if not loops:
+                old = oracle.start_compatible(machine.MachineState(h), g_copy, s_copy)
+                assert walk == old, case
+            compared += 1
+            accepted += walk
+    assert compared >= 4000 and compared // 4 < accepted < compared
+
+
+def _complete_copies(g, words):
+    """The distinct copies of the complete edges of the chart of *words*,
+    the spanning heads' among them."""
+    chart = ChartParser(g, max_items=300, verify_undo=True).parse(words).chart
+    return list(dict.fromkeys(e.snapshot for cell in chart.cells.values() for e in cell
+                              if isinstance(e, CompleteEdge)))
+
+
+def _compare_with_the_old_start_filter(g, words, counts):
+    """Compare the walk with the old start filter on every ordered pair of
+    the start copy and the complete copies of the chart of *words*, and
+    add the pairs and the accepted ones to *counts*."""
+    copies = [g.code.start] + _complete_copies(g, words)
+    m = machine.MachineState(g.hierarchy)
+    for general in copies:
+        for specific in copies:
+            walk = parser._subsumes(general, specific, g.hierarchy)
+            assert walk == oracle.start_compatible(m, general, specific), words
+            counts[0] += 1
+            counts[1] += walk
+
+
+def test_subsumption_walk_agrees_with_the_old_start_filter_on_grammars():
+    # the start copy and the complete copies of the conftest grammars'
+    # sentences' charts, and of random grammars' charts, pair by pair, the
+    # start copy against the spanning heads among them
+    counts = [0, 0]
+    for name, sentence in (WARM_CASES + [("hpsg", s) for s in HPSG_SENTENCES]
+                           + [("agreement", s) for s in AGREEMENT_SENTENCES]):
+        _compare_with_the_old_start_filter(
+            grammar.load_grammar(GRAMMAR_TEXTS[name]), sentence.split(), counts)
+    assert counts[0] >= 500 and counts[0] // 10 < counts[1] < counts[0]
+    counts = [0, 0]
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = grammar.load_grammar(oracle.random_grammar(rng))
+        words = [rng.choice(list(g.lexicon)) for _ in range(rng.randint(1, 3))]
+        try:
+            _compare_with_the_old_start_filter(g, words, counts)
+        except LimitExceeded:
+            continue
+    assert counts[0] >= 2000 and counts[0] // 4 < counts[1] < counts[0]
+
+
 # -- against the reference parser ------------------------------------------------
 
 def _same_up_to_iso(xs, ys):
@@ -817,9 +951,10 @@ def _same_up_to_iso(xs, ys):
 
 def test_parser_agrees_with_the_reference_parser():
     # random grammars over random hierarchies, three sentences of up to
-    # four words each; a sentence that hits the item limit on either side
-    # is skipped
+    # four words each; a sentence that hits the limit on either side is
+    # skipped, and the skips of each side are counted
     compared = accepted = derived = 0
+    skipped = {"ChartParser": 0, "reference_parse": 0}
     for seed in range(60):
         rng = random.Random(seed)
         g = grammar.load_grammar(oracle.random_grammar(rng))
@@ -828,9 +963,11 @@ def test_parser_agrees_with_the_reference_parser():
             try:
                 result = ChartParser(g, max_items=2000, verify_undo=True).parse(words)
             except LimitExceeded:
+                skipped["ChartParser"] += 1
                 continue
             reference = oracle.reference_parse(g, words)
             if reference is None:
+                skipped["reference_parse"] += 1
                 continue
             chart, heads = reference
             assert _same_up_to_iso([(0, x) for x in result.heads],
@@ -845,4 +982,7 @@ def test_parser_agrees_with_the_reference_parser():
             accepted += result.accepted
             derived += any(e.source.startswith("rule") for cell in result.chart.cells.values()
                            for e in cell if isinstance(e, CompleteEdge))
-    assert compared >= 150 and accepted >= 30 and derived >= 60
+    # today no sentence of the 180 takes the limit path on either side
+    assert sum(skipped.values()) <= 18, f"skipped: {skipped}"
+    assert compared >= 150 and accepted >= 30 and derived >= 60, (
+        f"compared {compared}, accepted {accepted}, derived {derived}, skipped: {skipped}")
