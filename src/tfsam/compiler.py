@@ -18,8 +18,12 @@ are, after the quick check ``compile_grammar`` reads off each linked
 body piece (``quick_checks``).  A lexical entry compiles to query code
 only, which ``compile_grammar`` runs once: the entry keeps the copy of
 heap cells it builds (``LexEntry.snapshot``), so a parse runs rule code
-only.  The parser keeps each word's closed width-1 chart cell on the code
-area (``CodeArea.word_cells``) the first time it parses the word.
+only.  In a rule of two or more body elements, the first element's
+equations also compile to query code, run once the same way: the rule
+keeps that copy (``RuleInfo.first``), and the parser reads a daughter the
+copy subsumes without running the element's program code.  The parser
+keeps each word's closed width-1 chart cell on the code area
+(``CodeArea.word_cells``) the first time it parses the word.
 
 The listing wraps a rule's pieces in control instructions,
 
@@ -121,6 +125,12 @@ class RuleInfo:
     head_code: object = field(compare=False, repr=False)
     # the quick check of each body element; set by compile_grammar
     checks: list = field(default=None, compare=False, repr=False)
+    # for a rule of two or more body elements, the first one's query code,
+    # which compile_grammar runs and replaces with the copy it builds, with
+    # held[1] as roots, so the element's root first.  A dot-0 combine
+    # whose daughter that copy subsumes re-roots the daughter's copy
+    # instead of running
+    first: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -191,7 +201,8 @@ def compile_rule(rule: MRS) -> list:
 
 def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
     """Compile a rule to its pieces, unlinked: the program code of each
-    body element and the query code of the head."""
+    body element and the query code of the head, and for a rule of two
+    or more body elements the first one's query code too."""
     if not rule.is_rule or len(rule.roots) < 2:
         raise CompileError("a rule needs at least one body element and a head")
     eqs = terms.flatten(rule)
@@ -207,8 +218,11 @@ def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
         body_code.append(compile_program(frag, seen))
     head = EquationSet(eqs.equations[bounds[body_len]:bounds[body_len + 1]],
                        [eqs.roots[body_len]], [])
+    first = None
+    if body_len > 1:
+        first = compile_query(EquationSet(eqs.equations[:bounds[1]], eqs.roots[:1], []))
     return RuleInfo(rule_id, label, eqs.roots[:body_len], held, eqs.roots[body_len],
-                    body_code, compile_query(head))
+                    body_code, compile_query(head), first=first)
 
 
 def rule_listing(body_code, head_code) -> list:
@@ -236,6 +250,10 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
         info.checks = quick_checks(info, hierarchy)
+        if info.first is not None:
+            regs = {}
+            m.execute(info.first, regs)
+            info.first = m.snapshot_regs(regs, info.held[1])
         code.rules.append(info)
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):

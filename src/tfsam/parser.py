@@ -46,21 +46,41 @@ in the active edge's copy.  This is sound: unification only makes types
 more specific, so a node whose type has no upper bound in common with
 one of these makes the code fail whatever else happens.  A combine the
 check lets through runs on the machine as before, which stays the judge
-of it; a refused one is remembered as failed.
+of it, but for the dot-0 combines below; a refused one is remembered as
+failed.
+
+In a rule of two or more body elements, a dot-0 combine the check lets
+through is first tested for a match that writes nothing (after Tomabechi
+1991, "Quasi-destructive graph unification", which copies nothing where
+unification changes nothing).  ``compile_grammar`` keeps a copy of the
+first element built by its query code (``RuleInfo.first``), and one
+subsumption walk over it and the daughter's copy (``_subsumption_map``)
+maps each of the element's registers to the daughter's offset it would
+hold.  When the walk accepts and no register maps below a VAR, the
+element's program code would write nothing: each get_structure meets a
+node whose type its own subsumes, which the plan keeps (a VAR one only
+where the element's node has no arcs), and each unify_value meets the
+node its register already holds.  The copy the machine would then make
+from the registers is the daughter's cells, as a copy is canonical from
+its root and the element's root is the first register, so the new active
+edge's copy is those cells with the registers' offsets as roots, made
+without the heap; it shares the daughter's cells.  Any other dot-0
+combine runs on the machine as before.
 
 The chart is filled in order of span, by width from 1 to n and from left
 to right, with no agenda: Kay 1980 ("Algorithm schemata and data
 structures in syntactic processing") shows that the order an agenda
 imposes is free.  A span (i, j) first combines the active edges of each
 (i, k) with the complete edges of (k, j), cells already closed, then
-closes itself under the dot-0 active edges of (i, i).  A cell's edges
-stand in the order they were made: a word's seeds, the splits k from
-left to right (each active edge of (i, k) against the complete edges of
-(k, j) in turn), then the closure.  Duplicate edges (same cell, rule,
-dot, and isomorphic saved structures) are dropped, so the chart grows to
-a fixed point.  A copy is a canonical form of its structures, so
-duplicates are found by the identity of edges made once per parse
-(below), not by comparing structures.
+closes itself under the dot-0 active edges of (i, i).  Those edges enter
+every (i, i) as one list, all ``n * len(rules)`` of them counted in one
+step.  A cell's edges stand in the order they were made: a word's seeds,
+the splits k from left to right (each active edge of (i, k) against the
+complete edges of (k, j) in turn), then the closure.  Duplicate edges
+(same cell, rule, dot, and isomorphic saved structures) are dropped, so
+the chart grows to a fixed point.  A copy is a canonical form of its
+structures, so duplicates are found by the identity of edges made once
+per parse (below), not by comparing structures.
 
 A width-1 cell is a word's seeds closed under the dot-0 edges, so the
 grammar and the word alone fix it.  The first parse that closes it keeps
@@ -74,25 +94,27 @@ the item limit keeps nothing.  The kept cells stay with the grammar and
 never change, one per lexicon word at most.  An input of terms is not
 words, so it neither reads nor fills them.
 
-Each distinct combine runs on the machine at most once per parse.  Its
-memo is kept in rows local to the parse, one per active edge, and a row
-maps a complete edge's copy to the edge the combine made, or to None
-when the combine failed.  A later combine with the same inputs adds
-that edge to its own cell without touching the machine.  This is sound
-because ``_combine`` reads nothing else: it appends both copies at the
-top of the heap, runs the rule's linked pieces for that dot from the
-restored registers alone, copies the result canonically and rewinds,
-and returns the copy.  The heap below the checkpoint is never reached
-from the restored registers, and no span reaches the machine.  The rows
-are dropped when the parse returns, and a replayed word cell brings
-none back: a wider span that reaches a dot-0 edge with a copy of that
-cell runs the combine again and gets the same edge.  So only the word
-cells grow across parses, bounded by the lexicon.
+Each distinct combine runs at most once per parse.  Its memo is kept in
+rows local to the parse, one per active edge, and a row maps a complete
+edge's copy to the edge the combine made, or to None when the combine
+failed.  A later combine with the same inputs adds that edge to its own
+cell without touching the machine.  This is sound because ``_combine``
+reads nothing else: it reads the two copies alone for a match, and
+otherwise appends both copies at the top of the heap, runs the rule's
+linked pieces for that dot from the restored registers alone, copies
+the result canonically and rewinds, and returns the copy.  The heap
+below the checkpoint is never reached from the restored registers, and
+no span reaches the machine.  The rows are dropped when the parse
+returns, and a replayed word cell brings none back: a wider span that
+reaches a dot-0 edge with a copy of that cell runs the combine again and
+gets the same edge.  So only the word cells grow across parses, bounded
+by the lexicon.
 
 A spanning head is accepted when the start term subsumes it.  That is
 tested on the copies alone, the start copy the grammar made when it
 loaded (``CodeArea.start``) and the head's, in one walk over both
-(``_subsumes``), and only an accepted head is read back.  So
+(``_subsumes``), and only an accepted head is read back.  The walk so
+serves two callers, this filter and the dot-0 match above.  So
 ``_combine`` is the only code of the parser that touches a parse's
 heap, and ``verify_undo`` checks the heap and the trail there.
 
@@ -313,10 +335,16 @@ class ChartParser:
                     if new is not None and new not in seen:
                         propose(span, seen, a, c, cid, row, new)
 
+        # the dot-0 edges enter every (i, i) as one list, counted at once
         dot0 = [edge(EMPTY_SNAPSHOT, info.label, info) for info in rules]
-        for i in range(n):
-            for e in dot0:
-                add((i, i), e)
+        if dot0:
+            dot0_rows = [(e, rows[e]) for e in dot0]
+            for i in range(n):
+                cells[(i, i)] = list(dot0)
+                actives[(i, i)] = dot0_rows
+            items = n * len(dot0)
+            if items > limit:
+                raise LimitExceeded("chart item", limit)
 
         # width 1: a word's cell is its seeds closed under the dot-0 edges,
         # which the grammar and the word alone fix.  Replay the cell the
@@ -361,10 +389,22 @@ class ChartParser:
     def _combine(self, m, active, complete):
         """The fundamental rule: match a complete head against the next
         body element of an active edge.  Returns the new edge's copy (its
-        registers, or its head alone once the body is matched), or None."""
+        registers, or its head alone once the body is matched), or None.
+        A dot-0 match the first element's copy subsumes is read off the
+        daughter's copy; any other runs on the machine."""
         info = active.info
         if _clashes(info.checks[active.dot], active.snapshot, complete.snapshot, m.h):
             return None
+        if active.dot == 0 and info.first is not None:
+            # a daughter the element subsumes is matched without a write:
+            # the machine's copy is the daughter's, re-rooted at the
+            # element's registers, unless one maps to a virtual cell (a
+            # tuple) below a VAR, which the machine would expand
+            mapped = _subsumption_map(info.first, complete.snapshot, m.h)
+            if mapped is not None:
+                roots = tuple(map(mapped.__getitem__, info.first.roots))
+                if tuple not in map(type, roots):
+                    return machine.RegSnapshot(complete.snapshot.cells, roots)
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
@@ -392,9 +432,17 @@ class ChartParser:
 
 
 def _subsumes(general, specific, h):
-    """True when the copy *general* subsumes the copy *specific*, tested
-    in one walk over both from their first roots (as Malouf, Carroll and
-    Copestake 2000 test it, in one pass over two graphs).
+    """True when the copy *general* subsumes the copy *specific* (see
+    ``_subsumption_map``)."""
+    return _subsumption_map(general, specific, h) is not None
+
+
+def _subsumption_map(general, specific, h):
+    """When the copy *general* subsumes the copy *specific*, tested in one
+    walk over both from their first roots (as Malouf, Carroll and
+    Copestake 2000 test it, in one pass over two graphs), the map from
+    each offset of the general copy the walk reaches to its specific
+    offset, or to a virtual cell below a specific VAR; else None.
 
     A map from offsets of the general copy to offsets of the specific one
     makes sharing in the general copy sharing in the specific one.  Types
@@ -407,9 +455,10 @@ def _subsumes(general, specific, h):
     specific VAR u reads as a node whose every feature k holds a VAR cell
     of ``approps[u][k]``.
     Those virtual cells are shared with nothing, so sharing in the general
-    copy that reaches below a specific VAR fails.  Copies of heads and of
-    the start term hold no unbound cell: query code fills every slot, and
-    every register of program code gets its own get_structure."""
+    copy that reaches below a specific VAR fails.  Copies of heads, of the
+    start term and of a rule's first element hold no unbound cell: query
+    code fills every slot, and every register of program code gets its
+    own get_structure."""
     ups = h.ups
     features = h.type_features
     gcells = general.cells
@@ -421,20 +470,20 @@ def _subsumes(general, specific, h):
         g, s = stack.pop()
         if g in mapped:
             if type(s) is tuple or mapped[g] != s:
-                return False
+                return None
             continue
         mapped[g] = s
         c = s if type(s) is tuple else scells[s]
         tag, t = gcells[g]
         if ups[t] | ups[c[1]] != ups[t]:
-            return False
+            return None
         if tag is STR:
             fs = features[c[1]]
             for arc, f in enumerate(features[t], g + 1):
                 k = fs.index(f)
                 stack.append((gcells[arc][1], scells[s + 1 + k][1] if c[0] is STR
                               else (VAR, h.approps[c[1]][k])))
-    return True
+    return mapped
 
 
 def _clashes(check, active, complete, h):

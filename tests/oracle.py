@@ -277,8 +277,8 @@ def reference_parse(g, words, max_edges=200):
     The chart maps a span to its (label, head) pairs, distinct up to
     iso().  Each round tries every rule on every run of adjacent edges,
     unifying the rule's roots with the edges' heads from scratch, and the
-    rounds stop when one adds nothing.  A head is accepted when unifying
-    it with the start term gives it back."""
+    rounds stop when one adds nothing.  A head is accepted when the start
+    term subsumes it (``subsumes_terms``)."""
     h = g.hierarchy
     n = len(words)
     chart = {}
@@ -306,8 +306,7 @@ def reference_parse(g, words, max_edges=200):
                         changed = True
                         if sum(map(len, chart.values())) > max_edges:
                             return None
-    accepted = [x for _, x in chart.get((0, n), [])
-                if (u := unify_terms(h, g.start, x)) is not None and terms.iso(u, x)]
+    accepted = [x for _, x in chart.get((0, n), []) if subsumes_terms(h, g.start, x)]
     return chart, accepted
 
 
@@ -504,12 +503,14 @@ def random_pair(rng, h, max_nodes=8):
     return a, b
 
 
-def random_grammar(rng, max_types=8, words=3, rules=3):
-    """The text of a random grammar over a random loop-free hierarchy.
-    Words w0, w1, ... have one or two random lexical entries each, and a
-    rule's one or two body elements and its head draw on one pool of
-    nodes, so reentrancy spans the rule's elements and may close cycles."""
-    h, text = random_hierarchy(rng, max_types)
+def random_grammar(rng, max_types=8, words=3, rules=3, allow_loops=False):
+    """The text of a random grammar over a random hierarchy, loop-free
+    unless *allow_loops*.  Words w0, w1, ... have one or two random
+    lexical entries each, and a rule's one or two body elements and its
+    head draw on one pool of nodes, so reentrancy spans the rule's
+    elements and may close cycles.  Under a loop a rule may hold a ~
+    leaf, which program code refuses, so such a grammar may not load."""
+    h, text = random_hierarchy(rng, max_types, allow_loops)
     lines = [text]
     for w in range(words):
         for _ in range(rng.randint(1, 2)):

@@ -1,6 +1,9 @@
+import dataclasses
 import gc
+import importlib.util
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -743,9 +746,10 @@ def test_the_quick_check_changes_no_parse(monkeypatch, name, sentence):
 def test_a_refused_combine_never_reaches_the_machine(monkeypatch):
     # on "w v" the s + s combine clashes in agreement and every other
     # one that fails in category: the check refuses them before
-    # restore_regs or execute runs, and each combine it lets through runs
-    # on the machine.  The grammar is loaded afresh, so no word cell is
-    # replayed
+    # restore_regs or execute runs.  Of the combines it lets through, the
+    # two whose daughter s(#1 agr) subsumes are read off the daughter's
+    # copy and run nothing, and the others run on the machine.  The
+    # grammar is loaded afresh, so no word cell is replayed
     g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     log = []
     clashes = parser._clashes
@@ -782,7 +786,10 @@ def test_a_refused_combine_never_reaches_the_machine(monkeypatch):
         ("rule1", 1, "np(pl)"), ("rule1", 1, "s(pl)")]
     passed = [ran for _, ran in runs if ran != ["refused"]]
     assert len(passed) == 4
-    assert all(ran[:3] == ["passed", "restore_regs", "execute"] for ran in passed)
+    assert sorted(c for c, ran in runs if ran == ["passed"]) == [
+        ("rule1", 0, "s(pl)"), ("rule1", 0, "s(sg)")]
+    assert all(ran[:3] == ["passed", "restore_regs", "execute"]
+               for ran in passed if ran != ["passed"])
 
 
 def test_the_quick_check_refuses_only_failing_unifications():
@@ -940,6 +947,157 @@ def test_subsumption_walk_agrees_with_the_old_start_filter_on_grammars():
     assert counts[0] >= 2000 and counts[0] // 4 < counts[1] < counts[0]
 
 
+# -- dot-0 combines read off the daughter's copy ------------------------------------
+
+def _machine_combine(p, m, active, complete):
+    """The combine as the machine runs it, with the rule's first-element
+    copy left out."""
+    info = dataclasses.replace(active.info, first=None)
+    return ChartParser._combine(p, m, ActiveEdge(info, active.dot, active.snapshot), complete)
+
+
+def _check_dot0_combines(monkeypatch, counts):
+    """Make every dot-0 combine of a rule with a first-element copy assert
+    that its copy equals the machine's, and count in *counts* those the
+    walk answers (the copy shares the daughter's cells) and those that
+    ran on the machine."""
+    combine = ChartParser._combine
+
+    def checked(p, m, active, complete):
+        new = combine(p, m, active, complete)
+        if active.dot == 0 and active.info.first is not None:
+            assert new == _machine_combine(p, m, active, complete), (
+                active.info.label, terms.print_term(complete.head))
+            if new is not None and new.cells is complete.snapshot.cells:
+                counts["matched"] += 1
+            elif not parser._clashes(active.info.checks[0], active.snapshot,
+                                     complete.snapshot, m.h):
+                counts["machine"] += 1
+        return new
+
+    monkeypatch.setattr(ChartParser, "_combine", checked)
+
+
+def _parse_deep_sentences():
+    """The seed-1 sentences of the benchmark's parse-deep workload, and its
+    grammar's text."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.ParseDeep(1)
+    return wl.grammar_text, [list(words) for words in wl.ops]
+
+
+def test_a_matched_dot0_combine_gives_the_machines_copy(monkeypatch):
+    # the conftest grammars' sentences, parse-deep's seed-1 sentences and
+    # 300 random grammars, half of them under appropriateness loops; each
+    # grammar is loaded afresh, so its word cells run their combines too
+    counts = {"matched": 0, "machine": 0}
+    _check_dot0_combines(monkeypatch, counts)
+    for name, sentence in (WARM_CASES + [("hpsg", s) for s in HPSG_SENTENCES]
+                           + [("agreement", s) for s in AGREEMENT_SENTENCES]):
+        g = grammar.load_grammar(GRAMMAR_TEXTS[name])
+        ChartParser(g, verify_undo=True).parse(sentence.split())
+    assert counts["matched"] >= 50 and counts["machine"] >= 1, counts
+    counts.update(matched=0, machine=0)
+    text, sentences = _parse_deep_sentences()
+    g = grammar.load_grammar(text)
+    assert len(sentences) == 104
+    for words in sentences:
+        ChartParser(g, verify_undo=True).parse(words)
+    assert counts["matched"] >= 300, counts
+    counts.update(matched=0, machine=0)
+    for loops in (False, True):
+        loaded = seed = 0
+        while loaded < 150:
+            rng = random.Random(seed)
+            seed += 1
+            try:
+                g = grammar.load_grammar(oracle.random_grammar(rng, allow_loops=loops))
+            except compiler.CompileError:
+                continue    # a ~ leaf in a rule under a loop
+            loaded += 1
+            for _ in range(3):
+                words = [rng.choice(list(g.lexicon)) for _ in range(rng.randint(1, 4))]
+                try:
+                    ChartParser(g, max_items=300, verify_undo=True).parse(words)
+                except LimitExceeded:
+                    pass
+    assert counts["matched"] >= 1000 and counts["machine"] >= 500, counts
+
+
+def test_a_matched_dot0_combine_gives_the_machines_copy_on_random_pairs():
+    # the program code of b as a rule's first element against a copy of
+    # a, and against the most general structure of a's type, over random
+    # pairs, half of them under appropriateness loops
+    rng = random.Random(25)
+    counts = {"matched": 0, "below a VAR": 0, "refused by the walk": 0}
+    for k in range(120):
+        h, _ = oracle.random_hierarchy(rng, allow_loops=k % 2 == 1)
+        for _ in range(25):
+            a, b = oracle.random_pair(rng, h)
+            if "~" in terms.print_term(b):
+                continue    # program code refuses unexpanded leaves
+            rule = terms.MRS([b, terms.Node("bot"), terms.Node("bot")], is_rule=True)
+            code = compiler.compile_grammar(h, [rule], {})
+            p = ChartParser(grammar.Grammar(h, [rule], {}, None, code), verify_undo=True)
+            active = ActiveEdge(code.rules[0], 0, parser.EMPTY_SNAPSHOT)
+            for daughter in dict.fromkeys([terms.print_term(a), "~" + a.type]):
+                complete = _complete("a", daughter, h)
+                m = machine.MachineState(h)
+                new = p._combine(m, active, complete)
+                assert new == _machine_combine(p, m, active, complete), (
+                    daughter, terms.print_term(b))
+                if new is not None and new.cells is complete.snapshot.cells:
+                    counts["matched"] += 1
+                elif parser._subsumption_map(code.rules[0].first, complete.snapshot, h):
+                    counts["below a VAR"] += 1
+                else:
+                    counts["refused by the walk"] += 1
+    assert min(counts.values()) >= 100, counts
+
+
+# LOOP_SPEC's t and u next to a type with two arcs
+DOT0_SPEC = """
+bot sub [t, p, c].
+t sub [u] intro [f: t].
+u sub [].
+p sub [] intro [m: c, n: c].
+c sub [d].
+d sub [].
+"""
+DOT0_CASES = [
+    # (first body element, daughter, path): "matched" reads the daughter's
+    # copy; on "refused" (the walk refuses) and "below a VAR" (it accepts,
+    # but a register lies below a VAR of the daughter, which the machine
+    # expands) the machine runs
+    ("p(c,c)", "~p", "below a VAR"),
+    # the element shares what the daughter keeps apart
+    ("#1 t(#1)", "u(t(~t))", "refused"),
+    # the element's type is more specific than the daughter's
+    ("#1 u(#1)", "#1 t(#1)", "refused"),
+    # a cyclic daughter, and sharing only in the daughter
+    ("#1 t(#1)", "#1 t(#1)", "matched"),
+    ("p(c,c)", "p(#1 d,#1)", "matched"),
+]
+
+
+@pytest.mark.parametrize("element,daughter,path", DOT0_CASES)
+def test_dot0_combine_cases(element, daughter, path):
+    g = grammar.load_grammar(DOT0_SPEC + f"rule {element}, bot => bot.\nstart => bot.\n")
+    info = g.code.rules[0]
+    complete = _complete("d", daughter, g.hierarchy)
+    active = ActiveEdge(info, 0, parser.EMPTY_SNAPSHOT)
+    m = machine.MachineState(g.hierarchy)
+    p = ChartParser(g, verify_undo=True)
+    new = p._combine(m, active, complete)
+    assert new is not None and new == _machine_combine(p, m, active, complete)
+    assert (new.cells is complete.snapshot.cells) is (path == "matched")
+    mapped = parser._subsumption_map(info.first, complete.snapshot, g.hierarchy)
+    assert (mapped is None) is (path == "refused")
+
+
 # -- against the reference parser ------------------------------------------------
 
 def _same_up_to_iso(xs, ys):
@@ -949,40 +1107,50 @@ def _same_up_to_iso(xs, ys):
     return covered(xs, ys) and covered(ys, xs)
 
 
-def test_parser_agrees_with_the_reference_parser():
-    # random grammars over random hierarchies, three sentences of up to
-    # four words each; a sentence that hits the limit on either side is
-    # skipped, and the skips of each side are counted
-    compared = accepted = derived = 0
-    skipped = {"ChartParser": 0, "reference_parse": 0}
+def _reference_cases():
+    """The grammar of an appropriateness loop whose start term subsumes
+    the head t(~t) of its one word, then random grammars over random
+    loop-free hierarchies, three sentences of up to four words each."""
+    yield "loop", grammar.load_grammar(LOOP_SPEC + "lex w => t(~t).\nstart => t(t(~t)).\n"), ["w"]
     for seed in range(60):
         rng = random.Random(seed)
         g = grammar.load_grammar(oracle.random_grammar(rng))
         for _ in range(3):
-            words = [rng.choice(list(g.lexicon)) for _ in range(rng.randint(1, 4))]
-            try:
-                result = ChartParser(g, max_items=2000, verify_undo=True).parse(words)
-            except LimitExceeded:
-                skipped["ChartParser"] += 1
-                continue
-            reference = oracle.reference_parse(g, words)
-            if reference is None:
-                skipped["reference_parse"] += 1
-                continue
-            chart, heads = reference
-            assert _same_up_to_iso([(0, x) for x in result.heads],
-                                   [(0, x) for x in heads]), (seed, words)
-            spans = set(chart) | {span for span, cell in result.chart.cells.items()
-                                  if any(isinstance(e, CompleteEdge) for e in cell)}
-            for i, j in spans:
-                got = [(e.source, e.head) for e in result.chart.cell(i, j)
-                       if isinstance(e, CompleteEdge)]
-                assert _same_up_to_iso(got, chart.get((i, j), [])), (seed, words, (i, j))
-            compared += 1
-            accepted += result.accepted
-            derived += any(e.source.startswith("rule") for cell in result.chart.cells.values()
-                           for e in cell if isinstance(e, CompleteEdge))
-    # today no sentence of the 180 takes the limit path on either side
+            yield seed, g, [rng.choice(list(g.lexicon)) for _ in range(rng.randint(1, 4))]
+
+
+def test_parser_agrees_with_the_reference_parser():
+    # a sentence that hits the limit on either side is skipped, and the
+    # skips of each side are counted
+    compared = accepted = derived = 0
+    skipped = {"ChartParser": 0, "reference_parse": 0}
+    for seed, g, words in _reference_cases():
+        try:
+            result = ChartParser(g, max_items=2000, verify_undo=True).parse(words)
+        except LimitExceeded:
+            skipped["ChartParser"] += 1
+            continue
+        reference = oracle.reference_parse(g, words)
+        if reference is None:
+            skipped["reference_parse"] += 1
+            continue
+        chart, heads = reference
+        if seed == "loop":
+            assert [terms.print_term(x) for x in result.heads] == ["t(t(~t))"]
+            assert [terms.print_term(x) for x in heads] == ["t(t(~t))"]
+        assert _same_up_to_iso([(0, x) for x in result.heads],
+                               [(0, x) for x in heads]), (seed, words)
+        spans = set(chart) | {span for span, cell in result.chart.cells.items()
+                              if any(isinstance(e, CompleteEdge) for e in cell)}
+        for i, j in spans:
+            got = [(e.source, e.head) for e in result.chart.cell(i, j)
+                   if isinstance(e, CompleteEdge)]
+            assert _same_up_to_iso(got, chart.get((i, j), [])), (seed, words, (i, j))
+        compared += 1
+        accepted += result.accepted
+        derived += any(e.source.startswith("rule") for cell in result.chart.cells.values()
+                       for e in cell if isinstance(e, CompleteEdge))
+    # today no sentence of the 181 takes the limit path on either side
     assert sum(skipped.values()) <= 18, f"skipped: {skipped}"
     assert compared >= 150 and accepted >= 30 and derived >= 60, (
         f"compared {compared}, accepted {accepted}, derived {derived}, skipped: {skipped}")
