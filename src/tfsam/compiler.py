@@ -14,16 +14,18 @@ rule, so reentrancies that span rule elements simply reuse registers.  The
 pieces are the rule: ``compile_grammar`` links each of them, once, against
 the grammar's hierarchy (``machine.link``: type names become ids and
 arities are checked), and the parser executes those linked pieces as they
-are, after the quick check ``compile_grammar`` reads off each linked
-body piece (``quick_checks``).  A lexical entry compiles to query code
-only, which ``compile_grammar`` runs once: the entry keeps the copy of
-heap cells it builds (``LexEntry.snapshot``), so a parse runs rule code
-only.  In a rule of two or more body elements, the first element's
-equations also compile to query code, run once the same way: the rule
-keeps that copy (``RuleInfo.first``), and the parser reads a daughter the
-copy subsumes without running the element's program code.  The parser
-keeps each word's closed width-1 chart cell on the code area
-(``CodeArea.word_cells``) the first time it parses the word.
+are.  A lexical entry compiles to query code only, which
+``compile_grammar`` runs once: the entry keeps the copy of heap cells it
+builds (``LexEntry.snapshot``), so a parse runs rule code only.  Each
+body element's equations also compile to query code, run once the same
+way, and the rule keeps the copy (``RuleInfo.elements``).  Each register
+an active edge holds before the element gets a ``put_var bot``
+placeholder, so the copy's first roots line up with the active edge's
+copy, and the parser walks the element's copy against a daughter's to
+refuse a combine that must fail, or to read off its result, without
+running the element's program code.  The parser keeps each word's closed
+width-1 chart cell on the code area (``CodeArea.word_cells``) the first
+time it parses the word.
 
 The listing wraps a rule's pieces in control instructions,
 
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 
 from . import terms
 from .terms import EquationSet, MRS
+from .typesys import BOT
 
 
 class CompileError(Exception):
@@ -123,14 +126,13 @@ class RuleInfo:
     # the control instructions; linked by compile_grammar
     body_code: list = field(compare=False, repr=False)
     head_code: object = field(compare=False, repr=False)
-    # the quick check of each body element; set by compile_grammar
-    checks: list = field(default=None, compare=False, repr=False)
-    # for a rule of two or more body elements, the first one's query code,
-    # which compile_grammar runs and replaces with the copy it builds, with
-    # held[1] as roots, so the element's root first.  A dot-0 combine
-    # whose daughter that copy subsumes re-roots the daughter's copy
-    # instead of running
-    first: object = field(default=None, compare=False, repr=False)
+    # per body element m, a copy of its equations built by query code, with
+    # a put_var bot placeholder for each register of held[m].  Its roots
+    # are held[m], whose placeholders lie at offsets 0, 1, ..., then the
+    # element's root, then the other registers the element sets, so at
+    # dot 0 they are held[1].  compile_grammar replaces the query code and
+    # root registers that compile_rule_with_info gives with the copy
+    elements: list = field(compare=False, repr=False)
 
 
 @dataclass
@@ -201,8 +203,8 @@ def compile_rule(rule: MRS) -> list:
 
 def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
     """Compile a rule to its pieces, unlinked: the program code of each
-    body element and the query code of the head, and for a rule of two
-    or more body elements the first one's query code too."""
+    body element and the query code of the head, and each body element's
+    query code with the root registers of its copy."""
     if not rule.is_rule or len(rule.roots) < 2:
         raise CompileError("a rule needs at least one body element and a head")
     eqs = terms.flatten(rule)
@@ -212,17 +214,20 @@ def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
     seen = set()
     held = []
     body_code = []
-    for m in range(body_len):
-        held.append(tuple(sorted(seen)))
-        frag = EquationSet(eqs.equations[bounds[m]:bounds[m + 1]], [eqs.roots[m]], [])
+    elements = []
+    for m, x in enumerate(eqs.roots[:body_len]):
+        before = tuple(sorted(seen))
+        held.append(before)
+        frag = EquationSet(eqs.equations[bounds[m]:bounds[m + 1]], [x], [])
         body_code.append(compile_program(frag, seen))
+        # the registers an element sets are numbered after those it holds;
+        # a root an earlier element set leaves the element nothing to set
+        roots = before + (x,) if x in before else tuple(sorted(seen))
+        elements.append(([PutVar(BOT, r) for r in before] + compile_query(frag), roots))
     head = EquationSet(eqs.equations[bounds[body_len]:bounds[body_len + 1]],
                        [eqs.roots[body_len]], [])
-    first = None
-    if body_len > 1:
-        first = compile_query(EquationSet(eqs.equations[:bounds[1]], eqs.roots[:1], []))
     return RuleInfo(rule_id, label, eqs.roots[:body_len], held, eqs.roots[body_len],
-                    body_code, compile_query(head), first=first)
+                    body_code, compile_query(head), elements)
 
 
 def rule_listing(body_code, head_code) -> list:
@@ -236,8 +241,9 @@ def rule_listing(body_code, head_code) -> list:
 
 def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
     """Compile rule MRSs and lexical entries into one labeled listing, link
-    the rule pieces the parser executes against *hierarchy*, and run each
-    lexical entry's query code once to keep the copy it builds."""
+    the rule pieces the parser executes against *hierarchy*, and run the
+    query code of each body element and lexical entry once to keep the
+    copy it builds."""
     from .machine import MachineState, link     # the machine imports this module
 
     code = CodeArea()
@@ -249,11 +255,12 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
         code.extend(rule_listing(info.body_code, info.head_code))
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
-        info.checks = quick_checks(info, hierarchy)
-        if info.first is not None:
+        copies = []
+        for instrs, roots in info.elements:
             regs = {}
-            m.execute(info.first, regs)
-            info.first = m.snapshot_regs(regs, info.held[1])
+            m.execute(instrs, regs)
+            copies.append(m.snapshot_regs(regs, roots))
+        info.elements = copies
         code.rules.append(info)
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):
@@ -268,39 +275,6 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
             code.lexicon.setdefault(word, []).append(
                 LexEntry(word, k, label, m.snapshot_regs(regs, [1])))
     return code
-
-
-def quick_checks(info, h) -> list:
-    """The quick check of each body element of a linked rule, read off its
-    program code (see ``parser``): a pair ``(path, type id)`` per
-    get_structure, and a pair ``(path, k)`` per unify_value of a register
-    the active edge holds, k its index in ``info.held`` and so in the
-    edge's copy, with ``((), k)`` for a root that an earlier element
-    shares.  A path is a tuple of feature names from the root.  A
-    get_structure whose type is at most as specific as what any
-    well-typed node at its path has gets no pair: bot at the root, and
-    the value its introducer gives the last feature below it."""
-    checks = []
-    for root, piece, held in zip(info.body_root_regs, info.body_code, info.held):
-        paths = {root: ()}
-        types = []
-        values = [((), held.index(root))] if root in held else []
-        # linked program code is all get_structure ops, (opcode, STR cell,
-        # (register, already set) per feature, register); each register is
-        # reached from the root before its own op, since flattening emits
-        # a node's equation after its parent's
-        for _, (_, t), args, x in piece.ops:
-            path = paths[x]
-            least = h.approp(h.introducer(path[-1]), path[-1]) if path else h.bot
-            if not h.subsumes(t, least):
-                types.append((path, t))
-            for f, (y, is_set) in zip(h.type_features[t], args):
-                if not is_set:
-                    paths[y] = path + (f,)
-                elif y in held:
-                    values.append((path + (f,), held.index(y)))
-        checks.append((tuple(types), tuple(values)))
-    return checks
 
 
 # -- listing -----------------------------------------------------------------

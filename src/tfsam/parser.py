@@ -1,149 +1,71 @@
 """Bottom-up chart parser driving the abstract machine.
 
 The chart is an (n+1) x (n+1) table of edge sets.  An active edge is a
-rule with its first ``dot`` body elements already matched; a complete
-edge is a finished head.  Instead of heap pointers an edge carries a
-copy of heap cells (``machine.RegSnapshot``): an active edge of its
-registers, a complete edge of its head alone.  A copy holds structures,
-not register numbers: the registers an active edge holds are fixed by
-its rule and dot, and ``RuleInfo.held`` lists them, sorted, once per
-dot, so the copy's k-th root is the k-th register of that list.  A
-head's register means nothing once the rule is done, so equal heads from
-different rules or lexical entries are one copy and share the memo
-entries keyed on it.  Edges thus stay valid after the heap is rewound,
-and a head is read back as a term only where it is printed or accepted.
-A word's seed edges are the copies its lexical entries made when the
-grammar compiled (``LexEntry.snapshot``), so a parse runs rule code
-only: the pieces ``compile_grammar`` linked, one per body element and
-head.  The parser never reads the listing.  Rule code runs only in
-spans of two words or more once a word has been parsed, as its cell is
-kept with the grammar (below).
+rule with its first ``dot`` body elements matched, a complete edge a
+finished head.  An edge carries no heap pointers but a copy of heap
+cells (``machine.RegSnapshot``): an active edge of the registers its
+rule and dot hold, which ``RuleInfo.held`` lists, sorted, so the copy's
+k-th root is the k-th register of that list; a complete edge of its
+head alone, so equal heads from different rules or lexical entries are
+one copy.  Edges thus stay valid after the heap is rewound.  A word's
+seed edges are the copies its lexical entries made when the grammar
+compiled, so a parse runs rule code only, the pieces ``compile_grammar``
+linked, and never reads the listing.
 
-Combining an active edge ending at k with a complete edge spanning
-(k, j) appends the active edge's copy to the heap to restore the
-registers its rule and dot list, appends the complete edge's copy as a
-fresh instance of its head, points the next body element's root register
-at it (or unifies the two, where an earlier element set that register),
-and executes that element's program code.  Whatever the outcome, the
-heap is rewound to the checkpoint afterwards; a new edge leaves only as
-a copy.
-
-Before that, a quick check (after Kiefer et al. 1999, "A bag of useful
-techniques for efficient and robust parsing", and Malouf, Carroll and
-Copestake 2000) refuses most combines that would fail, without touching
-the heap.  ``compile_grammar`` reads off each body element's program
-code the type each get_structure requires at a feature path from the
-element's root (leaving out types no well-typed node there can clash
-with), and the path of each unify_value of a register the active edge
-already holds, next to that register's index in ``RuleInfo.held``, by
-which the check reads its root off the active edge's copy.  The check
-walks the complete edge's copy along each path, resolving every feature
-by the type of the node it reaches, and gives up on a path that leads
-below a VAR or an unbound cell or along a feature the node's type lacks.
-Where it reaches a node, the node's type must have an upper bound in
-common with the required type, or with the type of the register's node
-in the active edge's copy.  This is sound: unification only makes types
-more specific, so a node whose type has no upper bound in common with
-one of these makes the code fail whatever else happens.  A combine the
-check lets through runs on the machine as before, which stays the judge
-of it, but for the dot-0 combines below; a refused one is remembered as
-failed.
-
-In a rule of two or more body elements, a dot-0 combine the check lets
-through is first tested for a match that writes nothing (after Tomabechi
-1991, "Quasi-destructive graph unification", which copies nothing where
-unification changes nothing).  ``compile_grammar`` keeps a copy of the
-first element built by its query code (``RuleInfo.first``), and one
-subsumption walk over it and the daughter's copy (``_subsumption_map``)
-maps each of the element's registers to the daughter's offset it would
-hold.  When the walk accepts and no register maps below a VAR, the
-element's program code would write nothing: each get_structure meets a
-node whose type its own subsumes, which the plan keeps (a VAR one only
-where the element's node has no arcs), and each unify_value meets the
-node its register already holds.  The copy the machine would then make
-from the registers is the daughter's cells, as a copy is canonical from
-its root and the element's root is the first register, so the new active
-edge's copy is those cells with the registers' offsets as roots, made
-without the heap; it shares the daughter's cells.  Any other dot-0
-combine runs on the machine as before.
+A combine of an active edge ending at k with a complete edge spanning
+(k, j) first walks the next body element's copy (``RuleInfo.elements``)
+against the daughter's, both from their roots, in one pass over the two
+graphs (``_walk``, after Malouf, Carroll and Copestake 2000, "Efficient
+feature structure operations without compilation"; the element's copy
+stands for the feature paths Kiefer et al. 1999, "A bag of useful
+techniques for efficient and robust parsing", read off a grammar for
+their quick check).  The walk refuses the combine where a node pair's
+types have no upper bound in common, or where a placeholder of a
+register the active edge holds meets a daughter node with none in common
+with that register's node in the active copy: unification only makes
+types more specific, so the element's code would fail.  A refused
+combine touches no heap.  At dot 0 of a rule of two or more body
+elements, where the element subsumes the daughter and no register maps
+below a daughter VAR, the element's code would write nothing (after
+Tomabechi 1991, "Quasi-destructive graph unification"), so the new
+active edge's copy is the daughter's cells with the registers' offsets
+as roots, and shares them.  Any other combine runs on the machine, which
+judges it: the active edge's copy is appended to restore its registers,
+the daughter's as a fresh instance, the element's root register points
+at it (or unifies with it, where an earlier element set that register),
+the element's code runs, and the result is copied before the heap is
+rewound to the checkpoint.
 
 The chart is filled in order of span, by width from 1 to n and from left
-to right, with no agenda: Kay 1980 ("Algorithm schemata and data
-structures in syntactic processing") shows that the order an agenda
-imposes is free.  A span (i, j) first combines the active edges of each
-(i, k) with the complete edges of (k, j), cells already closed, then
-closes itself under the dot-0 active edges of (i, i).  Those edges enter
-every (i, i) as one list, all ``n * len(rules)`` of them counted in one
-step.  A cell's edges stand in the order they were made: a word's seeds,
-the splits k from left to right (each active edge of (i, k) against the
-complete edges of (k, j) in turn), then the closure.  Duplicate edges
-(same cell, rule, dot, and isomorphic saved structures) are dropped, so
-the chart grows to a fixed point.  A copy is a canonical form of its
-structures, so duplicates are found by the identity of edges made once
-per parse (below), not by comparing structures.
+to right, with no agenda (Kay 1980, "Algorithm schemata and data
+structures in syntactic processing").  A span (i, j) combines the active
+edges of each (i, k) with the complete edges of (k, j), split by split,
+then closes itself under the dot-0 active edges of (i, i), which enter
+every (i, i) as one list.  A width-1 cell is a word's seeds closed under
+the dot-0 edges, fixed by the grammar and the word, so the first parse
+that closes it keeps it with the grammar (``CodeArea.word_cells``) and
+later parses replay it edge by edge; a closure cut short by the item
+limit keeps nothing, and an input of terms neither reads nor fills them.
 
-A width-1 cell is a word's seeds closed under the dot-0 edges, so the
-grammar and the word alone fix it.  The first parse that closes it keeps
-it with the grammar (``CodeArea.word_cells``): one (copy, label,
-RuleInfo or None, dot) per edge, in cell order.  Later parses replay
-it, each edge made and added as the closure would make and add it, so
-canonical copies, edge identity, the item count and the limit behave
-as before; a memo function over the static part of the input (Michie
-1968, "'Memo' functions and machine learning").  A closure cut short by
-the item limit keeps nothing.  The kept cells stay with the grammar and
-never change, one per lexicon word at most.  An input of terms is not
-words, so it neither reads nor fills them.
+Each distinct combine runs at most once per parse: a memo row per active
+edge maps a complete edge's copy to the edge the combine made, or to
+None.  This is sound because ``_combine`` reads the two copies and the
+grammar alone: the walk reads the copies, and the machine runs the
+rule's linked code from the restored registers, which never reach the
+heap below the checkpoint.  The rows are dropped when the parse returns.
+Within one parse every distinct copy is one object and so is every
+distinct edge, interned by label or (rule id, dot) with ``id()`` of the
+canonical copy, so a duplicate is found by identity per span.  The
+canonicalising dict holds every copy until the parse returns, so no
+``id()`` is reused while a key holds it.
 
-Each distinct combine runs at most once per parse.  Its memo is kept in
-rows local to the parse, one per active edge, and a row maps a complete
-edge's copy to the edge the combine made, or to None when the combine
-failed.  A later combine with the same inputs adds that edge to its own
-cell without touching the machine.  This is sound because ``_combine``
-reads nothing else: it reads the two copies alone for a match, and
-otherwise appends both copies at the top of the heap, runs the rule's
-linked pieces for that dot from the restored registers alone, copies
-the result canonically and rewinds, and returns the copy.  The heap
-below the checkpoint is never reached from the restored registers, and
-no span reaches the machine.  The rows are dropped when the parse
-returns, and a replayed word cell brings none back: a wider span that
-reaches a dot-0 edge with a copy of that cell runs the combine again and
-gets the same edge.  So only the word cells grow across parses, bounded
-by the lexicon.
-
-A spanning head is accepted when the start term subsumes it.  That is
-tested on the copies alone, the start copy the grammar made when it
-loaded (``CodeArea.start``) and the head's, in one walk over both
-(``_subsumes``), and only an accepted head is read back.  The walk so
-serves two callers, this filter and the dot-0 match above.  So
-``_combine`` is the only code of the parser that touches a parse's
-heap, and ``verify_undo`` checks the heap and the trail there.
-
-A parse has one limit, ``max_items``: it raises ``LimitExceeded`` once
-the chart holds more edges.  ``ParseResult.pops`` counts the edges taken
-up, each once: every edge but the dot-0 active edges, which only wait in
-their cells, so the pops never outnumber the items.
-
-An edge holds no span, as the cell that holds it states one: an active
-edge is its rule, dot and copy, a complete edge its label and copy.
-Within one parse every distinct copy is one object, and so is every
-distinct edge.  A dict local to the parse maps each copy to its
-canonical object, and another maps an edge's label, or its rule id and
-dot, with ``id()`` of its canonical copy, to the edge; the seeds, the
-dot-0 active edges, every combine's result and every replayed edge are
-made through them, so a combine's copy is hashed once, where it is
-made, and one edge object sits in every cell it belongs to: a word's
-seed in each cell of that word, a rule's dot-0 edge in every (i, i).  A
-complete edge sits in its cell next to ``id()`` of its copy, which the
-rows key on.  Every edge a span's combines make lands in that span, so
-the duplicate check is one identity set of edges per span, and a
-proposal is one dict read, a test for None and a set lookup.  This is
-sound: two canonical copies are the same object exactly when they are
-equal, and the dict holds every canonical copy until the parse returns,
-so no ``id()`` is reused while a key that holds it is alive.  Two edges
-of one cell are therefore one object exactly when they have equal keys,
-as ``ActiveEdge.key`` and ``CompleteEdge.key`` define them, and no
-combine makes a seed, as no rule's label is a lexical entry's or an
-input's.
+A spanning head is accepted when the start term subsumes it, tested by
+the same walk over the start copy the grammar made when it loaded
+(``CodeArea.start``) and the head's; only an accepted head is read back.
+So ``_combine`` is the only code of the parser that touches a parse's
+heap, and ``verify_undo`` checks the heap and the trail there.  A parse
+raises ``LimitExceeded`` once the chart holds more than ``max_items``
+edges; ``ParseResult.pops`` counts every edge but the dot-0 ones.
 """
 
 from __future__ import annotations
@@ -382,7 +304,7 @@ class ChartParser:
                 close(i, span, seen)
 
         start = self.grammar.code.start
-        heads = [e.head for _, e in completes.get((0, n), ()) if _subsumes(start, e.snapshot, m.h)]
+        heads = [e.head for _, e in completes.get((0, n), ()) if _walk(start, e.snapshot, m.h)]
         pops = items - n * len(rules)
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
@@ -390,21 +312,21 @@ class ChartParser:
         """The fundamental rule: match a complete head against the next
         body element of an active edge.  Returns the new edge's copy (its
         registers, or its head alone once the body is matched), or None.
-        A dot-0 match the first element's copy subsumes is read off the
-        daughter's copy; any other runs on the machine."""
+        The walk over the element's copy and the daughter's refuses a
+        combine that must fail, and reads off a dot-0 match the element
+        subsumes; any other combine runs on the machine."""
         info = active.info
-        if _clashes(info.checks[active.dot], active.snapshot, complete.snapshot, m.h):
+        mapped = _walk(info.elements[active.dot], complete.snapshot, m.h, active.snapshot)
+        if mapped is None:
             return None
-        if active.dot == 0 and info.first is not None:
+        if mapped and active.dot == 0 and len(info.body_code) > 1:
             # a daughter the element subsumes is matched without a write:
             # the machine's copy is the daughter's, re-rooted at the
             # element's registers, unless one maps to a virtual cell (a
             # tuple) below a VAR, which the machine would expand
-            mapped = _subsumption_map(info.first, complete.snapshot, m.h)
-            if mapped is not None:
-                roots = tuple(map(mapped.__getitem__, info.first.roots))
-                if tuple not in map(type, roots):
-                    return machine.RegSnapshot(complete.snapshot.cells, roots)
+            roots = tuple(map(mapped.__getitem__, info.elements[0].roots))
+            if tuple not in map(type, roots):
+                return machine.RegSnapshot(complete.snapshot.cells, roots)
         mark = m.checkpoint()
         before = list(m.heap) if self.verify_undo else None
         try:
@@ -431,94 +353,102 @@ class ChartParser:
         return new
 
 
-def _subsumes(general, specific, h):
-    """True when the copy *general* subsumes the copy *specific* (see
-    ``_subsumption_map``)."""
-    return _subsumption_map(general, specific, h) is not None
+def _walk(general, specific, h, active=EMPTY_SNAPSHOT):
+    """Walk the copy *general* against the copy *specific*, from the
+    general root that follows the placeholders for the roots of the
+    *active* copy and from the specific copy's first root.  Returns None
+    when the two cannot unify; else, when the general copy subsumes the
+    specific one, the map from each general offset the walk reaches to
+    its specific offset, or to a virtual cell below a specific VAR; else
+    False.
 
-
-def _subsumption_map(general, specific, h):
-    """When the copy *general* subsumes the copy *specific*, tested in one
-    walk over both from their first roots (as Malouf, Carroll and
-    Copestake 2000 test it, in one pass over two graphs), the map from
-    each offset of the general copy the walk reaches to its specific
-    offset, or to a virtual cell below a specific VAR; else None.
-
-    A map from offsets of the general copy to offsets of the specific one
-    makes sharing in the general copy sharing in the specific one.  Types
-    are compared by their masks: t subsumes u when ``ups[u]`` lies within
-    ``ups[t]``.  A feature's arc is found by the specific node's type, so
-    features a subtype adds and values it narrows are read where they lie.
-    A VAR cell is the most general structure of its type, as the
-    machine's ``_unify`` takes it: a general VAR t ends its branch, as
-    every well-typed node of a type at least t is an instance of it, and a
+    The general copy is a rule's body element (``RuleInfo.elements``),
+    whose offsets 0, 1, ... are placeholders for the active copy's roots,
+    or the start term.  A placeholder is checked against the active
+    copy's node where its parent meets it, and not walked.  Types are
+    compared by their masks: t and u have an upper bound in common when
+    ``ups[t] & ups[u]`` is not empty, and t subsumes u when ``ups[u]``
+    lies within ``ups[t]``.  A feature's arc is found by the specific
+    node's type, so features a subtype adds and values it narrows are
+    read where they lie; a feature the specific node lacks ends its
+    branch.  A VAR cell is the most general structure of its type, as the
+    machine's ``_unify`` takes it: a general VAR ends its branch, and a
     specific VAR u reads as a node whose every feature k holds a VAR cell
-    of ``approps[u][k]``.
-    Those virtual cells are shared with nothing, so sharing in the general
-    copy that reaches below a specific VAR fails.  Copies of heads, of the
-    start term and of a rule's first element hold no unbound cell: query
-    code fills every slot, and every register of program code gets its
-    own get_structure."""
+    of ``approps[u][k]``, shared with nothing.  The map makes sharing in
+    the general copy sharing in the specific one; a general node met
+    again at another specific node, or at a virtual one, only has its
+    type checked, as the walk goes below each general node once, so it
+    ends on cycles and costs at most the general copy's arcs.  Copies of
+    heads, of the start term and of body elements hold no unbound cell:
+    query code fills every slot."""
     ups = h.ups
     features = h.type_features
     gcells = general.cells
     scells = specific.cells
-    # general offset -> specific offset, or the virtual cell below a specific VAR
-    mapped = {}
-    stack = [(general.roots[0], specific.roots[0])]
+    held = len(active.roots)
+    g = general.roots[held]
+    s = specific.roots[0]
+    c = scells[s]
+    if g < held:
+        # the element's root is a register an earlier element set
+        a = active.cells[active.roots[g]]
+        return None if a[0] is not REF and not ups[a[1]] & ups[c[1]] else False
+    tag, t = gcells[g]
+    common = ups[t] & ups[c[1]]
+    if not common:
+        return None
+    subsumes = common == ups[c[1]]
+    mapped = {g: s}
+    # each pair on the stack has been checked, and its arcs are to walk.  A
+    # node's arcs are met from the last and pushed, so its first arc is
+    # walked first, in the order of the element's program code
+    stack = [(g, s, c, t)] if tag is STR else []
     while stack:
-        g, s = stack.pop()
-        if g in mapped:
-            if type(s) is tuple or mapped[g] != s:
+        g, s, c, t = stack.pop()
+        n = len(features[t])
+        if c[0] is STR and c[1] == t:
+            # nodes of one type have their arcs at the same positions
+            arcs = zip(gcells[g + n:g:-1], scells[s + n:s:-1])
+        else:
+            arcs = _arcs(gcells, g, t, scells, s, c, h)
+        for (_, g), (tag, to) in arcs:
+            c = scells[to] if tag is REF else to
+            if g < held:
+                a = active.cells[active.roots[g]]
+                if a[0] is not REF and not ups[a[1]] & ups[c[1]]:
+                    return None
+                continue
+            first = g not in mapped
+            if first:
+                mapped[g] = to
+            elif mapped[g] == to and to is not c:
+                continue
+            else:
+                # a second specific node, or a virtual one: its type is
+                # checked, but the walk goes below each general node once
+                subsumes = False
+            tag, t = gcells[g]
+            u = ups[c[1]]
+            common = ups[t] & u
+            if not common:
                 return None
-            continue
-        mapped[g] = s
-        c = s if type(s) is tuple else scells[s]
-        tag, t = gcells[g]
-        if ups[t] | ups[c[1]] != ups[t]:
-            return None
-        if tag is STR:
-            fs = features[c[1]]
-            for arc, f in enumerate(features[t], g + 1):
-                k = fs.index(f)
-                stack.append((gcells[arc][1], scells[s + 1 + k][1] if c[0] is STR
-                              else (VAR, h.approps[c[1]][k])))
-    return mapped
+            if common != u:
+                subsumes = False
+            if first and tag is STR and features[t]:
+                stack.append((g, to, c, t))
+    return subsumes and mapped
 
 
-def _clashes(check, active, complete, h):
-    """The quick check: True when the *complete* copy has, at a path the
-    next body element's code reads, a type with no upper bound in common
-    with the type the code requires there or with the node of the
-    register the code unifies there, read from the *active* copy."""
-    types, values = check
-    cells = complete.cells
-    root = complete.roots[0]
-    ups = h.ups
-    features = h.type_features
-    for path, t in types:
-        c = _cell_at(cells, root, path, features)
-        if c is not None and not ups[c[1]] & ups[t]:
-            return True
-    for path, k in values:
-        c = _cell_at(cells, root, path, features)
-        held = active.cells[active.roots[k]]
-        if c is not None and held[0] is not REF and not ups[c[1]] & ups[held[1]]:
-            return True
-    return False
-
-
-def _cell_at(cells, o, path, features):
-    """The STR or VAR cell at *path* from offset *o* of a copy, or None
-    where the path leads below a VAR or an unbound cell, along a feature
-    the node's type lacks, or to an unbound cell."""
-    c = cells[o]
-    for f in path:
-        if c[0] is not STR:
-            return None
-        fs = features[c[1]]
-        if f not in fs:
-            return None
-        o = cells[o + 1 + fs.index(f)][1]
-        c = cells[o]
-    return None if c[0] is REF else c
+def _arcs(gcells, g, t, scells, s, c, h):
+    """The arcs of the general node at *g*, of type t, from the last, each
+    next to the arc for the same feature of the specific node *c* at *s*,
+    or to (None, a virtual cell) where *c* is a VAR; a feature the
+    specific node's type lacks is left out."""
+    fs = h.type_features[c[1]]
+    arcs = []
+    for arc, f in enumerate(h.type_features[t], g + 1):
+        if f in fs:
+            k = fs.index(f)
+            arcs.append((gcells[arc], scells[s + 1 + k] if c[0] is STR
+                         else (None, (VAR, h.approps[c[1]][k]))))
+    return arcs[::-1]

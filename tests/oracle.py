@@ -508,13 +508,17 @@ def random_grammar(rng, max_types=8, words=3, rules=3, allow_loops=False):
     unless *allow_loops*.  Words w0, w1, ... have one or two random
     lexical entries each, and a rule's one or two body elements and its
     head draw on one pool of nodes, so reentrancy spans the rule's
-    elements and may close cycles.  Under a loop a rule may hold a ~
-    leaf, which program code refuses, so such a grammar may not load."""
+    elements and may close cycles.  Under a loop, some lexical entries
+    are the most general structure ~t of a type t without one, which a
+    rule's body element may hold structure below."""
     h, text = random_hierarchy(rng, max_types, allow_loops)
     lines = [text]
     for w in range(words):
         for _ in range(rng.randint(1, 2)):
-            lines.append(f"lex w{w} => {terms.print_term(random_term(rng, h, 4))}.")
+            term = random_term(rng, h, 4)
+            if allow_loops and rng.random() < 0.3 and _loop_free(h, term.type):
+                term = terms.MostGeneral(term.type)
+            lines.append(f"lex w{w} => {terms.print_term(term)}.")
     for _ in range(rules):
         roots = _random_roots(rng, h, rng.randint(2, 3))
         lines.append(f"rule {terms.print_mrs(terms.MRS(roots, is_rule=True))}.")
@@ -523,20 +527,34 @@ def random_grammar(rng, max_types=8, words=3, rules=3, allow_loops=False):
     return "\n".join(lines)
 
 
+def _loop_free(h, t):
+    """True when no appropriateness loop lies below type *t*, so its most
+    general term holds no ~ leaf."""
+    return "~" not in terms.print_term(terms.most_general_term(h, t))
+
+
 def _random_roots(rng, h, n, max_nodes=5):
     """*n* random totally well-typed roots in one tag scope, with no ~
-    leaf: past *max_nodes* nodes a value is a most general term."""
+    leaf: past *max_nodes* nodes a value is a most general term, or,
+    where an appropriateness loop lies below its type, a node of the
+    pool (which closes a cycle), or a new node when the pool has none."""
     nodes = []
+
+    def reuse(pool):
+        nd = rng.choice(pool)
+        nd.tag = nd.tag or str(nodes.index(nd) + 1)
+        return terms.BackRef(nd.tag)
 
     def build(t_req):
         pool = [nd for nd in nodes if h.subsumes(t_req, h.tid(nd.type))]
         if pool and rng.random() < 0.3:
-            nd = rng.choice(pool)
-            nd.tag = nd.tag or str(nodes.index(nd) + 1)
-            return terms.BackRef(nd.tag)
+            return reuse(pool)
         t = rng.choice([u for u in range(h.n_types) if h.subsumes(t_req, u)])
         if len(nodes) >= max_nodes:
-            return terms.most_general_term(h, t)
+            if _loop_free(h, t):
+                return terms.most_general_term(h, t)
+            if pool:
+                return reuse(pool)
         node = terms.Node(h.tname(t))
         nodes.append(node)
         node.args = [build(v) for v in h.approp_list(t)]

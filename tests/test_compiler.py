@@ -105,6 +105,25 @@ def test_rule_marks_body_root_bound_by_earlier_fragment(example_hierarchy):
     assert info.body_code[1] == []
 
 
+def test_a_rule_keeps_a_copy_of_each_body_element(example_hierarchy):
+    # an element's copy holds a put_var bot placeholder, at offsets 0, 1,
+    # ..., for each register an active edge holds before it; its roots are
+    # those registers, then the element's root and the other registers it
+    # sets, so at dot 0 they are held[1].  A root an earlier element set
+    # is that register's placeholder
+    h = example_hierarchy
+    rules = [parse_mrs("a(bot,#3 d), a(bot,#3) => d", h), parse_mrs("#1 a(bot,d), #1 => d", h)]
+    shared, held_root = compile_grammar(h, rules, {}).rules
+    STR, REF, VAR = machine.STR, machine.REF, machine.VAR
+    a, bot, d = h.tid("a"), h.tid("bot"), h.tid("d")
+    first = machine.RegSnapshot(((STR, a), (REF, 3), (REF, 4), (STR, bot), (STR, d)), (0, 3, 4))
+    assert shared.held == held_root.held == [(), (1, 2, 3)]
+    assert shared.elements[0] == held_root.elements[0] == first
+    assert shared.elements[1] == machine.RegSnapshot(
+        ((VAR, bot),) * 3 + ((STR, a), (REF, 6), (REF, 2), (STR, bot)), (0, 1, 2, 3, 6))
+    assert held_root.elements[1] == machine.RegSnapshot(((VAR, bot),) * 3, (0, 1, 2, 0))
+
+
 def test_rule_needs_body_and_head(example_hierarchy):
     not_a_rule = parse_mrs("d, d1", example_hierarchy)
     with pytest.raises(CompileError, match="body"):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import importlib.util
 import random
@@ -379,7 +378,7 @@ def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
     chart = p.parse(["w1", "w2"]).chart
     assert mid.key in {e.key for e in chart.cell(0, 1)}
     assert done.key in {e.key for e in chart.cell(0, 2)}
-    assert parser._subsumes(toy_grammar.code.start, done_copy, h)
+    assert parser._walk(toy_grammar.code.start, done_copy, h)
     assert m.heap == [] and m.trail == []
 
 
@@ -708,36 +707,41 @@ def test_no_hierarchy_outlives_its_grammar():
     assert ref() is None
 
 
-# -- the quick check ---------------------------------------------------------------
+# -- refusal by the walk -------------------------------------------------------------
 
 HPSG_SENTENCES = ["kim sleeps", "dogs sleeps", "sleeps kim", "rock sleeps",
                   "kim sees rex", "rex pats kim", "kim pats kim", "kim and rex sleeps",
                   "kim sees kim and kim", "kim and kim sees dogs and dogs"]
-QUICK_CHECK_CASES = ([("toy_grammar", s) for s in ("w1 w2", "w2 w1", "w1 w2 w2", "w2 w2 w1")]
-                     + [("agreement_grammar", s) for s in AGREEMENT_SENTENCES]
-                     + [("hpsg_grammar", s) for s in HPSG_SENTENCES])
+WALK_CASES = ([("toy_grammar", s) for s in ("w1 w2", "w2 w1", "w1 w2 w2", "w2 w2 w1")]
+              + [("agreement_grammar", s) for s in AGREEMENT_SENTENCES]
+              + [("hpsg_grammar", s) for s in HPSG_SENTENCES])
 
 
-@pytest.mark.parametrize("name,sentence", QUICK_CHECK_CASES)
-def test_the_quick_check_changes_no_parse(monkeypatch, name, sentence):
-    # a combine the check refuses fails on the machine too, so forcing
-    # the check to pass changes no count, head or chart.  Each outcome
+@pytest.mark.parametrize("name,sentence", WALK_CASES)
+def test_the_walks_refusals_change_no_parse(monkeypatch, name, sentence):
+    # a combine the walk refuses fails on the machine too, so a walk
+    # that never refuses changes no count, head or chart.  Each outcome
     # loads its grammar afresh, so it runs the combines of the word cells
     # too rather than replaying them
     refused = []
-    clashes = parser._clashes
+    walk = parser._walk
 
     def check(*args):
-        refused.append(clashes(*args))
-        return refused[-1]
+        mapped = walk(*args)
+        refused.append(mapped is None)
+        return mapped
+
+    def never_refuses(*args):
+        mapped = walk(*args)
+        return False if mapped is None else mapped
 
     def outcome():
         g = grammar.load_grammar(GRAMMAR_TEXTS[name.removesuffix("_grammar")])
         return _outcome(ChartParser(g, verify_undo=True).parse(sentence.split()))
 
-    monkeypatch.setattr(parser, "_clashes", check)
+    monkeypatch.setattr(parser, "_walk", check)
     checked = outcome()
-    monkeypatch.setattr(parser, "_clashes", lambda *args: False)
+    monkeypatch.setattr(parser, "_walk", never_refuses)
     assert outcome() == checked
     if name == "hpsg_grammar" and sentence != "kim sleeps":
         assert any(refused) and not all(refused)
@@ -745,21 +749,22 @@ def test_the_quick_check_changes_no_parse(monkeypatch, name, sentence):
 
 def test_a_refused_combine_never_reaches_the_machine(monkeypatch):
     # on "w v" the s + s combine clashes in agreement and every other
-    # one that fails in category: the check refuses them before
+    # one that fails in category: the walk refuses them before
     # restore_regs or execute runs.  Of the combines it lets through, the
     # two whose daughter s(#1 agr) subsumes are read off the daughter's
     # copy and run nothing, and the others run on the machine.  The
-    # grammar is loaded afresh, so no word cell is replayed
+    # grammar is loaded afresh, so no word cell is replayed, and no head
+    # spans the sentence, so the start filter walks nothing
     g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     log = []
-    clashes = parser._clashes
+    walk = parser._walk
 
     def check(*args):
-        refused = clashes(*args)
-        log.append("refused" if refused else "passed")
-        return refused
+        mapped = walk(*args)
+        log.append("refused" if mapped is None else "passed")
+        return mapped
 
-    monkeypatch.setattr(parser, "_clashes", check)
+    monkeypatch.setattr(parser, "_walk", check)
     for name in ("restore_regs", "execute"):
         def run(m, *args, name=name, f=getattr(machine.MachineState, name)):
             log.append(name)
@@ -792,9 +797,10 @@ def test_a_refused_combine_never_reaches_the_machine(monkeypatch):
                for ran in passed if ran != ["passed"])
 
 
-def test_the_quick_check_refuses_only_failing_unifications():
-    # the program code of b against a copy of a, over random pairs: every
-    # pair the check refuses fails to unify in the reference unifier
+def test_the_walk_refuses_only_failing_unifications():
+    # b as a rule's one body element against a copy of a, over random
+    # pairs: every pair the walk refuses fails to unify in the reference
+    # unifier
     rng = random.Random(13)
     refused = fails = pairs = 0
     for _ in range(80):
@@ -803,19 +809,63 @@ def test_the_quick_check_refuses_only_failing_unifications():
             a, b = oracle.random_pair(rng, h)
             if "~" in terms.print_term(b):
                 continue    # program code refuses unexpanded leaves
-            info = compiler.compile_rule_with_info(
-                terms.MRS([b, terms.Node("bot")], is_rule=True), 0, "r")
-            info.body_code = [machine.link(piece, h) for piece in info.body_code]
-            check = compiler.quick_checks(info, h)[0]
+            rule = terms.MRS([b, terms.Node("bot")], is_rule=True)
+            element = compiler.compile_grammar(h, [rule], {}).rules[0].elements[0]
             m = machine.MachineState(h)
             snap = m.snapshot_regs({1: m.build_term(a)}, [1])
             fail = oracle.unify_terms(h, a, b) is None
-            if parser._clashes(check, parser.EMPTY_SNAPSHOT, snap, h):
+            if parser._walk(element, snap, h) is None:
                 assert fail, (terms.print_term(a), terms.print_term(b))
                 refused += 1
             fails += fail
             pairs += 1
     assert pairs > 1000 and refused > fails // 2
+
+
+def test_a_held_register_refuses_only_failing_unifications():
+    # random two-element rules whose second element shares a tag with the
+    # first, at dot 1: the active edge is the machine's dot-0 combine
+    # with a random daughter a0, and every combine with a random daughter
+    # a1 that the walk refuses fails in the reference unifier, which
+    # unifies both elements with both daughters at once.  A refusal by a
+    # held register is one that a walk whose placeholders meet unbound
+    # cells would not make
+    rng = random.Random(27)
+    counts = {"compared": 0, "refused": 0, "refused by a held register": 0}
+    for _ in range(350):
+        h, _ = oracle.random_hierarchy(rng, allow_loops=rng.random() < 0.5)
+        roots = oracle._random_roots(rng, h, 2) + [terms.Node("bot")]
+        rule = terms.MRS(roots, is_rule=True)
+        code = compiler.compile_grammar(h, [rule], {})
+        info = code.rules[0]
+        eqs = terms.flatten(rule)
+        second = eqs.equations[eqs.boundaries[0]:eqs.boundaries[1]]
+        if not ({r for eq in second for r in eq.args} | {eqs.roots[1]}) & set(info.held[1]):
+            continue    # the second element shares no tag with the first
+        p = ChartParser(grammar.Grammar(h, [rule], {}, None, code), verify_undo=True)
+        m = machine.MachineState(h)
+        unbound = machine.RegSnapshot(tuple((machine.REF, k) for k in range(len(info.held[1]))),
+                                      tuple(range(len(info.held[1]))))
+        for _ in range(10):
+            a0 = oracle.random_term(rng, h, 6)
+            active = p._combine(m, ActiveEdge(info, 0, parser.EMPTY_SNAPSHOT),
+                                _complete("a0", terms.print_term(a0), h))
+            if active is None:
+                continue
+            for _ in range(3):
+                a1 = oracle.random_term(rng, h, 6)
+                daughter = _complete("a1", terms.print_term(a1), h).snapshot
+                counts["compared"] += 1
+                if parser._walk(info.elements[1], daughter, h, active) is not None:
+                    continue
+                unified = oracle.unify_scopes(h, [roots[:2], [a0], [a1]], [(0, 2), (1, 3)], 0)
+                assert unified is None, (terms.print_mrs(rule), terms.print_term(a0),
+                                      terms.print_term(a1))
+                counts["refused"] += 1
+                counts["refused by a held register"] += (
+                    parser._walk(info.elements[1], daughter, h, unbound) is not None)
+    assert counts["compared"] >= 1200, counts
+    assert counts["refused"] >= 500 and counts["refused by a held register"] >= 400, counts
 
 
 # -- the start filter: subsumption on copies -----------------------------------------
@@ -869,7 +919,7 @@ def test_start_filter_cases(spec, start, head, expected):
     h = typesys.load_hierarchy(FILTER_SPECS[spec])
     general = _complete("start", start, h).snapshot
     specific = _complete("head", head, h).snapshot
-    assert parser._subsumes(general, specific, h) is expected
+    assert bool(parser._walk(general, specific, h)) is expected
     assert oracle.subsumes_terms(h, parse_term(start, h), parse_term(head, h)) is expected
 
 
@@ -892,7 +942,7 @@ def test_subsumption_walk_agrees_with_the_references_on_random_pairs():
             u = (m.extract(pa), m.snapshot_regs({0: pa}, [0]))
             cases += [(copies[0], u), (copies[1], u)]
         for (g, g_copy), (s, s_copy) in cases:
-            walk = parser._subsumes(g_copy, s_copy, h)
+            walk = bool(parser._walk(g_copy, s_copy, h))
             case = (seed, terms.print_term(g), terms.print_term(s))
             assert walk == oracle.subsumes_terms(h, g, s), case
             if not loops:
@@ -919,7 +969,7 @@ def _compare_with_the_old_start_filter(g, words, counts):
     m = machine.MachineState(g.hierarchy)
     for general in copies:
         for specific in copies:
-            walk = parser._subsumes(general, specific, g.hierarchy)
+            walk = bool(parser._walk(general, specific, g.hierarchy))
             assert walk == oracle.start_compatible(m, general, specific), words
             counts[0] += 1
             counts[1] += walk
@@ -949,30 +999,44 @@ def test_subsumption_walk_agrees_with_the_old_start_filter_on_grammars():
 
 # -- dot-0 combines read off the daughter's copy ------------------------------------
 
+_COMBINE = ChartParser._combine
+
+
 def _machine_combine(p, m, active, complete):
-    """The combine as the machine runs it, with the rule's first-element
-    copy left out."""
-    info = dataclasses.replace(active.info, first=None)
-    return ChartParser._combine(p, m, ActiveEdge(info, active.dot, active.snapshot), complete)
+    """The combine as the machine runs it, with the walk left out."""
+    walk = parser._walk
+    parser._walk = lambda *args: False
+    try:
+        return _COMBINE(p, m, active, complete)
+    finally:
+        parser._walk = walk
+
+
+def _dot0_path(info, complete, new, h):
+    """How the walk answered a dot-0 combine of a rule of two or more body
+    elements that gave *new*: "matched" (the copy shares the daughter's
+    cells), "below a VAR" (the element subsumes the daughter, but a
+    register maps below a daughter VAR, which the machine expands),
+    "refused", or "machine"."""
+    mapped = parser._walk(info.elements[0], complete.snapshot, h)
+    if mapped is None:
+        return "refused"
+    if not mapped:
+        return "machine"
+    return "matched" if new is not None and new.cells is complete.snapshot.cells else "below a VAR"
 
 
 def _check_dot0_combines(monkeypatch, counts):
-    """Make every dot-0 combine of a rule with a first-element copy assert
-    that its copy equals the machine's, and count in *counts* those the
-    walk answers (the copy shares the daughter's cells) and those that
-    ran on the machine."""
-    combine = ChartParser._combine
+    """Make every dot-0 combine of a rule of two or more body elements
+    assert that its copy equals the machine's, and count in *counts* how
+    the walk answered each."""
 
     def checked(p, m, active, complete):
-        new = combine(p, m, active, complete)
-        if active.dot == 0 and active.info.first is not None:
+        new = _COMBINE(p, m, active, complete)
+        if active.dot == 0 and len(active.info.body_code) > 1:
             assert new == _machine_combine(p, m, active, complete), (
                 active.info.label, terms.print_term(complete.head))
-            if new is not None and new.cells is complete.snapshot.cells:
-                counts["matched"] += 1
-            elif not parser._clashes(active.info.checks[0], active.snapshot,
-                                     complete.snapshot, m.h):
-                counts["machine"] += 1
+            counts[_dot0_path(active.info, complete, new, m.h)] += 1
         return new
 
     monkeypatch.setattr(ChartParser, "_combine", checked)
@@ -991,40 +1055,37 @@ def _parse_deep_sentences():
 
 def test_a_matched_dot0_combine_gives_the_machines_copy(monkeypatch):
     # the conftest grammars' sentences, parse-deep's seed-1 sentences and
-    # 300 random grammars, half of them under appropriateness loops; each
-    # grammar is loaded afresh, so its word cells run their combines too
-    counts = {"matched": 0, "machine": 0}
+    # 300 random grammars, half of them under appropriateness loops, every
+    # one of which loads; each grammar is loaded afresh, so its word cells
+    # run their combines too.  A dot-0 combine the walk neither refuses
+    # nor matches runs on the machine, the ones below a VAR among them
+    counts = dict.fromkeys(["matched", "below a VAR", "machine", "refused"], 0)
     _check_dot0_combines(monkeypatch, counts)
     for name, sentence in (WARM_CASES + [("hpsg", s) for s in HPSG_SENTENCES]
                            + [("agreement", s) for s in AGREEMENT_SENTENCES]):
         g = grammar.load_grammar(GRAMMAR_TEXTS[name])
         ChartParser(g, verify_undo=True).parse(sentence.split())
-    assert counts["matched"] >= 50 and counts["machine"] >= 1, counts
-    counts.update(matched=0, machine=0)
+    assert counts["matched"] >= 50 and counts["machine"] + counts["below a VAR"] >= 1, counts
+    counts.update(dict.fromkeys(counts, 0))
     text, sentences = _parse_deep_sentences()
     g = grammar.load_grammar(text)
     assert len(sentences) == 104
     for words in sentences:
         ChartParser(g, verify_undo=True).parse(words)
     assert counts["matched"] >= 300, counts
-    counts.update(matched=0, machine=0)
+    counts.update(dict.fromkeys(counts, 0))
     for loops in (False, True):
-        loaded = seed = 0
-        while loaded < 150:
+        for seed in range(150):
             rng = random.Random(seed)
-            seed += 1
-            try:
-                g = grammar.load_grammar(oracle.random_grammar(rng, allow_loops=loops))
-            except compiler.CompileError:
-                continue    # a ~ leaf in a rule under a loop
-            loaded += 1
+            g = grammar.load_grammar(oracle.random_grammar(rng, allow_loops=loops))
             for _ in range(3):
                 words = [rng.choice(list(g.lexicon)) for _ in range(rng.randint(1, 4))]
                 try:
                     ChartParser(g, max_items=300, verify_undo=True).parse(words)
                 except LimitExceeded:
                     pass
-    assert counts["matched"] >= 1000 and counts["machine"] >= 500, counts
+    assert counts["matched"] >= 1000 and counts["machine"] + counts["below a VAR"] >= 500, counts
+    assert counts["below a VAR"] >= 5, counts
 
 
 def test_a_matched_dot0_combine_gives_the_machines_copy_on_random_pairs():
@@ -1032,7 +1093,7 @@ def test_a_matched_dot0_combine_gives_the_machines_copy_on_random_pairs():
     # a, and against the most general structure of a's type, over random
     # pairs, half of them under appropriateness loops
     rng = random.Random(25)
-    counts = {"matched": 0, "below a VAR": 0, "refused by the walk": 0}
+    counts = dict.fromkeys(["matched", "below a VAR", "machine", "refused"], 0)
     for k in range(120):
         h, _ = oracle.random_hierarchy(rng, allow_loops=k % 2 == 1)
         for _ in range(25):
@@ -1049,12 +1110,7 @@ def test_a_matched_dot0_combine_gives_the_machines_copy_on_random_pairs():
                 new = p._combine(m, active, complete)
                 assert new == _machine_combine(p, m, active, complete), (
                     daughter, terms.print_term(b))
-                if new is not None and new.cells is complete.snapshot.cells:
-                    counts["matched"] += 1
-                elif parser._subsumption_map(code.rules[0].first, complete.snapshot, h):
-                    counts["below a VAR"] += 1
-                else:
-                    counts["refused by the walk"] += 1
+                counts[_dot0_path(code.rules[0], complete, new, h)] += 1
     assert min(counts.values()) >= 100, counts
 
 
@@ -1069,17 +1125,21 @@ d sub [].
 """
 DOT0_CASES = [
     # (first body element, daughter, path): "matched" reads the daughter's
-    # copy; on "refused" (the walk refuses) and "below a VAR" (it accepts,
-    # but a register lies below a VAR of the daughter, which the machine
-    # expands) the machine runs
+    # copy, "refused" runs nothing, and on "machine" (the element does not
+    # subsume the daughter) and "below a VAR" (it does, but a register
+    # lies below a VAR of the daughter, which the machine expands) the
+    # machine runs
     ("p(c,c)", "~p", "below a VAR"),
     # the element shares what the daughter keeps apart
-    ("#1 t(#1)", "u(t(~t))", "refused"),
+    ("#1 t(#1)", "u(t(~t))", "machine"),
     # the element's type is more specific than the daughter's
-    ("#1 u(#1)", "#1 t(#1)", "refused"),
+    ("#1 u(#1)", "#1 t(#1)", "machine"),
     # a cyclic daughter, and sharing only in the daughter
     ("#1 t(#1)", "#1 t(#1)", "matched"),
     ("p(c,c)", "p(#1 d,#1)", "matched"),
+    # types with no upper bound in common, at a node and at a VAR
+    ("p(c,c)", "t(~t)", "refused"),
+    ("p(c,c)", "~t", "refused"),
 ]
 
 
@@ -1092,10 +1152,10 @@ def test_dot0_combine_cases(element, daughter, path):
     m = machine.MachineState(g.hierarchy)
     p = ChartParser(g, verify_undo=True)
     new = p._combine(m, active, complete)
-    assert new is not None and new == _machine_combine(p, m, active, complete)
-    assert (new.cells is complete.snapshot.cells) is (path == "matched")
-    mapped = parser._subsumption_map(info.first, complete.snapshot, g.hierarchy)
-    assert (mapped is None) is (path == "refused")
+    assert new == _machine_combine(p, m, active, complete)
+    assert (new is None) is (path == "refused")
+    assert (new is not None and new.cells is complete.snapshot.cells) is (path == "matched")
+    assert _dot0_path(info, complete, new, g.hierarchy) == path
 
 
 # -- against the reference parser ------------------------------------------------
