@@ -17,13 +17,11 @@ arities are checked), and the parser executes those linked pieces as they
 are.  A lexical entry compiles to query code only, which
 ``compile_grammar`` runs once: the entry keeps the copy of heap cells it
 builds (``LexEntry.snapshot``), so a parse runs rule code only.  Each
-body element's equations also compile to query code, run once the same
-way, and the rule keeps the copy (``RuleInfo.elements``).  Each register
-an active edge holds before the element gets a ``put_var bot``
-placeholder, so the copy's first roots line up with the active edge's
-copy, and the parser walks the element's copy against a daughter's to
-refuse a combine that must fail, or to read off its result, without
-running the element's program code.  The parser keeps each word's closed
+body element is compiled once, to program code, and the rule keeps the
+copy the machine builds from that code once it is linked
+(``MachineState.element_copy``, ``RuleInfo.elements``); the machine's
+walk reads the copy against a daughter's to refuse a combine that must
+fail, or to read off its result.  The parser keeps each word's closed
 width-1 chart cell on the code area (``CodeArea.word_cells``) the first
 time it parses the word.
 
@@ -43,7 +41,6 @@ from dataclasses import dataclass, field
 
 from . import terms
 from .terms import EquationSet, MRS
-from .typesys import BOT
 
 
 class CompileError(Exception):
@@ -126,13 +123,9 @@ class RuleInfo:
     # the control instructions; linked by compile_grammar
     body_code: list = field(compare=False, repr=False)
     head_code: object = field(compare=False, repr=False)
-    # per body element m, a copy of its equations built by query code, with
-    # a put_var bot placeholder for each register of held[m].  Its roots
-    # are held[m], whose placeholders lie at offsets 0, 1, ..., then the
-    # element's root, then the other registers the element sets, so at
-    # dot 0 they are held[1].  compile_grammar replaces the query code and
-    # root registers that compile_rule_with_info gives with the copy
-    elements: list = field(compare=False, repr=False)
+    # per body element, the copy the machine builds from its linked program
+    # code (``MachineState.element_copy``), set by compile_grammar
+    elements: list = field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass
@@ -203,8 +196,7 @@ def compile_rule(rule: MRS) -> list:
 
 def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
     """Compile a rule to its pieces, unlinked: the program code of each
-    body element and the query code of the head, and each body element's
-    query code with the root registers of its copy."""
+    body element and the query code of the head."""
     if not rule.is_rule or len(rule.roots) < 2:
         raise CompileError("a rule needs at least one body element and a head")
     eqs = terms.flatten(rule)
@@ -214,20 +206,14 @@ def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
     seen = set()
     held = []
     body_code = []
-    elements = []
     for m, x in enumerate(eqs.roots[:body_len]):
-        before = tuple(sorted(seen))
-        held.append(before)
+        held.append(tuple(sorted(seen)))
         frag = EquationSet(eqs.equations[bounds[m]:bounds[m + 1]], [x], [])
         body_code.append(compile_program(frag, seen))
-        # the registers an element sets are numbered after those it holds;
-        # a root an earlier element set leaves the element nothing to set
-        roots = before + (x,) if x in before else tuple(sorted(seen))
-        elements.append(([PutVar(BOT, r) for r in before] + compile_query(frag), roots))
     head = EquationSet(eqs.equations[bounds[body_len]:bounds[body_len + 1]],
                        [eqs.roots[body_len]], [])
     return RuleInfo(rule_id, label, eqs.roots[:body_len], held, eqs.roots[body_len],
-                    body_code, compile_query(head), elements)
+                    body_code, compile_query(head))
 
 
 def rule_listing(body_code, head_code) -> list:
@@ -241,9 +227,9 @@ def rule_listing(body_code, head_code) -> list:
 
 def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
     """Compile rule MRSs and lexical entries into one labeled listing, link
-    the rule pieces the parser executes against *hierarchy*, and run the
-    query code of each body element and lexical entry once to keep the
-    copy it builds."""
+    the rule pieces the parser executes against *hierarchy*, and keep the
+    copy of each body element, which the machine builds from its linked
+    program code, and of each lexical entry, which its query code builds."""
     from .machine import MachineState, link     # the machine imports this module
 
     code = CodeArea()
@@ -255,12 +241,8 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
         code.extend(rule_listing(info.body_code, info.head_code))
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
-        copies = []
-        for instrs, roots in info.elements:
-            regs = {}
-            m.execute(instrs, regs)
-            copies.append(m.snapshot_regs(regs, roots))
-        info.elements = copies
+        info.elements = [m.element_copy(*spec) for spec in
+                         zip(info.body_code, info.held, info.body_root_regs)]
         code.rules.append(info)
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):

@@ -35,10 +35,10 @@ to its id, checks every arity, builds the node cells once and fuses each
 get_structure with its unify instructions into one op that settles its
 own arguments, so the machine needs no argument stack.  ``execute`` runs
 the flat ops in one dispatch loop.  The grammar's rule code is linked
-when it is compiled, and its lexical entries' query code runs then, once,
-to make their copies; a parse runs only the linked rule code.  A plain
-instruction list is linked on entry to ``execute``, so nothing runs
-unless all of it links.
+when it is compiled, and its lexical entries' query code and its body
+elements' program code run then, once, to make their copies; a parse
+runs only the linked rule code.  A plain instruction list is linked on
+entry to ``execute``, so nothing runs unless all of it links.
 
 The machine holds no registers.  A register file is a dict from register
 number to heap address that the caller owns: ``execute`` runs code in
@@ -55,7 +55,25 @@ above every mark and an undo drops it with the heap top.
 
 Structures leave the heap as copies of its cells (``RegSnapshot``), not
 as code: a chart edge is such a copy, and restoring it appends the cells
-again, rebased to the top of the heap.
+again, rebased to the top of the heap.  A rule's body element has a copy
+too (``element_copy``), which its own linked program code builds, run
+once in write mode: a get_structure on an unbound register builds the
+structure it would otherwise match (Aït-Kaci 1991, "Warren's Abstract
+Machine: A Tutorial Reconstruction", ch. 2), and each register an
+active edge holds before the element is a ``VAR bot`` placeholder.
+
+``walk`` compares two copies on the graphs themselves, in one pass
+(after Malouf, Carroll and Copestake 2000, "Efficient feature structure
+operations without compilation"; an element's copy stands for the
+feature paths Kiefer et al. 1999, "A bag of useful techniques for
+efficient and robust parsing", read off a grammar for their quick
+check).  It says that two copies cannot unify where a node pair's types
+have no upper bound in common, or where a placeholder meets a node with
+none in common with that register's node in the active edge's copy, as
+unification only makes types more specific; and it says when the first
+copy subsumes the second.  The parser asks it to refuse or read off a
+combine and to accept a spanning head, and no other module reads the
+cells of a copy.
 """
 
 from __future__ import annotations
@@ -573,6 +591,27 @@ class MachineState:
             raise MachineError(f"{len(live)} registers for a copy of {len(snap.roots)} roots")
         return dict(zip(live, self.build_snapshot(snap)))
 
+    def element_copy(self, code, held, root) -> RegSnapshot:
+        """The copy of a rule's body element, built by running its linked
+        program *code* once in write mode: each register of *held* is a
+        ``VAR bot`` placeholder and a *root* that no earlier element set
+        is an unbound cell, so each get_structure builds the node it would
+        otherwise match (Aït-Kaci 1991, ch. 2).  The copy's roots are
+        *held*, whose placeholders lie at offsets 0, 1, ..., then *root*,
+        then the other registers the code sets, in register order.  A cell
+        the code leaves unbound is refused, as ``walk`` would read its
+        offset as a type."""
+        regs = {}
+        for x in held + (root,):
+            if x not in regs:
+                regs[x] = len(self.heap)
+                self.heap.append((VAR, self.h.bot) if x in held else (REF, regs[x]))
+        self.execute(code, regs)
+        snap = self.snapshot_regs(regs, held + (root,) + tuple(sorted(regs.keys() - held - {root})))
+        if any(c == (REF, o) for o, c in enumerate(snap.cells)):
+            raise MachineError("the body element's code leaves a cell of its copy unbound")
+        return snap
+
     # -- inspection -------------------------------------------------------------
 
     def dump(self) -> str:
@@ -585,3 +624,107 @@ class MachineState:
             else:
                 lines.append(f"{i}: {c[0]} {self.h.tname(c[1])}")
         return "\n".join(lines)
+
+
+# -- subsumption on copies ------------------------------------------------------
+
+def walk(general, specific, h, active=RegSnapshot((), ())):
+    """Walk the copy *general* against the copy *specific*, from the
+    general root that follows the placeholders for the roots of the
+    *active* copy and from the specific copy's first root.  Returns None
+    when the two cannot unify; else, when the general copy subsumes the
+    specific one, the map from each general offset the walk reaches to
+    its specific offset, or to a virtual cell below a specific VAR; else
+    False.
+
+    The general copy is a rule's body element (``RuleInfo.elements``),
+    whose offsets 0, 1, ... are placeholders for the active copy's roots,
+    or the start term.  A placeholder is checked against the active
+    copy's node where its parent meets it, and not walked.  Types are
+    compared by their masks: t and u have an upper bound in common when
+    ``ups[t] & ups[u]`` is not empty, and t subsumes u when ``ups[u]``
+    lies within ``ups[t]``.  A feature's arc is found by the specific
+    node's type, so features a subtype adds and values it narrows are
+    read where they lie; a feature the specific node lacks ends its
+    branch.  A VAR cell is the most general structure of its type, as the
+    machine's ``_unify`` takes it: a general VAR ends its branch, and a
+    specific VAR u reads as a node whose every feature k holds a VAR cell
+    of ``approps[u][k]``, shared with nothing.  The map makes sharing in
+    the general copy sharing in the specific one; a general node met
+    again at another specific node, or at a virtual one, only has its
+    type checked, as the walk goes below each general node once, so it
+    ends on cycles and costs at most the general copy's arcs.  Copies of
+    heads and of the start term hold no unbound cell, as query code fills
+    every slot, and ``element_copy`` refuses a body element's copy that
+    holds one."""
+    ups = h.ups
+    features = h.type_features
+    gcells = general.cells
+    scells = specific.cells
+    held = len(active.roots)
+    g = general.roots[held]
+    s = specific.roots[0]
+    c = scells[s]
+    if g < held:
+        # the element's root is a register an earlier element set
+        a = active.cells[active.roots[g]]
+        return None if a[0] is not REF and not ups[a[1]] & ups[c[1]] else False
+    tag, t = gcells[g]
+    common = ups[t] & ups[c[1]]
+    if not common:
+        return None
+    subsumes = common == ups[c[1]]
+    mapped = {g: s}
+    # each pair on the stack has been checked, and its arcs are to walk.  A
+    # node's arcs are met from the last and pushed, so its first arc is
+    # walked first, in the order of the element's program code
+    stack = [(g, s, c, t)] if tag is STR else []
+    while stack:
+        g, s, c, t = stack.pop()
+        n = len(features[t])
+        if c[0] is STR and c[1] == t:
+            # nodes of one type have their arcs at the same positions
+            arcs = zip(gcells[g + n:g:-1], scells[s + n:s:-1])
+        else:
+            arcs = _arcs(gcells, g, t, scells, s, c, h)
+        for (_, g), (tag, to) in arcs:
+            c = scells[to] if tag is REF else to
+            if g < held:
+                a = active.cells[active.roots[g]]
+                if a[0] is not REF and not ups[a[1]] & ups[c[1]]:
+                    return None
+                continue
+            first = g not in mapped
+            if first:
+                mapped[g] = to
+            elif mapped[g] == to and to is not c:
+                continue
+            else:
+                # a second specific node, or a virtual one: its type is
+                # checked, but the walk goes below each general node once
+                subsumes = False
+            tag, t = gcells[g]
+            u = ups[c[1]]
+            common = ups[t] & u
+            if not common:
+                return None
+            if common != u:
+                subsumes = False
+            if first and tag is STR and features[t]:
+                stack.append((g, to, c, t))
+    return subsumes and mapped
+
+
+def _arcs(gcells, g, t, scells, s, c, h):
+    """The arcs of the general node at *g*, of type t, from the last, each
+    next to the arc for the same feature of the specific node *c* at *s*,
+    or to (None, a virtual cell) where *c* is a VAR; a feature the
+    specific node's type lacks is left out."""
+    fs = h.type_features[c[1]]
+    arcs = []
+    for arc, f in enumerate(h.type_features[t], g + 1):
+        if f in fs:
+            k = fs.index(f)
+            arcs.append((gcells[arc], scells[s + 1 + k] if c[0] is STR
+                         else (None, (VAR, h.approps[c[1]][k]))))
+    return arcs[::-1]

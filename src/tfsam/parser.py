@@ -13,18 +13,10 @@ compiled, so a parse runs rule code only, the pieces ``compile_grammar``
 linked, and never reads the listing.
 
 A combine of an active edge ending at k with a complete edge spanning
-(k, j) first walks the next body element's copy (``RuleInfo.elements``)
-against the daughter's, both from their roots, in one pass over the two
-graphs (``_walk``, after Malouf, Carroll and Copestake 2000, "Efficient
-feature structure operations without compilation"; the element's copy
-stands for the feature paths Kiefer et al. 1999, "A bag of useful
-techniques for efficient and robust parsing", read off a grammar for
-their quick check).  The walk refuses the combine where a node pair's
-types have no upper bound in common, or where a placeholder of a
-register the active edge holds meets a daughter node with none in common
-with that register's node in the active copy: unification only makes
-types more specific, so the element's code would fail.  A refused
-combine touches no heap.  At dot 0 of a rule of two or more body
+(k, j) first hands the next body element's copy (``RuleInfo.elements``)
+and the daughter's to the machine's walk over two copies
+(``machine.walk``), which refuses a combine whose unification must fail
+without touching the heap.  At dot 0 of a rule of two or more body
 elements, where the element subsumes the daughter and no register maps
 below a daughter VAR, the element's code would write nothing (after
 Tomabechi 1991, "Quasi-destructive graph unification"), so the new
@@ -34,7 +26,8 @@ judges it: the active edge's copy is appended to restore its registers,
 the daughter's as a fresh instance, the element's root register points
 at it (or unifies with it, where an earlier element set that register),
 the element's code runs, and the result is copied before the heap is
-rewound to the checkpoint.
+rewound to the checkpoint.  So the parser holds spans, edges, the memo
+and the word cells, and reads no cell of a copy.
 
 The chart is filled in order of span, by width from 1 to n and from left
 to right, with no agenda (Kay 1980, "Algorithm schemata and data
@@ -73,7 +66,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import machine, terms
-from .machine import REF, STR, VAR
 
 EMPTY_SNAPSHOT = machine.RegSnapshot((), ())
 MISSING = object()      # a memo row's answer for a combine not yet run
@@ -174,7 +166,7 @@ class ChartParser:
             entries = lexicon.get(w)
             if not entries:
                 raise UnknownWordError(w, i)
-            seeds.append([(e.label, e.snapshot) for e in entries])
+            seeds.append([(e.snapshot, e.label) for e in entries])
         return self._run(machine.MachineState(self.grammar.hierarchy), words, seeds,
                          self.grammar.code.word_cells)
 
@@ -184,14 +176,15 @@ class ChartParser:
         if not roots:
             raise ValueError("input must contain at least one term")
         m = machine.MachineState(self.grammar.hierarchy)
-        seeds = [[(f"input{i}", m.snapshot_regs({0: m.build_term(root)}, [0]))]
+        seeds = [[(m.snapshot_regs({0: m.build_term(root)}, [0]), f"input{i}")]
                  for i, root in enumerate(roots)]
         return self._run(m, [terms.print_term(r) for r in roots], seeds)
 
     def _run(self, m, words, seeds, word_cells=None) -> ParseResult:
         """Fill the chart of *words* from *seeds*, a list per position of
-        (label, copy) pairs.  *word_cells*, the grammar's kept width-1
-        cells by word, is read and filled when given."""
+        (copy, label) specs of complete edges, the form ``edge`` takes and
+        a kept cell's entries have.  *word_cells*, the grammar's kept
+        width-1 cells by word, is read and filled when given."""
         n = len(words)
         chart = Chart(n)
         cells = chart.cells
@@ -275,17 +268,14 @@ class ChartParser:
         for i, w in enumerate(words):
             span = (i, i + 1)
             kept = None if word_cells is None else word_cells.get(w)
-            if kept is not None:
-                for spec in kept:
-                    add(span, edge(*spec))
-                continue
-            for label, snap in seeds[i]:
-                add(span, edge(snap, label))
-            close(i, span, set())
-            if word_cells is not None:
-                word_cells[w] = tuple(
-                    (e.snapshot, e.info.label, e.info, e.dot) if type(e) is ActiveEdge
-                    else (e.snapshot, e.source, None, 0) for e in cells[span])
+            for spec in seeds[i] if kept is None else kept:
+                add(span, edge(*spec))
+            if kept is None:
+                close(i, span, set())
+                if word_cells is not None:
+                    word_cells[w] = tuple(
+                        (e.snapshot, e.info.label, e.info, e.dot) if type(e) is ActiveEdge
+                        else (e.snapshot, e.source, None, 0) for e in cells[span])
 
         for width in range(2, n + 1):
             for i in range(n - width + 1):
@@ -304,7 +294,8 @@ class ChartParser:
                 close(i, span, seen)
 
         start = self.grammar.code.start
-        heads = [e.head for _, e in completes.get((0, n), ()) if _walk(start, e.snapshot, m.h)]
+        heads = [e.head for _, e in completes.get((0, n), ())
+                 if machine.walk(start, e.snapshot, m.h)]
         pops = items - n * len(rules)
         return ParseResult(words, bool(heads), heads, items, pops, chart)
 
@@ -316,7 +307,7 @@ class ChartParser:
         combine that must fail, and reads off a dot-0 match the element
         subsumes; any other combine runs on the machine."""
         info = active.info
-        mapped = _walk(info.elements[active.dot], complete.snapshot, m.h, active.snapshot)
+        mapped = machine.walk(info.elements[active.dot], complete.snapshot, m.h, active.snapshot)
         if mapped is None:
             return None
         if mapped and active.dot == 0 and len(info.body_code) > 1:
@@ -351,104 +342,3 @@ class ChartParser:
         if before is not None and len(m.trail) != mark.trail:
             raise machine.MachineError("undo left the trail longer than its mark")
         return new
-
-
-def _walk(general, specific, h, active=EMPTY_SNAPSHOT):
-    """Walk the copy *general* against the copy *specific*, from the
-    general root that follows the placeholders for the roots of the
-    *active* copy and from the specific copy's first root.  Returns None
-    when the two cannot unify; else, when the general copy subsumes the
-    specific one, the map from each general offset the walk reaches to
-    its specific offset, or to a virtual cell below a specific VAR; else
-    False.
-
-    The general copy is a rule's body element (``RuleInfo.elements``),
-    whose offsets 0, 1, ... are placeholders for the active copy's roots,
-    or the start term.  A placeholder is checked against the active
-    copy's node where its parent meets it, and not walked.  Types are
-    compared by their masks: t and u have an upper bound in common when
-    ``ups[t] & ups[u]`` is not empty, and t subsumes u when ``ups[u]``
-    lies within ``ups[t]``.  A feature's arc is found by the specific
-    node's type, so features a subtype adds and values it narrows are
-    read where they lie; a feature the specific node lacks ends its
-    branch.  A VAR cell is the most general structure of its type, as the
-    machine's ``_unify`` takes it: a general VAR ends its branch, and a
-    specific VAR u reads as a node whose every feature k holds a VAR cell
-    of ``approps[u][k]``, shared with nothing.  The map makes sharing in
-    the general copy sharing in the specific one; a general node met
-    again at another specific node, or at a virtual one, only has its
-    type checked, as the walk goes below each general node once, so it
-    ends on cycles and costs at most the general copy's arcs.  Copies of
-    heads, of the start term and of body elements hold no unbound cell:
-    query code fills every slot."""
-    ups = h.ups
-    features = h.type_features
-    gcells = general.cells
-    scells = specific.cells
-    held = len(active.roots)
-    g = general.roots[held]
-    s = specific.roots[0]
-    c = scells[s]
-    if g < held:
-        # the element's root is a register an earlier element set
-        a = active.cells[active.roots[g]]
-        return None if a[0] is not REF and not ups[a[1]] & ups[c[1]] else False
-    tag, t = gcells[g]
-    common = ups[t] & ups[c[1]]
-    if not common:
-        return None
-    subsumes = common == ups[c[1]]
-    mapped = {g: s}
-    # each pair on the stack has been checked, and its arcs are to walk.  A
-    # node's arcs are met from the last and pushed, so its first arc is
-    # walked first, in the order of the element's program code
-    stack = [(g, s, c, t)] if tag is STR else []
-    while stack:
-        g, s, c, t = stack.pop()
-        n = len(features[t])
-        if c[0] is STR and c[1] == t:
-            # nodes of one type have their arcs at the same positions
-            arcs = zip(gcells[g + n:g:-1], scells[s + n:s:-1])
-        else:
-            arcs = _arcs(gcells, g, t, scells, s, c, h)
-        for (_, g), (tag, to) in arcs:
-            c = scells[to] if tag is REF else to
-            if g < held:
-                a = active.cells[active.roots[g]]
-                if a[0] is not REF and not ups[a[1]] & ups[c[1]]:
-                    return None
-                continue
-            first = g not in mapped
-            if first:
-                mapped[g] = to
-            elif mapped[g] == to and to is not c:
-                continue
-            else:
-                # a second specific node, or a virtual one: its type is
-                # checked, but the walk goes below each general node once
-                subsumes = False
-            tag, t = gcells[g]
-            u = ups[c[1]]
-            common = ups[t] & u
-            if not common:
-                return None
-            if common != u:
-                subsumes = False
-            if first and tag is STR and features[t]:
-                stack.append((g, to, c, t))
-    return subsumes and mapped
-
-
-def _arcs(gcells, g, t, scells, s, c, h):
-    """The arcs of the general node at *g*, of type t, from the last, each
-    next to the arc for the same feature of the specific node *c* at *s*,
-    or to (None, a virtual cell) where *c* is a VAR; a feature the
-    specific node's type lacks is left out."""
-    fs = h.type_features[c[1]]
-    arcs = []
-    for arc, f in enumerate(h.type_features[t], g + 1):
-        if f in fs:
-            k = fs.index(f)
-            arcs.append((gcells[arc], scells[s + 1 + k] if c[0] is STR
-                         else (None, (VAR, h.approps[c[1]][k]))))
-    return arcs[::-1]

@@ -23,8 +23,9 @@ Types and features are interned to dense integer ids at validation time,
 bot first and then in declaration order; all per-type and per-pair tables
 are indexed by those ids.  Most methods of TypeHierarchy accept either an
 id or a name; the machine, which only holds ids, indexes the tables
-``plans``, ``arities`` and ``approps`` directly, and the parser's walk
-over two copies indexes ``ups``, ``type_features`` and ``approps``.
+``plans``, ``arities`` and ``approps`` directly, and its walk over two
+copies (``machine.walk``) indexes ``ups``, ``type_features`` and
+``approps``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
-from tfsam import compiler, machine, terms
+import conftest
+import oracle
+from tfsam import compiler, grammar, machine, terms
 from tfsam.compiler import (
     CompileError, EndRule, GetStructure, MoveDot, NextItem, PutArc, PutNode,
     PutVar, StartRule, UnifyValue, UnifyVariable, compile_grammar,
@@ -122,6 +128,56 @@ def test_a_rule_keeps_a_copy_of_each_body_element(example_hierarchy):
     assert shared.elements[1] == machine.RegSnapshot(
         ((VAR, bot),) * 3 + ((STR, a), (REF, 6), (REF, 2), (STR, bot)), (0, 1, 2, 3, 6))
     assert held_root.elements[1] == machine.RegSnapshot(((VAR, bot),) * 3, (0, 1, 2, 0))
+
+
+def _query_code_element_copies(h, rule):
+    """Each body element's copy as query code builds it: a put_var bot per
+    register an active edge holds before the element, then the element's
+    equations as query code, run on a fresh machine and copied with the
+    held registers, the element's root, then the registers it sets."""
+    eqs = flatten(rule)
+    bounds = [0] + eqs.boundaries
+    seen = set()
+    copies = []
+    for k, x in enumerate(eqs.roots[:len(rule.roots) - 1]):
+        held = tuple(sorted(seen))
+        frag = terms.EquationSet(eqs.equations[bounds[k]:bounds[k + 1]], [x], [])
+        compile_program(frag, seen)
+        m = machine.MachineState(h)
+        regs = {}
+        m.execute([PutVar("bot", r) for r in held] + compile_query(frag), regs)
+        sets = tuple(sorted(seen.difference(held, [x])))
+        copies.append(m.snapshot_regs(regs, held + (x,) + sets))
+    return copies
+
+
+def _workload_grammar(name):
+    """The text of the benchmark's seed-1 grammar of workload *name*."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return getattr(workloads, name)(1).grammar_text
+
+
+def test_every_element_copy_is_the_one_query_code_builds():
+    # the machine builds each element's copy from its linked program code,
+    # which must give the copy query code with placeholders builds, over
+    # the conftest grammars, the benchmark's parse grammars and 400 random
+    # grammars, the odd seeds under appropriateness loops
+    texts = [conftest.TOY_GRAMMAR, conftest.AMBIGUOUS_GRAMMAR, conftest.CHAIN_GRAMMAR,
+             conftest.SELF_FEEDING_GRAMMAR, conftest.LEXICON_ONLY_GRAMMAR,
+             conftest.AGREEMENT_GRAMMAR, conftest.HPSG_GRAMMAR,
+             _workload_grammar("ParseDeep"), _workload_grammar("ParseAmbig")]
+    texts += [oracle.random_grammar(random.Random(seed), allow_loops=seed % 2 == 1)
+              for seed in range(400)]
+    copies = 0
+    for text in texts:
+        g = grammar.load_grammar(text)
+        for rule, info in zip(g.rules, g.code.rules, strict=True):
+            assert info.elements == _query_code_element_copies(g.hierarchy, rule), text
+            copies += len(info.elements)
+    assert len(texts) == 409 and copies == 1844
 
 
 def test_rule_needs_body_and_head(example_hierarchy):

@@ -768,6 +768,29 @@ def test_restore_regs_takes_one_register_per_root(example_hierarchy):
     assert sorted(regs) == [4, 7] and m.deref(regs[7]) == m.deref(regs[4])
 
 
+def test_an_element_copy_is_built_in_write_mode(example_hierarchy):
+    # program code on an unbound root builds the node it would match; a
+    # held register is a VAR bot placeholder, and the copy's roots are the
+    # held registers, the root, then the registers the code sets
+    h = example_hierarchy
+    code = [GetStructure("a", 2, 4), UnifyValue(2), UnifyVariable(5), GetStructure("d", 0, 5)]
+    copy = fresh(h).element_copy(code, (1, 2), 4)
+    bot, a, d = h.tid("bot"), h.tid("a"), h.tid("d")
+    assert copy == machine.RegSnapshot(
+        ((VAR, bot), (VAR, bot), (STR, a), (REF, 1), (REF, 5), (STR, d)), (0, 1, 2, 5))
+    # a root an earlier element set is its placeholder, and nothing runs
+    assert fresh(h).element_copy([], (1, 2), 2) == machine.RegSnapshot(
+        ((VAR, bot), (VAR, bot)), (0, 1, 1))
+
+
+def test_an_element_copy_with_an_unbound_cell_is_refused(example_hierarchy):
+    # write mode leaves an argument no get_structure gives structure
+    # unbound, a REF to itself, whose offset the walk would read as a type
+    code = [GetStructure("a", 2, 1), UnifyVariable(2), UnifyVariable(3)]
+    with pytest.raises(MachineError, match="leaves a cell of its copy unbound"):
+        fresh(example_hierarchy).element_copy(code, (), 1)
+
+
 def test_reading_a_restored_copy_writes_nothing(example_hierarchy):
     # the parser reads a complete edge's head off its restored copy inside
     # an undo mark: the copy's arcs point straight at their targets, so

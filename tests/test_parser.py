@@ -169,17 +169,42 @@ def test_a_parse_runs_only_rule_code(toy_grammar, monkeypatch):
     assert ran and all(id(c) in rule_code for c in ran)
 
 
-def test_shared_body_root_must_unify_with_both_elements():
+def test_shared_body_root_must_unify_with_both_elements(monkeypatch):
+    # the second element's root is the placeholder of the register the
+    # first set, so the walk checks the daughter against the active
+    # copy's node there: e(d,d) has no upper bound in common with a and is
+    # refused before the machine runs, and a(d2,d) goes on to the machine
     g = grammar.load_grammar(EXAMPLE_SPEC + """
         rule #1 a(bot,d), #1 => a(d2,d).
         start => bot.
     """)
     h = g.hierarchy
+    log = []
+    combine = ChartParser._combine
+    restore = machine.MachineState.restore_regs
+
+    def logged(p, m, active, complete):
+        log.append((active.dot, terms.print_term(complete.head)))
+        new = combine(p, m, active, complete)
+        log.append("refused" if new is None else "made")
+        return new
+
+    def restored(m, snap, live):
+        log.append("restore_regs")
+        return restore(m, snap, live)
+
+    monkeypatch.setattr(ChartParser, "_combine", logged)
+    monkeypatch.setattr(machine.MachineState, "restore_regs", restored)
     p = ChartParser(g, verify_undo=True)
     same = p.parse_terms([parse_term("a(d2,d)", h), parse_term("a(d2,d)", h)])
     assert same.accepted
+    at = log.index((1, "a(d2,d)"))
+    assert log[at + 1:at + 3] == ["restore_regs", "made"]
+    log.clear()
     clash = p.parse_terms([parse_term("a(d2,d)", h), parse_term("e(d,d)", h)])
     assert not clash.accepted
+    at = log.index((1, "e(d,d)"))
+    assert log[at + 1] == "refused" and "restore_regs" not in log
 
 
 def test_unknown_word_is_reported_with_position(toy_grammar):
@@ -378,7 +403,7 @@ def test_hand_built_edges_combine_like_parsed_ones(toy_grammar):
     chart = p.parse(["w1", "w2"]).chart
     assert mid.key in {e.key for e in chart.cell(0, 1)}
     assert done.key in {e.key for e in chart.cell(0, 2)}
-    assert parser._walk(toy_grammar.code.start, done_copy, h)
+    assert machine.walk(toy_grammar.code.start, done_copy, h)
     assert m.heap == [] and m.trail == []
 
 
@@ -724,7 +749,7 @@ def test_the_walks_refusals_change_no_parse(monkeypatch, name, sentence):
     # loads its grammar afresh, so it runs the combines of the word cells
     # too rather than replaying them
     refused = []
-    walk = parser._walk
+    walk = machine.walk
 
     def check(*args):
         mapped = walk(*args)
@@ -739,9 +764,9 @@ def test_the_walks_refusals_change_no_parse(monkeypatch, name, sentence):
         g = grammar.load_grammar(GRAMMAR_TEXTS[name.removesuffix("_grammar")])
         return _outcome(ChartParser(g, verify_undo=True).parse(sentence.split()))
 
-    monkeypatch.setattr(parser, "_walk", check)
+    monkeypatch.setattr(machine, "walk", check)
     checked = outcome()
-    monkeypatch.setattr(parser, "_walk", never_refuses)
+    monkeypatch.setattr(machine, "walk", never_refuses)
     assert outcome() == checked
     if name == "hpsg_grammar" and sentence != "kim sleeps":
         assert any(refused) and not all(refused)
@@ -757,14 +782,14 @@ def test_a_refused_combine_never_reaches_the_machine(monkeypatch):
     # spans the sentence, so the start filter walks nothing
     g = grammar.load_grammar(AGREEMENT_GRAMMAR)
     log = []
-    walk = parser._walk
+    walk = machine.walk
 
     def check(*args):
         mapped = walk(*args)
         log.append("refused" if mapped is None else "passed")
         return mapped
 
-    monkeypatch.setattr(parser, "_walk", check)
+    monkeypatch.setattr(machine, "walk", check)
     for name in ("restore_regs", "execute"):
         def run(m, *args, name=name, f=getattr(machine.MachineState, name)):
             log.append(name)
@@ -814,7 +839,7 @@ def test_the_walk_refuses_only_failing_unifications():
             m = machine.MachineState(h)
             snap = m.snapshot_regs({1: m.build_term(a)}, [1])
             fail = oracle.unify_terms(h, a, b) is None
-            if parser._walk(element, snap, h) is None:
+            if machine.walk(element, snap, h) is None:
                 assert fail, (terms.print_term(a), terms.print_term(b))
                 refused += 1
             fails += fail
@@ -856,14 +881,14 @@ def test_a_held_register_refuses_only_failing_unifications():
                 a1 = oracle.random_term(rng, h, 6)
                 daughter = _complete("a1", terms.print_term(a1), h).snapshot
                 counts["compared"] += 1
-                if parser._walk(info.elements[1], daughter, h, active) is not None:
+                if machine.walk(info.elements[1], daughter, h, active) is not None:
                     continue
                 unified = oracle.unify_scopes(h, [roots[:2], [a0], [a1]], [(0, 2), (1, 3)], 0)
                 assert unified is None, (terms.print_mrs(rule), terms.print_term(a0),
                                       terms.print_term(a1))
                 counts["refused"] += 1
                 counts["refused by a held register"] += (
-                    parser._walk(info.elements[1], daughter, h, unbound) is not None)
+                    machine.walk(info.elements[1], daughter, h, unbound) is not None)
     assert counts["compared"] >= 1200, counts
     assert counts["refused"] >= 500 and counts["refused by a held register"] >= 400, counts
 
@@ -919,7 +944,7 @@ def test_start_filter_cases(spec, start, head, expected):
     h = typesys.load_hierarchy(FILTER_SPECS[spec])
     general = _complete("start", start, h).snapshot
     specific = _complete("head", head, h).snapshot
-    assert bool(parser._walk(general, specific, h)) is expected
+    assert bool(machine.walk(general, specific, h)) is expected
     assert oracle.subsumes_terms(h, parse_term(start, h), parse_term(head, h)) is expected
 
 
@@ -942,7 +967,7 @@ def test_subsumption_walk_agrees_with_the_references_on_random_pairs():
             u = (m.extract(pa), m.snapshot_regs({0: pa}, [0]))
             cases += [(copies[0], u), (copies[1], u)]
         for (g, g_copy), (s, s_copy) in cases:
-            walk = bool(parser._walk(g_copy, s_copy, h))
+            walk = bool(machine.walk(g_copy, s_copy, h))
             case = (seed, terms.print_term(g), terms.print_term(s))
             assert walk == oracle.subsumes_terms(h, g, s), case
             if not loops:
@@ -969,7 +994,7 @@ def _compare_with_the_old_start_filter(g, words, counts):
     m = machine.MachineState(g.hierarchy)
     for general in copies:
         for specific in copies:
-            walk = bool(parser._walk(general, specific, g.hierarchy))
+            walk = bool(machine.walk(general, specific, g.hierarchy))
             assert walk == oracle.start_compatible(m, general, specific), words
             counts[0] += 1
             counts[1] += walk
@@ -1004,12 +1029,12 @@ _COMBINE = ChartParser._combine
 
 def _machine_combine(p, m, active, complete):
     """The combine as the machine runs it, with the walk left out."""
-    walk = parser._walk
-    parser._walk = lambda *args: False
+    walk = machine.walk
+    machine.walk = lambda *args: False
     try:
         return _COMBINE(p, m, active, complete)
     finally:
-        parser._walk = walk
+        machine.walk = walk
 
 
 def _dot0_path(info, complete, new, h):
@@ -1018,7 +1043,7 @@ def _dot0_path(info, complete, new, h):
     cells), "below a VAR" (the element subsumes the daughter, but a
     register maps below a daughter VAR, which the machine expands),
     "refused", or "machine"."""
-    mapped = parser._walk(info.elements[0], complete.snapshot, h)
+    mapped = machine.walk(info.elements[0], complete.snapshot, h)
     if mapped is None:
         return "refused"
     if not mapped:
