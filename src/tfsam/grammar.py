@@ -27,7 +27,10 @@ pays for no cell.
 A file is tokenized once and read by one cursor in two passes: the first
 parses the type clauses in place and validates the hierarchy, and the
 second goes back to each rule, lexicon and start clause, whose terms need
-the hierarchy's types.
+the hierarchy's types.  The first pass keeps the token index of each
+other clause and skips to the period that ends it, comparing token texts
+only; a line and column are computed for a type statement's subject and
+for an error, and for nothing else.
 """
 
 from __future__ import annotations
@@ -57,30 +60,29 @@ def load_grammar(text) -> Grammar:
     rules = []
     lexicon = {}
     start = None
-    for i in grammar_clauses:
-        cur.i = i
+    for at in grammar_clauses:
+        cur.i = at
         keyword = cur.next()
-        if keyword.text == "rule":
+        if keyword == "rule":
             mrs = terms.parse_mrs_tokens(cur, hierarchy, stop=(".",))
             cur.expect(".")
             if not mrs.is_rule:
-                raise GrammarError("a rule needs '=>' before its head",
-                                   keyword.line, keyword.col)
-            _require_well_typed(hierarchy, mrs, f"rule {len(rules)}", keyword)
+                cur.fail("a rule needs '=>' before its head", at)
+            _require_well_typed(cur, hierarchy, mrs, f"rule {len(rules)}", at)
             rules.append(mrs)
-        elif keyword.text == "lex":
-            word = cur.expect_name("a word").text
+        elif keyword == "lex":
+            word = cur.expect_name("a word")
             cur.expect("=>")
             term = terms.parse_term_tokens(cur, hierarchy)
             cur.expect(".")
-            _require_well_typed(hierarchy, term, f"lexical entry for {word!r}", keyword)
+            _require_well_typed(cur, hierarchy, term, f"lexical entry for {word!r}", at)
             lexicon.setdefault(word, []).append(term)
         else:
             cur.expect("=>")
             term = terms.parse_term_tokens(cur, hierarchy)
             cur.expect(".")
             if start is not None:
-                raise GrammarError("more than one start clause", keyword.line, keyword.col)
+                cur.fail("more than one start clause", at)
             start = term
     if start is None:
         raise GrammarError("grammar has no start clause")
@@ -104,23 +106,22 @@ def _read_types(text):
     """The first pass over a grammar file.  Returns a cursor over its
     tokens, the hierarchy of its type clauses and the token index of each
     other clause, in file order."""
-    tokens = scan.tokenize(text, error=GrammarError)
+    cur = scan.Cursor(scan.tokenize(text, error=GrammarError), error=GrammarError)
+    texts = cur.texts
     # every clause ends with a period: anything after the last one is an
     # unended clause, reported before any other error
-    k = len(tokens) - 1
-    while k > 0 and tokens[k - 1].text != ".":
+    k = len(texts) - 1
+    while k > 0 and texts[k - 1] != ".":
         k -= 1
-    if tokens[k].kind != scan.END:
-        raise GrammarError("clause not ended with '.'", tokens[k].line, tokens[k].col)
+    if k != len(texts) - 1:
+        cur.fail("clause not ended with '.'", k)
 
-    cur = scan.Cursor(tokens, error=GrammarError)
     statements = []
     grammar_clauses = []
     while not cur.at_end():
-        if cur.peek().text in _KEYWORDS and tokens[cur.i + 1].text != "sub":
+        if cur.peek() in _KEYWORDS and texts[cur.i + 1] != "sub":
             grammar_clauses.append(cur.i)
-            while cur.next().text != ".":
-                pass
+            cur.i = texts.index(".", cur.i) + 1
         else:
             statements.append(typesys.parse_statement(cur))
     try:
@@ -130,9 +131,9 @@ def _read_types(text):
     return cur, hierarchy, grammar_clauses
 
 
-def _require_well_typed(hierarchy, t, what, tok):
+def _require_well_typed(cur, hierarchy, t, what, at):
+    """Raise at token *at* unless *t* is totally well-typed."""
     violations = terms.well_typed_check(hierarchy, t)
     if violations:
         detail = "; ".join(str(v) for v in violations)
-        raise GrammarError(f"{what} is not totally well-typed: {detail}",
-                           tok.line, tok.col)
+        cur.fail(f"{what} is not totally well-typed: {detail}", at)

@@ -2,15 +2,27 @@
 
 The surface syntax is small: names (types, features, words, tag names),
 a handful of punctuation marks, the arrow ``=>`` and ``%`` comments that
-run to end of line.  One pattern reads all of it: its alternatives are a
-newline, blanks and comments (skipped), a name, a punctuation mark, and
-any other character, which is an error.  Every token carries its source
-position so errors can point at the offending character.
+run to end of line.  One pattern reads all of it in one ``findall``
+pass: each match is a gap of blanks and comments, then a name, a
+punctuation mark or the end of the text, or else any other character,
+which is an error.
+
+A text's tokens are kept as two lists, their texts and the offsets where
+they end (``Tokens``); no object is made per token.  The readers and
+``Cursor`` compare texts, and a reader keeps a token's index where it may
+need its position later.  A line and column are computed from the
+offset, by bisecting the offsets where the text's lines start, only when
+an error, a type statement or a caller asks for them.  Indexing or
+iterating ``Tokens`` still gives a ``Token(kind, text, line, col)``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -29,8 +41,14 @@ NAME = "name"
 PUNCT = "punct"
 END = "end"
 
-_TOKEN_RE = re.compile(r"(?P<newline>\n)|[ \t\r]+|%[^\n]*"
-                       r"|(?P<name>\w+)|(?P<punct>=>|[\[\](),:.#~])|(?P<bad>.)")
+PUNCTUATION = frozenset(("=>", "[", "]", "(", ")", ",", ":", ".", "#", "~"))
+
+# One match per token: a gap of blanks and comments, then the token's
+# text (group 2), which is empty at the end of the text, or else a look
+# at a character no token takes (group 3), so that the match ends where
+# that character starts.  Group 1 is the whole match: the lengths of
+# the matches add up to the offsets where tokens end.
+_TOKEN_RE = re.compile(r"((?:[ \t\r\n]+|%[^\n]*)*(?:(=>|\w+|[\[\](),:.#~]|\Z)|(?=(.))))")
 
 
 class Token(NamedTuple):
@@ -40,64 +58,95 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text, error=SourceError):
-    """Return the list of tokens in *text*, ending with a synthetic END token."""
-    tokens = []
-    line = 1
-    line_start = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == NAME or kind == PUNCT:
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise error(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
-    tokens.append(Token(END, "", line, len(text) - line_start + 1))
+class Tokens(Sequence):
+    """The tokens of *source*, ending with a synthetic END token whose
+    text, and only its text, is empty."""
+
+    def __init__(self, source, found):
+        self.source = source
+        self.texts = list(map(itemgetter(1), found))
+        self._ends = list(accumulate(map(len, map(itemgetter(0), found))))
+        self._line_starts = None
+
+    def __len__(self):
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        text = self.texts[i]
+        if i < 0:
+            i += len(self.texts)
+        kind = END if i == len(self.texts) - 1 else PUNCT if text in PUNCTUATION else NAME
+        return Token(kind, text, *self.position(i))
+
+    def position(self, i):
+        """The line and column of token *i*, both counted from 1."""
+        start = self._ends[i] - len(self.texts[i])
+        if self._line_starts is None:
+            lengths = (len(line) + 1 for line in self.source.split("\n"))
+            self._line_starts = list(accumulate(lengths, initial=0))
+        line = bisect_right(self._line_starts, start)
+        return line, start - self._line_starts[line - 1] + 1
+
+
+def tokenize(text, error=SourceError) -> Tokens:
+    """The tokens of *text*, ending with a synthetic END token."""
+    found = _TOKEN_RE.findall(text)
+    if len(found) > 1 and found[-2][1:] == ("", ""):
+        del found[-1]       # a text that ends in a gap matches its end twice
+    tokens = Tokens(text, found)
+    # a character no token takes leaves the empty text before END
+    bad = tokens.texts.index("")
+    if bad < len(found) - 1:
+        raise error(f"unexpected character {found[bad][2]!r}", *tokens.position(bad))
     return tokens
 
 
 class Cursor:
-    """A peekable pointer into a token list."""
+    """A pointer into a text's tokens that reads their texts.  ``i`` is the
+    index of the next token, and ``position(i)`` the line and column of
+    token *i*."""
 
     def __init__(self, tokens, error=SourceError):
-        self.tokens = tokens
+        self.texts = tokens.texts
+        self.position = tokens.position
         self.i = 0
         self.error = error
 
     def peek(self):
-        return self.tokens[self.i]
+        return self.texts[self.i]
 
     def next(self):
-        tok = self.tokens[self.i]
-        if tok.kind != END:
+        text = self.texts[self.i]
+        if text:
             self.i += 1
-        return tok
+        return text
 
     def at(self, text):
-        return self.tokens[self.i].text == text
+        return self.texts[self.i] == text
 
     def at_name(self):
-        return self.tokens[self.i].kind == NAME
+        text = self.texts[self.i]
+        return text != "" and text not in PUNCTUATION
 
     def at_end(self):
-        return self.tokens[self.i].kind == END
+        return self.texts[self.i] == ""
 
     def expect(self, text, what=None):
-        tok = self.next()
-        if tok.text != text:
-            found = "end of input" if tok.kind == END else repr(tok.text)
-            raise self.error(f"expected {what or repr(text)}, found {found}", tok.line, tok.col)
-        return tok
+        if self.texts[self.i] != text:
+            self.fail(f"expected {what or repr(text)}, found {self._found()}")
+        self.i += 1
 
     def expect_name(self, what="a name"):
-        tok = self.next()
-        if tok.kind != NAME:
-            found = "end of input" if tok.kind == END else repr(tok.text)
-            raise self.error(f"expected {what}, found {found}", tok.line, tok.col)
-        return tok
+        name = self.texts[self.i]
+        if name == "" or name in PUNCTUATION:
+            self.fail(f"expected {what}, found {self._found()}")
+        self.i += 1
+        return name
 
-    def fail(self, message):
-        tok = self.peek()
-        raise self.error(message, tok.line, tok.col)
+    def fail(self, message, i=None):
+        """Raise the cursor's error at token *i*, by default the next one."""
+        raise self.error(message, *self.position(self.i if i is None else i))
+
+    def _found(self):
+        text = self.texts[self.i]
+        return repr(text) if text else "end of input"

@@ -131,7 +131,7 @@ def parse_mrs_tokens(cur, hierarchy, stop=()) -> MRS:
         else:
             break
     # after a head, the caller says what may follow
-    if not (is_rule or cur.at_end() or cur.peek().text in stop):
+    if not (is_rule or cur.at_end() or cur.peek() in stop):
         cur.fail("expected ',' or '=>' between roots")
     p.finish()
     return MRS(roots, is_rule)
@@ -142,26 +142,26 @@ class _TermParser:
         self.cur = cur
         self.h = hierarchy
         self.defined = {}    # tag -> Node or MostGeneral
-        self.used = {}       # tag -> first bare occurrence token
+        self.used = {}       # tag -> token index of its first bare occurrence's '#'
 
     def term(self):
         """Read one term.  The nodes whose argument lists are still open
         wait on an explicit stack, so a term of any depth can be read."""
         cur = self.cur
-        stack = []      # (type name token, tag or None, arguments so far)
+        stack = []      # (type name's token index, tag or None, arguments so far)
         while True:
             value = self._begin(stack)
             if value is None:
                 continue        # a node's '(' was read: its first argument follows
             while stack:
-                name, tag, args = stack[-1]
+                at, tag, args = stack[-1]
                 args.append(value)
                 if cur.at(","):
                     cur.next()
                     break
                 cur.expect(")")
                 stack.pop()
-                value = self._node(name, args, tag)
+                value = self._node(at, args, tag)
             else:
                 return value
 
@@ -171,37 +171,36 @@ class _TermParser:
         cur = self.cur
         tag = None
         if cur.at("#"):
-            hash_tok = cur.next()
-            tag = cur.expect_name("a tag name").text
+            at = cur.i
+            cur.next()
+            tag = cur.expect_name("a tag name")
             if not (cur.at_name() or cur.at("~")):
-                self.used.setdefault(tag, hash_tok)
+                self.used.setdefault(tag, at)
                 return BackRef(tag)
             if tag in self.defined:
-                raise TermError(f"tag #{tag} defined twice", hash_tok.line, hash_tok.col)
+                raise TermError(f"tag #{tag} defined twice", *cur.position(at))
             if tag in self.used:
-                tok = self.used[tag]
-                raise TermError(f"tag #{tag} used before its definition", tok.line, tok.col)
+                raise TermError(f"tag #{tag} used before its definition",
+                                *cur.position(self.used[tag]))
         if cur.at("~"):
             cur.next()
-            name = cur.expect_name("a type name")
-            self._check_type(name)
-            return self._define(MostGeneral(name.text), tag)
-        name = cur.expect_name("a type name")
-        self._check_type(name)
+            return self._define(MostGeneral(self._type_name()), tag)
+        at = cur.i
+        name = self._type_name()
         if cur.at("("):
             cur.next()
-            stack.append((name, tag, []))
+            stack.append((at, tag, []))
             return None
-        return self._node(name, [], tag)
+        return self._node(at, [], tag)
 
-    def _node(self, name, args, tag):
-        """The node of type token *name*, once its arguments are read."""
-        want = self.h.arity(name.text)
+    def _node(self, at, args, tag):
+        """The node whose type name is token *at*, once its arguments are read."""
+        name = self.cur.texts[at]
+        want = self.h.arity(name)
         if len(args) != want:
-            raise TermError(
-                f"type {name.text!r} takes {want} argument(s), got {len(args)}",
-                name.line, name.col)
-        return self._define(Node(name.text, args), tag)
+            raise TermError(f"type {name!r} takes {want} argument(s), got {len(args)}",
+                            *self.cur.position(at))
+        return self._define(Node(name, args), tag)
 
     def _define(self, node, tag):
         # a tag is defined once its node is read, so a reference to it
@@ -211,14 +210,19 @@ class _TermParser:
             self.defined[tag] = node
         return node
 
-    def _check_type(self, tok):
-        if tok.text not in self.h.ids:
-            raise TermError(f"unknown type {tok.text!r}", tok.line, tok.col)
+    def _type_name(self):
+        """Read a type name the hierarchy knows."""
+        cur = self.cur
+        at = cur.i
+        name = cur.expect_name("a type name")
+        if name not in self.h.ids:
+            raise TermError(f"unknown type {name!r}", *cur.position(at))
+        return name
 
     def finish(self):
-        for tag, tok in self.used.items():
+        for tag, at in self.used.items():
             if tag not in self.defined:
-                raise TermError(f"tag #{tag} is never defined", tok.line, tok.col)
+                raise TermError(f"tag #{tag} is never defined", *self.cur.position(at))
 
 
 # -- printing --------------------------------------------------------------

@@ -106,15 +106,16 @@ def parse_type_spec(text) -> TypeSpec:
 
 
 def parse_statement(cur) -> TypeStatement:
-    subject = cur.expect_name("a type name")
+    subject = cur.i
+    name = cur.expect_name("a type name")
     cur.expect("sub")
-    subtypes = _bracketed(cur, lambda c: c.expect_name("a subtype name").text)
+    subtypes = _bracketed(cur, lambda c: c.expect_name("a subtype name"))
     intro = ()
     if cur.at("intro"):
         cur.next()
         intro = _bracketed(cur, _feature_pair)
     cur.expect(".")
-    return TypeStatement(subject.text, subtypes, intro, subject.line, subject.col)
+    return TypeStatement(name, subtypes, intro, *cur.position(subject))
 
 
 def _bracketed(cur, item):
@@ -134,8 +135,7 @@ def _bracketed(cur, item):
 def _feature_pair(cur):
     f = cur.expect_name("a feature name")
     cur.expect(":")
-    v = cur.expect_name("a value type")
-    return (f.text, v.text)
+    return (f, cur.expect_name("a value type"))
 
 
 class _PlanRow(dict):
@@ -144,7 +144,6 @@ class _PlanRow(dict):
     __slots__ = ("h", "left")
 
     def __init__(self, h, left):
-        super().__init__()
         self.h = h
         self.left = left
 
@@ -236,39 +235,38 @@ class TypeHierarchy:
     # -- construction ----------------------------------------------------
 
     def _build(self, spec):
-        seen = set()
-        for st in spec.statements:
-            if st.name in seen:
-                raise SpecError(f"duplicate characterization of type {st.name!r}",
-                                st.line, st.col)
-            seen.add(st.name)
-        names = [BOT] + [st.name for st in spec.statements if st.name != BOT]
-        ids = {n: i for i, n in enumerate(names)}
+        statements = spec.statements
+        declared_names = [st.name for st in statements]
+        if len(set(declared_names)) < len(declared_names):
+            seen = set()
+            for st in statements:
+                if st.name in seen:
+                    raise SpecError(f"duplicate characterization of type {st.name!r}",
+                                    st.line, st.col)
+                seen.add(st.name)
+        names = [BOT] + [name for name in declared_names if name != BOT]
+        ids = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        self.names = names
+        self.ids = ids
+        self.bot = bot = ids[BOT]
 
-        for st in spec.statements:
+        children = [[] for _ in range(n)]
+        parents = [set() for _ in range(n)]
+        for st in statements:
+            t = ids[st.name]
             for s in st.subtypes:
-                if s == BOT:
-                    raise SpecError(f"{BOT!r} may not be declared a subtype of {st.name!r}",
-                                    st.line, st.col)
-                if s not in ids:
-                    raise SpecError(f"unknown type {s!r} in subtypes of {st.name!r}",
-                                    st.line, st.col)
+                c = ids.get(s)
+                if not c:       # bot, whose id is 0, or unknown
+                    message = (f"{BOT!r} may not be declared a subtype of {st.name!r}"
+                               if s == BOT else f"unknown type {s!r} in subtypes of {st.name!r}")
+                    raise SpecError(message, st.line, st.col)
+                children[t].append(c)
+                parents[c].add(t)
             for f, v in st.intro:
                 if v not in ids:
                     raise SpecError(f"unknown value type {v!r} for feature {f!r} of {st.name!r}",
                                     st.line, st.col)
-
-        n = len(names)
-        self.names = names
-        self.ids = ids
-        self.bot = ids[BOT]
-
-        children = [[] for _ in range(n)]
-        parents = [set() for _ in range(n)]
-        for st in spec.statements:
-            for s in st.subtypes:
-                children[ids[st.name]].append(ids[s])
-                parents[ids[s]].add(ids[st.name])
 
         # reflexive transitive closure as bit masks over ranks: ups[t] holds
         # every type at least as specific as t, downs[t] every type at least
@@ -296,8 +294,8 @@ class TypeHierarchy:
         def subsumes(a, b):
             return ups[a] >> rank[b] & 1
 
-        missing = [names[t] for t in range(n) if not subsumes(self.bot, t)]
-        if missing:
+        if ups[bot] != (1 << n) - 1:
+            missing = [names[t] for t in range(n) if not subsumes(bot, t)]
             raise SpecError(f"type(s) not subsumed by {BOT!r}: {', '.join(sorted(missing))}")
 
         # bounded completeness: every consistent pair has a unique least upper
@@ -312,8 +310,10 @@ class TypeHierarchy:
             if len(parents[j]) > 1:
                 for r in _bits(downs[j]):
                     meets[order[r]] |= downs[j]
-        for a in range(n):
-            partners = meets[a] & ~ups[a] & ~downs[a]
+        for a, meet in enumerate(meets):
+            partners = meet & ~ups[a] & ~downs[a]
+            if not partners:
+                continue
             for b in sorted(order[r] for r in _bits(partners) if order[r] > a):
                 common = ups[a] & ups[b]
                 if ups[self.lub(a, b)] != common:
@@ -326,7 +326,7 @@ class TypeHierarchy:
 
         # feature introduction: collect declaring types per feature
         declared = {}   # feature -> list of (type id, value id, line, col)
-        for st in spec.statements:
+        for st in statements:
             seen_here = set()
             for f, v in st.intro:
                 if f in seen_here:
@@ -335,8 +335,12 @@ class TypeHierarchy:
                 seen_here.add(f)
                 declared.setdefault(f, []).append((ids[st.name], ids[v], st.line, st.col))
 
+        # a feature declared once is introduced there, with nothing to check
         introducer = {}
         for f, decls in declared.items():
+            if len(decls) == 1:
+                introducer[f] = decls[0][0]
+                continue
             tids = [t for t, _, _, _ in decls]
             least = [t for t in tids if all(subsumes(t, o) for o in tids)]
             if not least:
@@ -366,7 +370,11 @@ class TypeHierarchy:
             # every declaring type lies below the introducer, itself one
             vals = []
             for f in fs:
-                inherited = [v for d, v, _, _ in declared[f] if subsumes(d, t)]
+                decls = declared[f]
+                if len(decls) == 1:
+                    vals.append(decls[0][1])
+                    continue
+                inherited = [v for d, v, _, _ in decls if subsumes(d, t)]
                 v = inherited[0]
                 for w in inherited[1:]:
                     v2 = self.lub(v, w)

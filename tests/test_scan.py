@@ -1,10 +1,12 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 import conftest
 import oracle
-from tfsam import scan
+from tfsam import grammar, scan, terms, typesys
 from test_cli import GRAMMARS
 
 NAMES = ["bot", "a", "d2", "_", "x_1", "42", "é", "straße", "Ωmega", "日本", "٣"]
@@ -54,3 +56,81 @@ def test_token_is_a_named_four_tuple():
     tok = scan.tokenize("\r\n\tab")[0]
     assert tok == (scan.NAME, "ab", 2, 2) == scan.Token(scan.NAME, "ab", 2, 2)
     assert (tok.kind, tok.text, tok.line, tok.col) == tuple(tok)
+
+
+# gaps put between the tokens of a type spec: blanks, blank lines, CRLF
+# and comments, each able to separate two names
+SPACERS = [" ", "\t", "\r\n", "\n\n", "\r\n\r\n  ", " % a comment, $ and all\r\n",
+           "\n% a whole line\n\t", "%\n"]
+
+
+def spaced_hierarchy_texts(seed, n):
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(n):
+        _, text = oracle.random_hierarchy(rng, allow_loops=True)
+        tokens = oracle.tokenize(text)[:-1]
+        texts.append("".join(rng.choice(SPACERS) + tok[1] for tok in tokens)
+                     + rng.choice(["", *SPACERS]))
+    return texts
+
+
+def test_statement_positions_are_those_of_their_subject_tokens():
+    # positions are computed from offsets on demand; the reference counts
+    # lines and columns as it reads
+    for text in spaced_hierarchy_texts(29, 200):
+        tokens = oracle.tokenize(text)
+        assert read(scan.tokenize, text) == tokens
+        subjects = [tokens[0]] + [tokens[i + 1] for i, tok in enumerate(tokens[:-2])
+                                  if tok[1] == "."]
+        statements = typesys.parse_type_spec(text).statements
+        assert [(st.name, st.line, st.col) for st in statements] == \
+            [(name, line, col) for _, name, line, col in subjects]
+        assert max(st.line for st in statements) > len(statements)
+
+
+def test_the_end_token_and_errors_far_into_a_crlf_text():
+    text = "".join(f"t{i} sub [].\r\n" for i in range(2000)) + "% a late comment\r\n  t7 sub []."
+    tokens = scan.tokenize(text)
+    assert tokens[-1] == (scan.END, "", 2002, 13) == tuple(oracle.tokenize(text)[-1])
+    with pytest.raises(typesys.SpecError) as e:
+        typesys.load_hierarchy(text)
+    assert (e.value.line, e.value.col) == (2002, 3)
+
+
+READERS = {
+    "load_hierarchy": lambda h: typesys.load_hierarchy(conftest.EXAMPLE_SPEC),
+    "load_hierarchy_only": lambda h: grammar.load_hierarchy_only(conftest.TOY_GRAMMAR),
+    "load_grammar": lambda h: grammar.load_grammar(conftest.TOY_GRAMMAR),
+    "parse_type_spec": lambda h: typesys.parse_type_spec(conftest.EXAMPLE_SPEC),
+    "parse_term": lambda h: terms.parse_term("a(#1 d1,#1)", h),
+    "parse_mrs": lambda h: terms.parse_mrs("a(bot,#3 d), d => a(d2,#3)", h),
+}
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS)
+def test_each_reader_tokenizes_once_through_the_module_attribute(monkeypatch, reader,
+                                                                 example_hierarchy):
+    # the benchmark's tracer times reading by wrapping scan.tokenize
+    calls = []
+    tokenize = scan.tokenize
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return tokenize(text, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "tokenize", counted)
+    reader(example_hierarchy)
+    assert len(calls) == 1
+
+
+def test_the_benchmark_tracer_times_tokenize():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tr = tracing.Tracer()
+    with tr:
+        grammar.load_grammar(conftest.TOY_GRAMMAR)
+    calls, _, inclusive = tr.summarize()
+    assert calls["scan.tokenize"] == 1 and inclusive["scan.tokenize"] > 0
