@@ -24,13 +24,18 @@ under the rules, is kept with the grammar too (``CodeArea.word_cells``),
 but lazily: the first parse of the word makes it, so loading a grammar
 pays for no cell.
 
-A file is tokenized once and read by one cursor in two passes: the first
-parses the type clauses in place and validates the hierarchy, and the
-second goes back to each rule, lexicon and start clause, whose terms need
-the hierarchy's types.  The first pass keeps the token index of each
-other clause and skips to the period that ends it, comparing token texts
-only; a line and column are computed for a type statement's subject and
-for an error, and for nothing else.
+A clause is a type clause exactly when it reads ``name sub [``, so a
+word or a type may be named ``sub``, ``rule``, ``lex``, ``start`` or
+``intro``.
+
+``scan.tokenize`` returns the one cursor over a file, and the cursor
+reads the file in two passes: the first parses the type clauses in place
+and validates the hierarchy, and the second goes back to each rule,
+lexicon and start clause, whose terms need the hierarchy's types.
+The first pass keeps the token index of each other clause and skips to
+the period that ends it, comparing token texts only; a line and column
+are computed for a type statement's subject and for an error, and for
+nothing else.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ def _read_types(text):
     """The first pass over a grammar file.  Returns a cursor over its
     tokens, the hierarchy of its type clauses and the token index of each
     other clause, in file order."""
-    cur = scan.Cursor(scan.tokenize(text, error=GrammarError), error=GrammarError)
+    cur = scan.tokenize(text, error=GrammarError)
     texts = cur.texts
     # every clause ends with a period: anything after the last one is an
     # unended clause, reported before any other error
@@ -119,7 +124,7 @@ def _read_types(text):
     statements = []
     grammar_clauses = []
     while not cur.at_end():
-        if cur.peek() in _KEYWORDS and texts[cur.i + 1] != "sub":
+        if cur.peek() in _KEYWORDS and texts[cur.i + 1:cur.i + 3] != ["sub", "["]:
             grammar_clauses.append(cur.i)
             cur.i = texts.index(".", cur.i) + 1
         else:

@@ -7,23 +7,21 @@ pass: each match is a gap of blanks and comments, then a name, a
 punctuation mark or the end of the text, or else any other character,
 which is an error.
 
-A text's tokens are kept as two lists, their texts and the offsets where
-they end (``Tokens``); no object is made per token.  The readers and
-``Cursor`` compare texts, and a reader keeps a token's index where it may
-need its position later.  A line and column are computed from the
-offset, by bisecting the offsets where the text's lines start, only when
-an error, a type statement or a caller asks for them.  Indexing or
-iterating ``Tokens`` still gives a ``Token(kind, text, line, col)``.
+``tokenize`` returns the one ``Cursor`` over a text.  It keeps the
+tokens as two lists, their texts and the offsets where they end; no
+object is made per token.  The readers compare texts, and a reader keeps
+a token's index where it may need its position later.  A line and
+column are computed from the offset, by bisecting the offsets where the
+text's lines start, only when an error, a type statement or a caller
+asks for them.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import accumulate
 from operator import itemgetter
-from typing import NamedTuple
 
 
 class SourceError(Exception):
@@ -37,10 +35,6 @@ class SourceError(Exception):
         super().__init__(message + where)
 
 
-NAME = "name"
-PUNCT = "punct"
-END = "end"
-
 PUNCTUATION = frozenset(("=>", "[", "]", "(", ")", ",", ":", ".", "#", "~"))
 
 # One match per token: a gap of blanks and comments, then the token's
@@ -51,32 +45,33 @@ PUNCTUATION = frozenset(("=>", "[", "]", "(", ")", ",", ":", ".", "#", "~"))
 _TOKEN_RE = re.compile(r"((?:[ \t\r\n]+|%[^\n]*)*(?:(=>|\w+|[\[\](),:.#~]|\Z)|(?=(.))))")
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+def tokenize(text, error=SourceError) -> Cursor:
+    """A cursor at the first token of *text*; raises *error* at a
+    character no token takes."""
+    found = _TOKEN_RE.findall(text)
+    if len(found) > 1 and found[-2][1:] == ("", ""):
+        del found[-1]       # a text that ends in a gap matches its end twice
+    cur = Cursor(text, found, error)
+    # a character no token takes leaves the empty text before the end
+    bad = cur.texts.index("")
+    if bad < len(found) - 1:
+        cur.fail(f"unexpected character {found[bad][2]!r}", bad)
+    return cur
 
 
-class Tokens(Sequence):
-    """The tokens of *source*, ending with a synthetic END token whose
-    text, and only its text, is empty."""
+class Cursor:
+    """The tokens of a text and a pointer into them.  ``texts`` are the
+    tokens' texts, ending with the empty text of a synthetic end token;
+    ``i`` is the index of the next token, and ``position(i)`` the line and
+    column of token *i*."""
 
-    def __init__(self, source, found):
+    def __init__(self, source, found, error):
         self.source = source
         self.texts = list(map(itemgetter(1), found))
         self._ends = list(accumulate(map(len, map(itemgetter(0), found))))
         self._line_starts = None
-
-    def __len__(self):
-        return len(self.texts)
-
-    def __getitem__(self, i):
-        text = self.texts[i]
-        if i < 0:
-            i += len(self.texts)
-        kind = END if i == len(self.texts) - 1 else PUNCT if text in PUNCTUATION else NAME
-        return Token(kind, text, *self.position(i))
+        self.i = 0
+        self.error = error
 
     def position(self, i):
         """The line and column of token *i*, both counted from 1."""
@@ -86,31 +81,6 @@ class Tokens(Sequence):
             self._line_starts = list(accumulate(lengths, initial=0))
         line = bisect_right(self._line_starts, start)
         return line, start - self._line_starts[line - 1] + 1
-
-
-def tokenize(text, error=SourceError) -> Tokens:
-    """The tokens of *text*, ending with a synthetic END token."""
-    found = _TOKEN_RE.findall(text)
-    if len(found) > 1 and found[-2][1:] == ("", ""):
-        del found[-1]       # a text that ends in a gap matches its end twice
-    tokens = Tokens(text, found)
-    # a character no token takes leaves the empty text before END
-    bad = tokens.texts.index("")
-    if bad < len(found) - 1:
-        raise error(f"unexpected character {found[bad][2]!r}", *tokens.position(bad))
-    return tokens
-
-
-class Cursor:
-    """A pointer into a text's tokens that reads their texts.  ``i`` is the
-    index of the next token, and ``position(i)`` the line and column of
-    token *i*."""
-
-    def __init__(self, tokens, error=SourceError):
-        self.texts = tokens.texts
-        self.position = tokens.position
-        self.i = 0
-        self.error = error
 
     def peek(self):
         return self.texts[self.i]

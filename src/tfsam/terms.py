@@ -86,12 +86,10 @@ class EquationSet:
 # -- parsing ---------------------------------------------------------------
 
 def parse_term(text, hierarchy) -> Term:
-    cur = scan.Cursor(scan.tokenize(text, error=TermError), error=TermError)
-    p = _TermParser(cur, hierarchy)
-    t = p.term()
+    cur = scan.tokenize(text, error=TermError)
+    t = parse_term_tokens(cur, hierarchy)
     if not cur.at_end():
         cur.fail("unexpected input after term")
-    p.finish()
     return t
 
 
@@ -103,7 +101,7 @@ def parse_term_tokens(cur, hierarchy) -> Term:
 
 
 def parse_mrs(text, hierarchy) -> MRS:
-    cur = scan.Cursor(scan.tokenize(text, error=TermError), error=TermError)
+    cur = scan.tokenize(text, error=TermError)
     mrs = parse_mrs_tokens(cur, hierarchy)
     if not cur.at_end():
         cur.fail("unexpected input after structure")

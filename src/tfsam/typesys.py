@@ -97,8 +97,7 @@ class UnifyPlan:
 
 
 def parse_type_spec(text) -> TypeSpec:
-    tokens = scan.tokenize(text, error=SpecError)
-    cur = scan.Cursor(tokens, error=SpecError)
+    cur = scan.tokenize(text, error=SpecError)
     statements = []
     while not cur.at_end():
         statements.append(parse_statement(cur))

@@ -37,6 +37,10 @@ import re
 
 from tfsam import machine, scan, terms, typesys
 
+NAME = "name"
+PUNCT = "punct"
+END = "end"
+
 _TOKEN_RE = re.compile(r"=>|\w+|[\[\](),:.#~]")
 _SKIP_RE = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)+")
 
@@ -63,10 +67,10 @@ def tokenize(text):
         col = pos - line_start + 1
         if not m:
             raise scan.SourceError(f"unexpected character {text[pos]!r}", line, col)
-        kind = scan.NAME if m.group()[0].isalnum() or m.group()[0] == "_" else scan.PUNCT
+        kind = NAME if m.group()[0].isalnum() or m.group()[0] == "_" else PUNCT
         tokens.append((kind, m.group(), line, col))
         pos = m.end()
-    tokens.append((scan.END, "", line, n - line_start + 1))
+    tokens.append((END, "", line, n - line_start + 1))
     return tokens
 
 

@@ -1,9 +1,13 @@
+import re
+from functools import partial
+
 import pytest
 
-from tfsam import grammar, scan, terms, typesys
+from tfsam import grammar, parser, scan, terms, typesys
 from tfsam.grammar import GrammarError, load_grammar, load_hierarchy_only
 
 from conftest import EXAMPLE_SPEC, TOY_GRAMMAR
+from test_cli import PARSE_GRAMMARS, PARSE_SENTENCES
 
 
 def test_load_toy_grammar(toy_grammar):
@@ -110,17 +114,66 @@ def test_hierarchy_errors_surface_as_grammar_errors():
 
 
 def test_type_named_like_keyword_is_allowed():
-    # 'rule sub [...]' is a type clause; only 'rule <term>' is a rule
-    g = load_grammar("""
-    bot sub [rule, lex].
+    # 'rule sub [...]' is a type clause; 'rule <term>' is a rule, also
+    # when its first type is named sub, and 'lex sub =>' is a word's entry
+    text = """
+    bot sub [rule, lex, start, intro, sub, t].
     rule sub [].
     lex sub [].
+    start sub [].
+    intro sub [].
+    sub sub [].
+    t sub [] intro [f: sub].
     rule rule => rule.
+    rule sub => t(sub).
     lex w => lex.
+    lex sub => sub.
     start => bot.
-    """)
-    assert set(g.hierarchy.names) == {"bot", "rule", "lex"}
-    assert len(g.rules) == 1
+    """
+    g = load_grammar(text)
+    names = {"bot", "rule", "lex", "start", "intro", "sub", "t"}
+    assert set(g.hierarchy.names) == set(load_hierarchy_only(text).names) == names
+    assert [terms.print_mrs(r) for r in g.rules] == ["rule => rule", "sub => t(sub)"]
+    assert list(g.lexicon) == ["w", "sub"]
+    heads = parser.ChartParser(g).parse(["sub"]).heads
+    assert sorted(map(terms.print_term, heads)) == ["sub", "t(sub)"]
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_GRAMMARS))
+def test_a_type_and_a_word_renamed_sub_parse_alike(name):
+    # the type named first in the first rule and the sentence's first
+    # word, each renamed sub throughout: the renamed grammar reads
+    # 'rule sub' and 'lex sub =>', and its parse is the original's
+    text, sentence = PARSE_GRAMMARS[name], PARSE_SENTENCES[name]
+    texts = scan.tokenize(text).texts
+    typ, word = texts[texts.index("rule") + 1], sentence.split()[0]
+    ids = load_hierarchy_only(text).ids
+    assert typ in ids and word not in ids and "sub" not in ids
+    rename = partial(re.compile(rf"(?<!\w)(?:{typ}|{word})(?!\w)").sub, "sub")
+
+    def parse(text, sentence):
+        result = parser.ChartParser(load_grammar(text)).parse(sentence.split())
+        return result.items, result.pops, [terms.print_term(h) for h in result.heads]
+
+    items, pops, heads = parse(text, sentence)
+    assert "rule sub" in rename(text) and "lex sub =>" in rename(text)
+    assert parse(rename(text), rename(sentence)) == (items, pops, list(map(rename, heads)))
+
+
+@pytest.mark.parametrize("text,message", [
+    (EXAMPLE_SPEC + "rule zz => d.\nstart => bot.\n",
+     "unknown type 'zz' (line 11, column 6)"),
+    ("start => bot.\r\n% c\r\n  lex w => a(d, #1).\r\n" + EXAMPLE_SPEC,
+     "tag #1 is never defined (line 3, column 17)"),
+    ("lex w => d.\n" + EXAMPLE_SPEC + "start => bot.\nstart => d.\n",
+     "more than one start clause (line 13, column 1)"),
+])
+def test_errors_of_the_second_pass_carry_their_positions(text, message):
+    # the second pass reads each clause from the token index the first
+    # pass kept, and a position is computed from that index
+    with pytest.raises(scan.SourceError) as err:
+        load_grammar(text)
+    assert str(err.value) == message
 
 
 def test_load_hierarchy_only_skips_grammar_clauses():

@@ -16,12 +16,29 @@ GAPS = [" ", "", "\t", "\n", "\r\n", "  \r\n\t", "% a comment, $ and all\n",
 BAD = ["$", "=", "@", "!", "\f", "\v", "\u00a0", "\x00"]
 
 
-def read(tokenize, text):
-    """The tokens of *text* as 4-tuples, or the error's message and position."""
+def read(text):
+    """The text, line and column of each token of *text*, or the error's
+    message and position."""
     try:
-        return [tuple(tok) for tok in tokenize(text)]
+        cur = scan.tokenize(text)
     except scan.SourceError as e:
         return (e.message, e.line, e.col)
+    return [(tok, *cur.position(i)) for i, tok in enumerate(cur.texts)]
+
+
+def read_reference(text):
+    """``read`` by the reference tokenizer, whose kind of each token must
+    follow from its text: END exactly for the last token, and punct
+    exactly for a text in ``scan.PUNCTUATION``."""
+    try:
+        tokens = oracle.tokenize(text)
+    except scan.SourceError as e:
+        return (e.message, e.line, e.col)
+    last = len(tokens) - 1
+    assert [kind for kind, *_ in tokens] == [
+        oracle.END if i == last else oracle.PUNCT if tok in scan.PUNCTUATION else oracle.NAME
+        for i, (_, tok, _, _) in enumerate(tokens)]
+    return [tok[1:] for tok in tokens]
 
 
 def random_text(rng):
@@ -36,26 +53,20 @@ TEXTS = {**GRAMMARS, "example_spec": conftest.EXAMPLE_SPEC, "loop_spec": conftes
 
 @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS)
 def test_tokens_of_the_test_grammars_match_the_reference(text):
-    tokens = read(scan.tokenize, text)
+    tokens = read(text)
     assert isinstance(tokens, list) and len(tokens) > 1
-    assert tokens == read(oracle.tokenize, text)
+    assert tokens == read_reference(text)
 
 
 def test_tokens_and_errors_of_random_texts_match_the_reference():
     rng = random.Random(8)
     texts = [random_text(rng) for _ in range(600)]
-    results = [read(scan.tokenize, t) for t in texts]
-    assert results == [read(oracle.tokenize, t) for t in texts]
+    results = [read(t) for t in texts]
+    assert results == [read_reference(t) for t in texts]
     # both outcomes occur, and errors on lines after the first
     assert sum(isinstance(r, tuple) for r in results) > 100
     assert sum(isinstance(r, list) for r in results) > 100
     assert any(isinstance(r, tuple) and r[1] > 2 for r in results)
-
-
-def test_token_is_a_named_four_tuple():
-    tok = scan.tokenize("\r\n\tab")[0]
-    assert tok == (scan.NAME, "ab", 2, 2) == scan.Token(scan.NAME, "ab", 2, 2)
-    assert (tok.kind, tok.text, tok.line, tok.col) == tuple(tok)
 
 
 # gaps put between the tokens of a type spec: blanks, blank lines, CRLF
@@ -80,7 +91,7 @@ def test_statement_positions_are_those_of_their_subject_tokens():
     # lines and columns as it reads
     for text in spaced_hierarchy_texts(29, 200):
         tokens = oracle.tokenize(text)
-        assert read(scan.tokenize, text) == tokens
+        assert read(text) == read_reference(text)
         subjects = [tokens[0]] + [tokens[i + 1] for i, tok in enumerate(tokens[:-2])
                                   if tok[1] == "."]
         statements = typesys.parse_type_spec(text).statements
@@ -91,8 +102,8 @@ def test_statement_positions_are_those_of_their_subject_tokens():
 
 def test_the_end_token_and_errors_far_into_a_crlf_text():
     text = "".join(f"t{i} sub [].\r\n" for i in range(2000)) + "% a late comment\r\n  t7 sub []."
-    tokens = scan.tokenize(text)
-    assert tokens[-1] == (scan.END, "", 2002, 13) == tuple(oracle.tokenize(text)[-1])
+    tokens = read(text)
+    assert tokens == read_reference(text) and tokens[-1] == ("", 2002, 13)
     with pytest.raises(typesys.SpecError) as e:
         typesys.load_hierarchy(text)
     assert (e.value.line, e.value.col) == (2002, 3)

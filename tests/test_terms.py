@@ -106,6 +106,7 @@ def test_a_deep_term_reports_an_error_where_it_is(loop_hierarchy):
     ("a(d)", "takes 2 argument"),
     ("d(d1)", "takes 0 argument"),
     ("a(d2,d) d", "unexpected input after term"),
+    ("a(#1 d1,#2) d", "tag #2 is never defined"),   # reported first, as by parse_mrs
     ("b(#1 d,#1 e)", "defined twice"),
     ("b(#1,#1 d)", "used before its definition"),
     ("b(#1,d)", "never defined"),
