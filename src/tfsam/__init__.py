@@ -2,7 +2,7 @@
 machine and chart parser."""
 
 from .compiler import (CodeArea, CompileError, compile_grammar, compile_program,
-                       compile_query, compile_rule, disassemble)
+                       compile_query, disassemble)
 from .grammar import Grammar, GrammarError, load_grammar, load_hierarchy_only
 from .machine import MachineError, MachineState, RegSnapshot, UnifyFailure
 from .parser import (ChartParser, LimitExceeded, ParseResult, UnknownWordError)
@@ -21,8 +21,8 @@ __all__ = [
     "MostGeneral", "Node", "ParseResult", "RegSnapshot", "SourceError",
     "SpecError", "TermError", "TypeHierarchy", "UnifyFailure", "UnifyPlan",
     "UnknownWordError", "compile_grammar", "compile_program", "compile_query",
-    "compile_rule", "disassemble", "flatten", "iso", "iso_roots",
-    "load_grammar", "load_hierarchy", "load_hierarchy_only",
-    "most_general_term", "parse_mrs", "parse_term", "parse_type_spec",
-    "print_mrs", "print_term", "validate", "well_typed_check",
+    "disassemble", "flatten", "iso", "iso_roots", "load_grammar",
+    "load_hierarchy", "load_hierarchy_only", "most_general_term",
+    "parse_mrs", "parse_term", "parse_type_spec", "print_mrs", "print_term",
+    "validate", "well_typed_check",
 ]

@@ -136,7 +136,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("input")
     p.add_argument("--chart", action="store_true", help="print the chart afterwards")
-    p.add_argument("--max-items", type=int, default=100_000, help="the chart item limit")
+    p.add_argument("--max-items", type=int, default=parser.MAX_ITEMS, help="the chart item limit")
     p.set_defaults(func=cmd_parse)
 
     return ap

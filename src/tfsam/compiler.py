@@ -15,8 +15,9 @@ pieces are the rule: ``compile_grammar`` links each of them, once, against
 the grammar's hierarchy (``machine.link``: type names become ids and
 arities are checked), and the parser executes those linked pieces as they
 are.  A lexical entry compiles to query code only, which
-``compile_grammar`` runs once: the entry keeps the copy of heap cells it
-builds (``LexEntry.snapshot``), so a parse runs rule code only.  Each
+``compile_grammar`` runs once: a word's lexicon entry holds its seeds,
+one ``(copy, label)`` pair per entry, the copy of the heap cells that
+code builds, so a parse runs rule code only.  Each
 body element is compiled once, to program code, and the rule keeps the
 copy the machine builds from that code once it is linked
 (``MachineState.element_copy``, ``RuleInfo.elements``); the machine's
@@ -129,19 +130,13 @@ class RuleInfo:
 
 
 @dataclass
-class LexEntry:
-    word: str
-    index: int
-    label: str
-    snapshot: object = field(repr=False)    # the entry's copy, a machine.RegSnapshot
-
-
-@dataclass
 class CodeArea:
     instrs: list = field(default_factory=list)
     labels: dict = field(default_factory=dict)
     rules: list = field(default_factory=list)
-    lexicon: dict = field(default_factory=dict)   # word -> [LexEntry]
+    # word -> its entries' seeds in file order, one (copy, label) pair each,
+    # the copy a machine.RegSnapshot of the cells the entry's query code builds
+    lexicon: dict = field(default_factory=dict)
     start: object = None    # the start term's copy, a machine.RegSnapshot; set by load_grammar
     # word -> its closed width-1 chart cell, one (copy, label, RuleInfo or
     # None, dot) per edge in cell order; set by the parser on the word's
@@ -152,9 +147,6 @@ class CodeArea:
         if name in self.labels:
             raise CompileError(f"duplicate label {name!r}")
         self.labels[name] = len(self.instrs)
-
-    def extend(self, instrs):
-        self.instrs.extend(instrs)
 
 
 def compile_query(eqs: EquationSet) -> list:
@@ -186,12 +178,6 @@ def compile_program(eqs: EquationSet, seen=None) -> list:
                 seen.add(a)
                 out.append(UnifyVariable(a))
     return out
-
-
-def compile_rule(rule: MRS) -> list:
-    """The listing of one rule."""
-    info = compile_rule_with_info(rule, rule_id=0, label="rule0")
-    return rule_listing(info.body_code, info.head_code)
 
 
 def compile_rule_with_info(rule: MRS, rule_id, label) -> RuleInfo:
@@ -238,7 +224,7 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
         label = f"rule{i}"
         code.add_label(label)
         info = compile_rule_with_info(rule, i, label)
-        code.extend(rule_listing(info.body_code, info.head_code))
+        code.instrs += rule_listing(info.body_code, info.head_code)
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
         info.elements = [m.element_copy(*spec) for spec in
@@ -251,11 +237,10 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
             label = f"lex_{word}" if len(entries) == 1 else f"lex_{word}.{k + 1}"
             code.add_label(label)
             instrs = compile_query(terms.flatten(term))
-            code.extend(instrs)
+            code.instrs += instrs
             regs = {}
             m.execute(instrs, regs)
-            code.lexicon.setdefault(word, []).append(
-                LexEntry(word, k, label, m.snapshot_regs(regs, [1])))
+            code.lexicon.setdefault(word, []).append((m.snapshot_regs(regs, [1]), label))
     return code
 
 

@@ -17,8 +17,9 @@ term, but is more general than it, is not accepted.  An unexpanded
 start term is built once, when the grammar loads, and its copy
 (``CodeArea.start``) is walked against each spanning head's copy; it is
 never restored on a heap.  Lexical entries are copies too: compiling the
-grammar runs each entry's query code once and keeps the cells it builds
-(``LexEntry.snapshot``), which the parser takes as a word's seed edges,
+grammar runs each entry's query code once, and a word's lexicon entry
+(``CodeArea.lexicon``) holds its seeds as ``(copy, label)`` pairs, the
+cells that code builds, which the parser takes as the word's seed edges,
 so a parse runs rule code only.  A word's chart cell, its seeds closed
 under the rules, is kept with the grammar too (``CodeArea.word_cells``),
 but lazily: the first parse of the word makes it, so loading a grammar

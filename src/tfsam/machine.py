@@ -232,17 +232,13 @@ class MachineState:
 
     # -- cells -------------------------------------------------------------
 
-    @property
-    def top(self):
-        return len(self.heap)
-
     def cell(self, a):
         if a < 0:
             raise MachineError(f"address {a} is below the heap")
         try:
             c = self.heap[a]
         except IndexError:
-            raise MachineError(f"address {a} beyond heap top {self.top}") from None
+            raise MachineError(f"address {a} beyond heap top {len(self.heap)}") from None
         if c is None:
             raise MachineError(f"arc slot {a} read before it was written")
         return c

@@ -8,9 +8,10 @@ rule and dot hold, which ``RuleInfo.held`` lists, sorted, so the copy's
 k-th root is the k-th register of that list; a complete edge of its
 head alone, so equal heads from different rules or lexical entries are
 one copy.  Edges thus stay valid after the heap is rewound.  A word's
-seed edges are the copies its lexical entries made when the grammar
-compiled, so a parse runs rule code only, the pieces ``compile_grammar``
-linked, and never reads the listing.
+lexicon entry (``CodeArea.lexicon``) holds its seeds as ``(copy, label)``
+pairs, the copies its lexical entries made when the grammar compiled,
+and a parse takes that list as it is, so it runs rule code only, the
+pieces ``compile_grammar`` linked, and never reads the listing.
 
 A combine of an active edge ending at k with a complete edge spanning
 (k, j) first hands the next body element's copy (``RuleInfo.elements``)
@@ -69,6 +70,7 @@ from . import machine, terms
 
 EMPTY_SNAPSHOT = machine.RegSnapshot((), ())
 MISSING = object()      # a memo row's answer for a combine not yet run
+MAX_ITEMS = 100_000     # the chart item limit unless the caller sets one
 
 
 class UnknownWordError(Exception):
@@ -91,11 +93,6 @@ class ActiveEdge:
     dot: int                # body elements already matched
     snapshot: machine.RegSnapshot
 
-    @property
-    def key(self):
-        """Equal for two edges of one cell exactly when one duplicates the other."""
-        return (self.info.rule_id, self.dot, self.snapshot)
-
 
 @dataclass(eq=False)
 class CompleteEdge:
@@ -108,11 +105,6 @@ class CompleteEdge:
         """The head, read back from its copy as a term."""
         m = machine.MachineState(self.h)
         return m.extract(m.build_snapshot(self.snapshot)[0])
-
-    @property
-    def key(self):
-        """Equal for two edges of one cell exactly when one duplicates the other."""
-        return (self.source, self.snapshot)
 
 
 class Chart:
@@ -138,8 +130,7 @@ class Chart:
 @dataclass
 class ParseResult:
     """``heads`` follow the order of chart cell (0, n); ``pops`` counts the
-    edges taken up, each once: ``items - len(words) * len(rules)``."""
-    words: list
+    edges taken up, each once: ``items - n * len(rules)`` for n words."""
     accepted: bool
     heads: list             # spanning heads compatible with the start term
     items: int
@@ -148,7 +139,7 @@ class ParseResult:
 
 
 class ChartParser:
-    def __init__(self, grammar, max_items=100_000, verify_undo=False):
+    def __init__(self, grammar, max_items=MAX_ITEMS, verify_undo=False):
         if max_items < 1:
             raise ValueError(f"the chart item limit must be at least 1, not {max_items}")
         self.grammar = grammar
@@ -163,10 +154,9 @@ class ChartParser:
         lexicon = self.grammar.code.lexicon
         seeds = []
         for i, w in enumerate(words):
-            entries = lexicon.get(w)
-            if not entries:
+            if w not in lexicon:
                 raise UnknownWordError(w, i)
-            seeds.append([(e.snapshot, e.label) for e in entries])
+            seeds.append(lexicon[w])
         return self._run(machine.MachineState(self.grammar.hierarchy), words, seeds,
                          self.grammar.code.word_cells)
 
@@ -178,13 +168,14 @@ class ChartParser:
         m = machine.MachineState(self.grammar.hierarchy)
         seeds = [[(m.snapshot_regs({0: m.build_term(root)}, [0]), f"input{i}")]
                  for i, root in enumerate(roots)]
-        return self._run(m, [terms.print_term(r) for r in roots], seeds)
+        return self._run(m, roots, seeds)
 
     def _run(self, m, words, seeds, word_cells=None) -> ParseResult:
         """Fill the chart of *words* from *seeds*, a list per position of
-        (copy, label) specs of complete edges, the form ``edge`` takes and
-        a kept cell's entries have.  *word_cells*, the grammar's kept
-        width-1 cells by word, is read and filled when given."""
+        (copy, label) specs of complete edges, the form ``edge`` takes, a
+        lexicon entry holds and a kept cell's entries have.  *word_cells*,
+        the grammar's kept width-1 cells by word, is read and filled when
+        given; without it *words* is read only for its length."""
         n = len(words)
         chart = Chart(n)
         cells = chart.cells
@@ -297,7 +288,7 @@ class ChartParser:
         heads = [e.head for _, e in completes.get((0, n), ())
                  if machine.walk(start, e.snapshot, m.h)]
         pops = items - n * len(rules)
-        return ParseResult(words, bool(heads), heads, items, pops, chart)
+        return ParseResult(bool(heads), heads, items, pops, chart)
 
     def _combine(self, m, active, complete):
         """The fundamental rule: match a complete head against the next

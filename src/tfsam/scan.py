@@ -101,9 +101,9 @@ class Cursor:
     def at_end(self):
         return self.texts[self.i] == ""
 
-    def expect(self, text, what=None):
+    def expect(self, text):
         if self.texts[self.i] != text:
-            self.fail(f"expected {what or repr(text)}, found {self._found()}")
+            self.fail(f"expected {text!r}, found {self._found()}")
         self.i += 1
 
     def expect_name(self, what="a name"):

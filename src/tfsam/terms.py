@@ -52,14 +52,6 @@ class MRS:
     roots: list
     is_rule: bool = False
 
-    @property
-    def body(self):
-        return self.roots[:-1]
-
-    @property
-    def head(self):
-        return self.roots[-1]
-
 
 @dataclass(frozen=True)
 class Equation:

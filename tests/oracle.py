@@ -295,8 +295,8 @@ def reference_parse(g, words, max_edges=200):
         return True
 
     for i, w in enumerate(words):
-        for entry, t in zip(g.code.lexicon[w], g.lexicon[w]):
-            add((i, i + 1), entry.label, unify_scopes(h, [[t]], [], 0))
+        for (_, label), t in zip(g.code.lexicon[w], g.lexicon[w]):
+            add((i, i + 1), label, unify_scopes(h, [[t]], [], 0))
     changed = True
     while changed:
         changed = False

@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import shlex
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import tfsam
+from tfsam import cli
 from tfsam.cli import main
+from tfsam.parser import ChartParser
 
 import conftest
 from conftest import EXAMPLE_SPEC, LOOP_SPEC, TOY_GRAMMAR
@@ -309,6 +312,13 @@ def test_parse_refuses_a_non_positive_item_limit(capsys, toy_file):
         code, out, err = run(capsys, "parse", toy_file, "w1 w2", "--max-items", limit)
         assert (code, out) == (1, "")
         assert err == f"error: the chart item limit must be at least 1, not {limit}\n"
+
+
+def test_parse_item_limit_default_is_the_parser_default(toy_file):
+    # one default, 100,000 as README's "Flags" paragraph states
+    args = cli._arg_parser().parse_args(["parse", toy_file, "w1 w2"])
+    default = inspect.signature(ChartParser).parameters["max_items"].default
+    assert args.max_items == default == 100_000
 
 
 @pytest.mark.parametrize("argv", [["unify", "d", "d", "--no-path-compression"],

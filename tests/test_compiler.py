@@ -10,7 +10,7 @@ from tfsam import compiler, grammar, machine, terms
 from tfsam.compiler import (
     CompileError, EndRule, GetStructure, MoveDot, NextItem, PutArc, PutNode,
     PutVar, StartRule, UnifyValue, UnifyVariable, compile_grammar,
-    compile_program, compile_query, compile_rule, compile_rule_with_info,
+    compile_program, compile_query, compile_rule_with_info,
     disassemble, rule_listing,
 )
 from tfsam.terms import flatten, parse_mrs, parse_term
@@ -88,7 +88,7 @@ def test_rule_layout(example_hierarchy):
     assert info.held == [(), (1, 2, 3)]
     assert info.head_root_reg == 5
     # the listing wraps the same pieces in the control instructions
-    assert compile_rule(rule) == [
+    assert rule_listing(info.body_code, info.head_code) == [
         StartRule(2),
         *info.body_code[0],
         MoveDot(),
@@ -199,8 +199,9 @@ def test_grammar_code_area_labels(toy_grammar):
     assert code.labels["rule0"] == 0
     assert set(code.labels) == {"rule0", "lex_w1", "lex_w2"}
     assert [info.label for info in code.rules] == ["rule0"]
-    w1 = code.lexicon["w1"][0]
-    assert w1.snapshot == _lexical_copy(toy_grammar.hierarchy, toy_grammar.lexicon["w1"][0])
+    w1_copy, w1_label = code.lexicon["w1"][0]
+    assert w1_label == "lex_w1"
+    assert w1_copy == _lexical_copy(toy_grammar.hierarchy, toy_grammar.lexicon["w1"][0])
     assert code.instrs[code.labels["lex_w1"]] == PutNode("a", 2, 1)
     assert code.labels["lex_w2"] == code.labels["lex_w1"] + 5
 
@@ -222,8 +223,8 @@ def test_grammar_links_the_code_the_parser_runs(toy_grammar):
         assert isinstance(piece, machine.Linked) and piece.h is h
         assert piece.ops == machine.link(instrs, h).ops
     for word, entries in toy_grammar.lexicon.items():
-        for entry, term in zip(code.lexicon[word], entries, strict=True):
-            assert entry.snapshot == _lexical_copy(h, term)
+        for (copy, _), term in zip(code.lexicon[word], entries, strict=True):
+            assert copy == _lexical_copy(h, term)
             listing += compile_query(flatten(term))
     assert code.instrs == listing
 
@@ -233,8 +234,10 @@ def test_grammar_numbers_homonyms(example_hierarchy):
     lexicon = {"w": [parse_term("d", example_hierarchy),
                      parse_term("d1", example_hierarchy)]}
     code = compile_grammar(example_hierarchy, rules, lexicon)
-    assert [e.label for e in code.lexicon["w"]] == ["lex_w.1", "lex_w.2"]
-    assert [e.index for e in code.lexicon["w"]] == [0, 1]
+    assert [label for _, label in code.lexicon["w"]] == ["lex_w.1", "lex_w.2"]
+    # in file order: the k-th pair is the copy of the k-th entry
+    assert [copy for copy, _ in code.lexicon["w"]] == [
+        _lexical_copy(example_hierarchy, term) for term in lexicon["w"]]
 
 
 def test_homonym_labels_leave_room_for_other_words(example_hierarchy):
@@ -242,7 +245,7 @@ def test_homonym_labels_leave_room_for_other_words(example_hierarchy):
     h = example_hierarchy
     lexicon = {"w": [parse_term("d", h), parse_term("d1", h)], "w_1": [parse_term("d2", h)]}
     code = compile_grammar(h, [parse_mrs("d => d", h)], lexicon)
-    labels = [e.label for entries in code.lexicon.values() for e in entries]
+    labels = [label for entries in code.lexicon.values() for _, label in entries]
     assert labels == ["lex_w.1", "lex_w.2", "lex_w_1"]
     assert list(code.labels) == ["rule0"] + labels
 
@@ -272,6 +275,6 @@ def test_format_instruction_refuses_an_unknown_instruction():
 def test_disassemble_lists_a_label_after_the_last_instruction():
     code = compiler.CodeArea()
     code.add_label("first")
-    code.extend([PutNode("d", 0, 1)])
+    code.instrs += [PutNode("d", 0, 1)]
     code.add_label("end")
     assert disassemble(code) == "first:\nput_node d/0,X1\nend:"

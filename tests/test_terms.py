@@ -132,8 +132,8 @@ def test_parse_mrs_rule(example_hierarchy):
     mrs = parse_mrs("a(bot,#3 d), d => a(d2,#3)", example_hierarchy)
     assert mrs.is_rule
     assert len(mrs.roots) == 3
-    assert [r.type for r in mrs.body] == ["a", "d"]
-    assert mrs.head.type == "a"
+    assert [r.type for r in mrs.roots[:-1]] == ["a", "d"]
+    assert mrs.roots[-1].type == "a"
     assert print_mrs(mrs) == "a(bot,#3 d), d => a(d2,#3)"
 
 
