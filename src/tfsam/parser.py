@@ -41,6 +41,21 @@ that closes it keeps it with the grammar (``CodeArea.word_cells``) and
 later parses replay it edge by edge; a closure cut short by the item
 limit keeps nothing, and an input of terms neither reads nor fills them.
 
+A span reads only some of its splits (after Schmid 2004, "Efficient
+parsing of highly ambiguous context-free grammars with bit vectors").
+Each parse keeps, per start i, the bit mask of the ends k of each active
+edge in a cell (i, k), and per end j the mask of the starts k of each
+complete copy in a cell (k, j), with the union of each side's masks, so
+bit k of both masks of a pair marks a split where the pair meets.  A
+span visits only the splits both unions mark.  When two or more are
+marked and its start and end hold no more edge pairs than it has splits,
+it visits only the splits where some pair first meets, the lowest bit of
+the pair's two masks ANDed; finding those costs a step per pair, so a
+span with more pairs than splits visits every marked split.  A split it
+skips holds no pair, or only pairs met at an earlier split of the span,
+whose memo entry is set and whose edge, if any, is in the span already:
+the skip changes no cell, no order of edges and no combine.
+
 Each distinct combine runs at most once per parse: a memo row per active
 edge maps a complete edge's copy to the edge the combine made, or to
 None.  This is sound because ``_combine`` reads the two copies and the
@@ -181,10 +196,21 @@ class ChartParser:
         cells = chart.cells
         limit = self.max_items
         rules = self.grammar.code.rules
-        # each cell's active edges next to their memo rows, and its complete
-        # edges next to id() of their copies, in chart order
-        actives = {}
-        completes = {}
+        # cell (i, k) by position i * stride + k: slots holds its chart list,
+        # and, in chart order, actives its active edges next to their memo
+        # rows and completes its complete edges next to id() of their
+        # copies.  amasks[i] maps an active edge starting at i to the bit
+        # mask of its ends, and ends[i] is the union of those masks;
+        # cmasks[j] maps id() of a complete copy ending at j to the mask of
+        # its starts, and starts[j] is their union
+        stride = n + 1
+        slots = [None] * (stride * stride)
+        actives = [None] * (stride * stride)
+        completes = [None] * (stride * stride)
+        amasks = [{} for _ in range(stride)]
+        cmasks = [{} for _ in range(stride)]
+        ends = [0] * stride
+        starts = [0] * stride
         canon = {EMPTY_SNAPSHOT: EMPTY_SNAPSHOT}    # copy -> its canonical object
         edges = {}      # (label or (rule id, dot), id(canonical copy)) -> the edge
         # active edge -> memo row: id(complete copy) -> the edge the
@@ -206,18 +232,30 @@ class ChartParser:
                     rows[e] = {}
             return e
 
-        def add(span, e):
+        def add(i, j, e):
             nonlocal items
-            cells.setdefault(span, []).append(e)
+            at = i * stride + j
+            cell = slots[at]
+            if cell is None:
+                cell = slots[at] = cells[(i, j)] = []
+                actives[at], completes[at] = [], []
+            cell.append(e)
             if type(e) is ActiveEdge:
-                actives.setdefault(span, []).append((e, rows[e]))
+                actives[at].append((e, rows[e]))
+                masks = amasks[i]
+                masks[e] = masks.get(e, 0) | 1 << j
+                ends[i] |= 1 << j
             else:
-                completes.setdefault(span, []).append((id(e.snapshot), e))
+                cid = id(e.snapshot)
+                completes[at].append((cid, e))
+                masks = cmasks[j]
+                masks[cid] = masks.get(cid, 0) | 1 << i
+                starts[j] |= 1 << i
             items += 1
             if items > limit:
                 raise LimitExceeded("chart item", limit)
 
-        def propose(span, seen, active, complete, cid, row, new):
+        def propose(i, j, seen, active, complete, cid, row, new):
             """A proposal whose edge is not in its cell yet: on a memo miss
             run the combine first."""
             if new is MISSING:
@@ -229,25 +267,25 @@ class ChartParser:
                 if new is None or new in seen:
                     return
             seen.add(new)
-            add(span, new)
+            add(i, j, new)
 
-        def close(i, span, seen):
-            """Close *span*, starting at *i*, under the dot-0 active edges
-            of (i, i)."""
+        def close(i, j, seen):
+            """Close span (i, j) under the dot-0 active edges of (i, i)."""
+            dot0 = actives[i * stride + i] or ()
             # this list grows while it is iterated, on purpose
-            for cid, c in completes.get(span, ()):
-                for a, row in actives.get((i, i), ()):
+            for cid, c in completes[i * stride + j] or ():
+                for a, row in dot0:
                     new = row.get(cid, MISSING)
                     if new is not None and new not in seen:
-                        propose(span, seen, a, c, cid, row, new)
+                        propose(i, j, seen, a, c, cid, row, new)
 
         # the dot-0 edges enter every (i, i) as one list, counted at once
         dot0 = [edge(EMPTY_SNAPSHOT, info.label, info) for info in rules]
         if dot0:
             dot0_rows = [(e, rows[e]) for e in dot0]
             for i in range(n):
-                cells[(i, i)] = list(dot0)
-                actives[(i, i)] = dot0_rows
+                cells[(i, i)] = slots[i * stride + i] = list(dot0)
+                actives[i * stride + i] = dot0_rows
             items = n * len(dot0)
             if items > limit:
                 raise LimitExceeded("chart item", limit)
@@ -257,35 +295,47 @@ class ChartParser:
         # word's first parse kept, or build it and keep it once its closure
         # has finished; a LimitExceeded on the way keeps nothing
         for i, w in enumerate(words):
-            span = (i, i + 1)
             kept = None if word_cells is None else word_cells.get(w)
             for spec in seeds[i] if kept is None else kept:
-                add(span, edge(*spec))
+                add(i, i + 1, edge(*spec))
             if kept is None:
-                close(i, span, set())
+                close(i, i + 1, set())
                 if word_cells is not None:
                     word_cells[w] = tuple(
                         (e.snapshot, e.info.label, e.info, e.dot) if type(e) is ActiveEdge
-                        else (e.snapshot, e.source, None, 0) for e in cells[span])
+                        else (e.snapshot, e.source, None, 0) for e in cells[(i, i + 1)])
 
         for width in range(2, n + 1):
             for i in range(n - width + 1):
                 j = i + width
-                span = (i, j)
+                # the splits k whose cells (i, k) and (k, j) hold edges to combine
+                splits = ends[i] & starts[j]
+                if not splits:
+                    continue
+                if splits & (splits - 1):
+                    left, right = amasks[i].values(), cmasks[j].values()
+                    if len(left) * len(right) <= width - 1:
+                        # only the splits where some edge pair first meets:
+                        # for each pair, the lowest bit its masks share
+                        splits = 0
+                        for a in left:
+                            for c in right:
+                                both = a & c
+                                splits |= both & -both
                 seen = set()    # the edges combines put in this span
-                for k in range(i + 1, j):
-                    right = completes.get((k, j))
-                    if right is None:
-                        continue
-                    for a, row in actives.get((i, k), ()):
+                while splits:
+                    k = (splits & -splits).bit_length() - 1
+                    splits &= splits - 1
+                    right = completes[k * stride + j]
+                    for a, row in actives[i * stride + k]:
                         for cid, c in right:
                             new = row.get(cid, MISSING)
                             if new is not None and new not in seen:
-                                propose(span, seen, a, c, cid, row, new)
-                close(i, span, seen)
+                                propose(i, j, seen, a, c, cid, row, new)
+                close(i, j, seen)
 
         start = self.grammar.code.start
-        heads = [e.head for _, e in completes.get((0, n), ())
+        heads = [e.head for _, e in completes[n] or ()     # cell (0, n)
                  if machine.walk(start, e.snapshot, m.h)]
         pops = items - n * len(rules)
         return ParseResult(bool(heads), heads, items, pops, chart)

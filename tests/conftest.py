@@ -99,6 +99,17 @@ lex v => np(pl).
 start => s(agr).
 """
 
+# The span-width grammar: s(len) counts words, and the last rule keeps
+# the length of its left daughter, so on a sentence of a's a cell of
+# width w holds an s edge of each length up to w and an active edge for
+# each: cells hold many distinct edges, and one pair meets at many
+# splits of a span.
+SPAN_WIDTH_GRAMMAR = """
+bot sub [n, s, w].  n sub [z, succ].  z sub [].  succ sub [] intro [p: n].
+s sub [] intro [len: n].  w sub [].  lex a => w.  rule w => s(succ(z)).
+rule s(#1 n), w => s(succ(#1)).  rule s(#1 n), s(n) => s(#1).  start => s(n).
+"""
+
 # A small HPSG-style grammar: signs with agreement, category, semantics
 # and subject and complement lists.  Complements come off COMPS left to
 # right, then the subject is taken from the left; coordination needs two

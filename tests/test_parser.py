@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import random
 import weakref
@@ -7,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from tfsam import compiler, grammar, machine, parser, terms, typesys
-from tfsam.parser import ActiveEdge, ChartParser, CompleteEdge, LimitExceeded, UnknownWordError
+from tfsam.parser import (MAX_ITEMS, ActiveEdge, ChartParser, CompleteEdge, LimitExceeded,
+                          UnknownWordError)
 from tfsam.terms import iso, parse_term
 
 import oracle
 from conftest import (AGREEMENT_GRAMMAR, AMBIGUOUS_GRAMMAR, CHAIN_GRAMMAR, EXAMPLE_SPEC, HPSG_GRAMMAR,
-                      LEXICON_ONLY_GRAMMAR, LOOP_SPEC, SELF_FEEDING_GRAMMAR, TOY_GRAMMAR)
+                      LEXICON_ONLY_GRAMMAR, LOOP_SPEC, SELF_FEEDING_GRAMMAR, SPAN_WIDTH_GRAMMAR,
+                      TOY_GRAMMAR)
 
 
 def _complete(source, text, h):
@@ -241,8 +244,8 @@ def test_item_limit(toy_grammar):
     ("toy_grammar", "w1 w2"), ("toy_grammar", "w2 w1"), ("ambiguous_grammar", "w1 w2"),
     ("chain_grammar", "p x"), ("self_feeding_grammar", "q"), ("self_feeding_grammar", "q q"),
     ("lexicon_only", "w w w"), ("agreement_grammar", "w w w"),
-    ("agreement_grammar", "v w v v w w"), ("hpsg_grammar", "kim sees dogs"),
-    ("hpsg_grammar", "kim and kim sees dogs and dogs")])
+    ("agreement_grammar", "v w v v w w"), ("agreement_grammar", " ".join(["w"] * 24)),
+    ("hpsg_grammar", "kim sees dogs"), ("hpsg_grammar", "kim and kim sees dogs and dogs")])
 def test_item_limit_is_exact(request, fixture, sentence):
     # a chart of exactly max_items edges parses; one edge fewer is refused
     if fixture == "lexicon_only":
@@ -572,7 +575,8 @@ def test_each_distinct_combine_runs_once(monkeypatch):
 # every conftest grammar by its text, with sentences that repeat words
 GRAMMAR_TEXTS = {"toy": TOY_GRAMMAR, "ambiguous": AMBIGUOUS_GRAMMAR, "chain": CHAIN_GRAMMAR,
                  "self_feeding": SELF_FEEDING_GRAMMAR, "lexicon_only": LEXICON_ONLY_GRAMMAR,
-                 "agreement": AGREEMENT_GRAMMAR, "hpsg": HPSG_GRAMMAR}
+                 "agreement": AGREEMENT_GRAMMAR, "hpsg": HPSG_GRAMMAR,
+                 "span_width": SPAN_WIDTH_GRAMMAR}
 WARM_CASES = [("toy", "w1 w2 w2"), ("toy", "w2 w1 w1 w2"), ("ambiguous", "w1 w2 w1 w2"),
               ("chain", "p x p x"), ("chain", "p p x"), ("self_feeding", "q q q"),
               ("lexicon_only", "w w"), ("agreement", "w v w w v"),
@@ -1246,3 +1250,63 @@ def test_parser_agrees_with_the_reference_parser():
     assert sum(skipped.values()) <= 18, f"skipped: {skipped}"
     assert compared >= 150 and accepted >= 30 and derived >= 60, (
         f"compared {compared}, accepted {accepted}, derived {derived}, skipped: {skipped}")
+
+
+# -- outcomes pinned by a golden file ------------------------------------------------
+
+OUTCOMES = Path(__file__).resolve().parent / "golden" / "parser_outcomes.txt"
+OUTCOME_CASES = WARM_CASES + [("agreement", " ".join(["w"] * 12)), ("agreement", "v w v v w w v w"),
+                              ("span_width", " ".join(["a"] * 12))]
+
+
+class _CountingParser(ChartParser):
+    """A parser that counts the combines it runs."""
+    combines = 0
+
+    def _combine(self, m, active, complete):
+        self.combines += 1
+        return super()._combine(m, active, complete)
+
+
+def _outcome_line(g, name, words, max_items=MAX_ITEMS):
+    """One line of the golden file: a parse's items, pops, combines, a hash
+    of its chart and its heads, or its combines and the limit it hit."""
+    p = _CountingParser(g, max_items=max_items)
+    try:
+        result = p.parse(words)
+    except LimitExceeded as e:
+        return f"{name} {' '.join(words)}: combines {p.combines}, {e}"
+    chart = hashlib.sha256(result.chart.dump().encode()).hexdigest()[:16]
+    heads = " ".join(terms.print_term(h) for h in result.heads)
+    return (f"{name} {' '.join(words)}: items {result.items}, pops {result.pops}, "
+            f"combines {p.combines}, chart {chart}, heads {heads or '-'}")
+
+
+def outcome_lines():
+    """The conftest grammars and the span-width grammar on sentences that
+    repeat words, then 150 random grammars, half under appropriateness
+    loops, each on one word three times, on five words and on seven, at
+    150 items.
+    Each grammar is loaded once, so a later sentence replays the word
+    cells an earlier one kept."""
+    lines = []
+    for name, sentence in OUTCOME_CASES:
+        lines.append(_outcome_line(grammar.load_grammar(GRAMMAR_TEXTS[name]), name, sentence.split()))
+    for loops in (False, True):
+        for seed in range(75):
+            rng = random.Random(seed)
+            g = grammar.load_grammar(oracle.random_grammar(rng, allow_loops=loops))
+            words = list(g.lexicon)
+            name = f"seed {seed}{' loops' if loops else ''}"
+            for n in (3, 5, 7):
+                sentence = [rng.choice(words)] * 3 if n == 3 else [rng.choice(words) for _ in range(n)]
+                lines.append(_outcome_line(g, name, sentence, max_items=150))
+    return lines
+
+
+def test_parses_keep_their_pinned_outcomes():
+    # the golden file holds the outcomes of the parser that visited every
+    # split of every span; a change of span order must keep every one
+    lines = outcome_lines()
+    assert sum("limit" in line for line in lines) >= 4
+    assert lines == OUTCOMES.read_text(encoding="utf-8").splitlines()
