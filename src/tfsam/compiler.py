@@ -48,60 +48,65 @@ class CompileError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# Instructions are slotted records compared by class and fields.  They
+# are not frozen: a frozen dataclass sets each field through
+# object.__setattr__, and every term built from query code makes about
+# two instructions per node.
+
+@dataclass(slots=True)
 class PutNode:
     type: str
     arity: int
     reg: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PutVar:
     """Write an unexpanded most general node of the given type."""
     type: str
     reg: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PutArc:
     reg: int
     offset: int
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GetStructure:
     type: str
     arity: int
     reg: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UnifyVariable:
     reg: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UnifyValue:
     reg: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StartRule:
     body_len: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MoveDot:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NextItem:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EndRule:
     pass
 

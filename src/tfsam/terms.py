@@ -25,19 +25,19 @@ class TermError(scan.SourceError):
     """A term is syntactically invalid, ill-formed or ill-typed."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     type: str
     args: list = field(default_factory=list)
     tag: str | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BackRef:
     tag: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MostGeneral:
     type: str
     tag: str | None = None
@@ -53,7 +53,8 @@ class MRS:
     is_rule: bool = False
 
 
-@dataclass(frozen=True)
+# not frozen, as compiler's instructions are not: flatten makes one per node
+@dataclass(slots=True)
 class Equation:
     reg: int
     type: str
@@ -288,34 +289,50 @@ def well_typed_check(hierarchy, t) -> list[Violation]:
     Reentrant targets are checked once, at their defining occurrence.
     The walk runs from an explicit stack, so a term of any depth can be
     checked.  An argument's type is checked before the walk below it,
-    and that walk ends before the next argument's check.
+    and that walk ends before the next argument's check.  Types are
+    compared as ids, by their ``ups`` masks (t subsumes u when ``ups[u]``
+    lies within ``ups[t]``), and an arc's path is kept as a link to its
+    parent's, spelled out only for a violation.
     """
     roots = t.roots if isinstance(t, MRS) else [t]
     defs = {}
     for r in roots:
         _collect_tags(r, defs)
+    tid = hierarchy.tid
+    ups = hierarchy.ups
     out = []
     checked = set()
-    # (appropriate value or None for a root, node, path)
-    stack = [(None, r, "") for r in reversed(roots)]
+    # (appropriate value id or None for a root, node, path): a path is
+    # None at a root, else (the parent's path, feature)
+    stack = [(None, r, None) for r in reversed(roots)]
     while stack:
         v, x, path = stack.pop()
         if v is not None:
-            found = defs[x.tag].type if isinstance(x, BackRef) else x.type
-            if not hierarchy.subsumes(v, found):
-                out.append(Violation(path, hierarchy.tname(v), found))
-        if isinstance(x, (BackRef, MostGeneral)) or id(x) in checked:
+            found = defs[x.tag].type if type(x) is BackRef else x.type
+            u = ups[tid(found)]
+            if ups[v] & u != u:
+                out.append(Violation(_spell(path), hierarchy.names[v], found))
+        if type(x) is not Node or id(x) in checked:
             continue
         checked.add(id(x))
-        fs = hierarchy.features(x.type)
+        ty = tid(x.type)
+        fs = hierarchy.type_features[ty]
         if len(x.args) != len(fs):
-            out.append(Violation(path, f"{len(fs)} argument(s) for {x.type}",
+            out.append(Violation(_spell(path), f"{len(fs)} argument(s) for {x.type}",
                                  f"{len(x.args)}"))
             continue
-        vals = hierarchy.approp_list(x.type)
-        for f, v, a in zip(reversed(fs), reversed(vals), reversed(x.args)):
-            stack.append((v, a, f"{path}.{f}" if path else f))
+        for f, v, a in zip(reversed(fs), reversed(hierarchy.approps[ty]), reversed(x.args)):
+            stack.append((v, a, (path, f)))
     return out
+
+
+def _spell(path):
+    """A path of (parent's path, feature) links as dotted text."""
+    fs = []
+    while path is not None:
+        path, f = path
+        fs.append(f)
+    return ".".join(reversed(fs))
 
 
 def _collect_tags(t, defs):

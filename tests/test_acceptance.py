@@ -190,18 +190,26 @@ def test_08_lazy_eager(corpus):
 
 def test_09_undo_discipline(corpus, toy_grammar, ambiguous_grammar,
                             chain_grammar, self_feeding_grammar):
-    # every combine in these parses compares the heap against its checkpoint
+    # every combine in these parses compares the heap against its
+    # checkpoint.  A combine's copies are built above its mark and never
+    # reach below it, so this half checks only the heap top and the trail
+    # length; in the parse_terms parse the input cells lie below every mark
     ChartParser(toy_grammar, verify_undo=True).parse(["w1", "w2"])
     ChartParser(toy_grammar, verify_undo=True).parse(["w2", "w1"])
     ChartParser(ambiguous_grammar, verify_undo=True).parse(["w1", "w2"])
     ChartParser(chain_grammar, verify_undo=True).parse(["p", "x"])
     ChartParser(self_feeding_grammar, verify_undo=True).parse(["q"])
+    h = ambiguous_grammar.hierarchy
+    ChartParser(ambiguous_grammar, verify_undo=True).parse_terms(
+        [parse_term("a(d2,d1)", h), parse_term("d1", h)])
     ok = True
     for h, a, b in corpus[:200]:
+        # the pair is built below the mark, so the unification binds cells
+        # that the undo must restore from the trail
         m = MachineState(h)
+        pa, pb = m.build((a, b))
         mark = m.checkpoint()
         before = list(m.heap)
-        pa, pb = m.build((a, b))
         m.unify(pa, pb)
         m.undo(mark)
         ok = ok and m.heap == before and len(m.trail) == mark.trail

@@ -267,6 +267,44 @@ def test_a_code_area_refuses_a_duplicate_label():
         code.add_label("rule0")
 
 
+# Each instruction's and an equation's repr, which error messages embed,
+# and the positional fields format_instruction matches on.
+RECORDS = [
+    (PutNode("a", 2, 1), "PutNode(type='a', arity=2, reg=1)", ("type", "arity", "reg")),
+    (PutVar("t", 3), "PutVar(type='t', reg=3)", ("type", "reg")),
+    (PutArc(1, 2, 3), "PutArc(reg=1, offset=2, target=3)", ("reg", "offset", "target")),
+    (GetStructure("a", 2, 1), "GetStructure(type='a', arity=2, reg=1)",
+     ("type", "arity", "reg")),
+    (UnifyVariable(4), "UnifyVariable(reg=4)", ("reg",)),
+    (UnifyValue(4), "UnifyValue(reg=4)", ("reg",)),
+    (StartRule(2), "StartRule(body_len=2)", ("body_len",)),
+    (MoveDot(), "MoveDot()", ()),
+    (NextItem(), "NextItem()", ()),
+    (EndRule(), "EndRule()", ()),
+    (terms.Equation(1, "a", (2, 3)), "Equation(reg=1, type='a', args=(2, 3))",
+     ("reg", "type", "args")),
+]
+
+
+@pytest.mark.parametrize("record,text,fields", RECORDS, ids=[r[1] for r in RECORDS])
+def test_records_keep_their_repr_match_args_and_equality(record, text, fields):
+    assert repr(record) == text
+    assert type(record).__match_args__ == fields
+    assert record == type(record)(*(getattr(record, f) for f in fields))
+
+
+@pytest.mark.parametrize("record", [r[0] for r in RECORDS], ids=[r[1] for r in RECORDS])
+def test_records_are_slotted(record):
+    # query code makes about two instructions per term node
+    assert not hasattr(record, "__dict__")
+
+
+def test_records_of_different_classes_differ():
+    assert PutNode("a", 2, 1) != GetStructure("a", 2, 1)
+    assert UnifyVariable(1) != UnifyValue(1)
+    assert MoveDot() != NextItem()
+
+
 def test_format_instruction_refuses_an_unknown_instruction():
     with pytest.raises(CompileError, match="unknown instruction 'nope'"):
         compiler.format_instruction("nope")

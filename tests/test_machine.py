@@ -153,6 +153,8 @@ def test_control_instructions_refuse_direct_execution(example_hierarchy):
     ([GetStructure("a", 3, 9)], MachineError, "get_structure arity 3 does not match arity"),
     ([compiler.PutVar("zz", 9)], typesys.SpecError, "unknown type 'zz'"),
     ([StartRule(1)], MachineError, "only valid under the parser"),
+    ([compiler.MoveDot()], MachineError,
+     r"^instruction MoveDot\(\) is only valid under the parser$"),
     ([GetStructure("a", 2, 9), UnifyVariable(10)], MachineError,
      "get_structure a/2 is followed by 1 of its 2 unify instructions"),
     ([UnifyValue(1)], MachineError, "unify_value X1 is outside a get_structure"),

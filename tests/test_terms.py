@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from conftest import DEEP_CHAIN_TYPES
-from tfsam import terms
+from tfsam import terms, typesys
 from tfsam.machine import STR, VAR, MachineState
 from tfsam.terms import (
     MRS, BackRef, MostGeneral, Node, flatten, iso, iso_roots, most_general_term,
@@ -160,6 +160,13 @@ def test_mrs_rejects_input_after_the_head(example_hierarchy):
     assert (err.value.line, err.value.col) == (1, 9)
 
 
+@pytest.mark.parametrize("term", [Node("a"), BackRef("1"), MostGeneral("t")],
+                         ids=["Node", "BackRef", "MostGeneral"])
+def test_term_nodes_are_slotted(term):
+    # every term a caller builds is one of these per node
+    assert not hasattr(term, "__dict__")
+
+
 # -- well-typedness ------------------------------------------------------------
 
 def test_well_typed_accepts_concrete_and_mg_leaves(example_hierarchy):
@@ -208,6 +215,14 @@ def test_well_typed_covers_every_mrs_root(example_hierarchy):
     h = example_hierarchy
     out = well_typed_check(h, parse_mrs("d, a(bot,bot)", h))
     assert len(out) == 1
+
+
+def test_well_typed_refuses_an_unknown_type_name(example_hierarchy):
+    h = example_hierarchy
+    with pytest.raises(typesys.SpecError, match="unknown type 'zz'"):
+        well_typed_check(h, Node("zz"))
+    with pytest.raises(typesys.SpecError, match="unknown type 'zz'"):
+        well_typed_check(h, Node("g", [Node("zz")]))
 
 
 def test_well_typed_checks_deep_terms_without_recursion(loop_hierarchy):
