@@ -106,7 +106,8 @@ def _term(h, name, text):
 
 
 def _read(path) -> str:
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops a byte-order mark, which some editors write first
+    with open(path, encoding="utf-8-sig") as f:
         return f.read()
 
 

@@ -14,10 +14,12 @@ rule, so reentrancies that span rule elements simply reuse registers.  The
 pieces are the rule: ``compile_grammar`` links each of them, once, against
 the grammar's hierarchy (``machine.link``: type names become ids and
 arities are checked), and the parser executes those linked pieces as they
-are.  A lexical entry compiles to query code only, which
-``compile_grammar`` runs once: a word's lexicon entry holds its seeds,
-one ``(copy, label)`` pair per entry, the copy of the heap cells that
-code builds, so a parse runs rule code only.  Each
+are.  A lexical entry is data a load reads once, so compiling it would
+be pure overhead (Aït-Kaci 1991, "Warren's Abstract Machine: A Tutorial
+Reconstruction", ch. 2): ``compile_grammar`` copies its term in one walk
+(``machine.term_copy``), which gives the copy its query code would
+build, and a word's lexicon entry holds its seeds, one ``(copy, label)``
+pair per entry, so a parse runs rule code only.  Each
 body element is compiled once, to program code, and the rule keeps the
 copy the machine builds from that code once it is linked
 (``MachineState.element_copy``, ``RuleInfo.elements``); the machine's
@@ -33,7 +35,16 @@ The listing wraps a rule's pieces in control instructions,
 
 which mark where the parser moves the dot and starts a new item; nothing
 executes them.  ``CodeArea.instrs`` holds the listing of every rule and
-lexical entry, and its labels are the only addresses into it.
+lexical entry, a lexical entry's being the query code of its term, and
+its labels are the only addresses into it.  Both are made on their first
+read (``tfsam compile``, ``disassemble``), from each rule's unlinked
+pieces and each lexical entry's term, which the code area keeps; a load
+compiles query code for rule heads only, and a parse never reads the
+listing.  Making it late moves no error out of the load: a rule's label
+is ``rule<n>`` and a lexical entry's ``lex_<word>``, or ``lex_<word>.<k>``
+for homonyms, and a word is a name, of word characters only and so with
+no dot, so no two labels can collide; and the query code of a term that
+copied always compiles.
 """
 
 from __future__ import annotations
@@ -136,17 +147,33 @@ class RuleInfo:
 
 @dataclass
 class CodeArea:
-    instrs: list = field(default_factory=list)
-    labels: dict = field(default_factory=dict)
+    """A compiled grammar's code.  ``instrs``, the listing of every rule
+    and lexical entry, and ``labels``, the addresses of their labels, are
+    made together on the first read of either, from what ``listed``
+    holds, and are a plain list and dict from then on."""
     rules: list = field(default_factory=list)
     # word -> its entries' seeds in file order, one (copy, label) pair each,
-    # the copy a machine.RegSnapshot of the cells the entry's query code builds
+    # the copy a machine.RegSnapshot of the entry's term
     lexicon: dict = field(default_factory=dict)
     start: object = None    # the start term's copy, a machine.RegSnapshot; set by load_grammar
     # word -> its closed width-1 chart cell, one (copy, label, RuleInfo or
     # None, dot) per edge in cell order; set by the parser on the word's
     # first parse and never changed afterwards
     word_cells: dict = field(default_factory=dict)
+    # what the listing lists, in order: (label, a function that makes the
+    # label's instructions, its arguments); emptied once the listing is made
+    listed: list = field(default_factory=list)
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance lacks
+        if name not in ("instrs", "labels"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.instrs, self.labels = [], {}
+        for label, make, *args in self.listed:
+            self.add_label(label)
+            self.instrs += make(*args)
+        self.listed = []
+        return getattr(self, name)
 
     def add_label(self, name):
         if name in self.labels:
@@ -216,20 +243,25 @@ def rule_listing(body_code, head_code) -> list:
     return out + head_code + [EndRule()]
 
 
+def entry_listing(term) -> list:
+    """A lexical entry's listing: the query code of its term."""
+    return compile_query(terms.flatten(term))
+
+
 def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
-    """Compile rule MRSs and lexical entries into one labeled listing, link
-    the rule pieces the parser executes against *hierarchy*, and keep the
-    copy of each body element, which the machine builds from its linked
-    program code, and of each lexical entry, which its query code builds."""
-    from .machine import MachineState, link     # the machine imports this module
+    """Compile rule MRSs, link the rule pieces the parser executes against
+    *hierarchy*, and keep the copy of each body element, which the machine
+    builds from its linked program code, and of each lexical entry, which
+    ``machine.term_copy`` makes from its term.  The code area keeps each
+    rule's unlinked pieces and each entry's term for its listing, which is
+    made when it is first read."""
+    from .machine import MachineState, link, term_copy     # the machine imports this module
 
     code = CodeArea()
     m = MachineState(hierarchy)
     for i, rule in enumerate(rules):
-        label = f"rule{i}"
-        code.add_label(label)
-        info = compile_rule_with_info(rule, i, label)
-        code.instrs += rule_listing(info.body_code, info.head_code)
+        info = compile_rule_with_info(rule, i, f"rule{i}")
+        code.listed.append((info.label, rule_listing, info.body_code, info.head_code))
         info.body_code = [link(frag, hierarchy) for frag in info.body_code]
         info.head_code = link(info.head_code, hierarchy)
         info.elements = [m.element_copy(*spec) for spec in
@@ -238,14 +270,10 @@ def compile_grammar(hierarchy, rules, lexicon) -> CodeArea:
     for word, entries in lexicon.items():
         for k, term in enumerate(entries):
             # a word is a name, so the dot keeps homonyms' labels apart
-            # from every other word's
+            # from every other word's, and from every rule's
             label = f"lex_{word}" if len(entries) == 1 else f"lex_{word}.{k + 1}"
-            code.add_label(label)
-            instrs = compile_query(terms.flatten(term))
-            code.instrs += instrs
-            regs = {}
-            m.execute(instrs, regs)
-            code.lexicon.setdefault(word, []).append((m.snapshot_regs(regs, [1]), label))
+            code.listed.append((label, entry_listing, term))
+            code.lexicon.setdefault(word, []).append((term_copy([term], hierarchy), label))
     return code
 
 

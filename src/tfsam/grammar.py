@@ -14,16 +14,18 @@ head (e.g. a bare type).  The parser accepts a spanning head only when
 the start term subsumes it; a head that merely unifies with the start
 term, but is more general than it, is not accepted.  An unexpanded
 ``~t`` counts as the most general structure of t on either side.  The
-start term is built once, when the grammar loads, and its copy
-(``CodeArea.start``) is walked against each spanning head's copy; it is
-never restored on a heap.  Lexical entries are copies too: compiling the
-grammar runs each entry's query code once, and a word's lexicon entry
-(``CodeArea.lexicon``) holds its seeds as ``(copy, label)`` pairs, the
-cells that code builds, which the parser takes as the word's seed edges,
-so a parse runs rule code only.  A word's chart cell, its seeds closed
-under the rules, is kept with the grammar too (``CodeArea.word_cells``),
-but lazily: the first parse of the word makes it, so loading a grammar
-pays for no cell.
+start term is copied once, when the grammar loads, in one walk over the
+term (``machine.term_copy``), and its copy (``CodeArea.start``) is
+walked against each spanning head's copy; it is never restored on a
+heap.  Lexical entries are copies too, made by the same walk when the
+grammar compiles, and a word's lexicon entry (``CodeArea.lexicon``)
+holds its seeds as ``(copy, label)`` pairs, which the parser takes as
+the word's seed edges, so a parse runs rule code only.  A load runs no
+query code for data, and it compiles no lexical entry: the listing
+(``CodeArea.instrs``) is made when it is first read.  A word's chart
+cell, its seeds closed under the rules, is kept with the grammar too
+(``CodeArea.word_cells``), but lazily: the first parse of the word
+makes it, so loading a grammar pays for no cell.
 
 A clause is a type clause exactly when it reads ``name sub [``, so a
 word or a type may be named ``sub``, ``rule``, ``lex``, ``start`` or
@@ -94,8 +96,7 @@ def load_grammar(text) -> Grammar:
         raise GrammarError("grammar has no start clause")
 
     code = compiler.compile_grammar(hierarchy, rules, lexicon)
-    m = machine.MachineState(hierarchy)
-    code.start = m.snapshot_regs({0: m.build_term(start)}, [0])
+    code.start = machine.term_copy([start], hierarchy)
     return Grammar(hierarchy, rules, lexicon, start, code)
 
 

@@ -35,10 +35,16 @@ to its id, checks every arity, builds the node cells once and fuses each
 get_structure with its unify instructions into one op that settles its
 own arguments, so the machine needs no argument stack.  ``execute`` runs
 the flat ops in one dispatch loop.  The grammar's rule code is linked
-when it is compiled, and its lexical entries' query code and its body
-elements' program code run then, once, to make their copies; a parse
-runs only the linked rule code.  A plain instruction list is linked on
-entry to ``execute``, so nothing runs unless all of it links.
+when it is compiled, and its body elements' program code runs then,
+once, to make their copies; a parse runs only the linked rule code.  A
+plain instruction list is linked on entry to ``execute``, so nothing
+runs unless all of it links.
+
+A term that is data, a lexical entry or the start term, is not
+compiled: ``term_copy`` walks it once to its copy, the copy ``build``
+and ``snapshot_regs`` would make, with ``link``'s checks of type names
+and arities.  ``build`` still runs query code, and so do ``tfsam
+unify`` and ``ChartParser.parse_terms``.
 
 The machine holds no registers.  A register file is a dict from register
 number to heap address that the caller owns: ``execute`` runs code in
@@ -157,13 +163,13 @@ def link(instrs, h) -> Linked:
             elif cls is compiler.PutNode:
                 t = ids[ins.type]
                 if ins.arity != arities[t]:
-                    raise _arity_error("put_node", ins)
+                    raise _arity_error("put_node", ins.arity, ins.type)
                 node_arity[ins.reg] = ins.arity
                 append((PUT_NODE, ((STR, t),) + (None,) * ins.arity, None, ins.reg))
             elif cls is compiler.GetStructure:
                 t = ids[ins.type]
                 if ins.arity != arities[t]:
-                    raise _arity_error("get_structure", ins)
+                    raise _arity_error("get_structure", ins.arity, ins.type)
                 node_arity.pop(ins.reg, None)
                 args = []
                 while len(args) < ins.arity:
@@ -182,12 +188,16 @@ def link(instrs, h) -> Linked:
             else:
                 raise MachineError(f"instruction {ins!r} is only valid under the parser")
     except KeyError:
-        raise typesys.SpecError(f"unknown type {ins.type!r}") from None
+        raise _unknown_type(ins.type) from None
     return Linked(tuple(ops), h)
 
 
-def _arity_error(op, ins):
-    return MachineError(f"{op} arity {ins.arity} does not match arity({ins.type})")
+def _unknown_type(name):
+    return typesys.SpecError(f"unknown type {name!r}")
+
+
+def _arity_error(op, arity, name):
+    return MachineError(f"{op} arity {arity} does not match arity({name})")
 
 
 def _put_arc_error(ins, arity):
@@ -222,6 +232,62 @@ class RegSnapshot(NamedTuple):
     """
     cells: tuple
     roots: tuple[int, ...]
+
+
+def term_copy(roots, h) -> RegSnapshot:
+    """The copy of the terms *roots* over hierarchy *h*, made in one walk
+    over the terms: exactly the copy ``snapshot_regs`` makes of the
+    structures ``build`` puts on the heap, sharing, cycles and tags kept
+    and ``~t`` a VAR cell, with ``link``'s checks and errors for an
+    unknown type or a node of the wrong arity.
+
+    The walk meets a term's nodes in the order ``snapshot_regs`` meets
+    their cells, from an explicit stack, so a term of any depth can be
+    copied.  That order is the order of the term's text, and the walk
+    maps each tag to its node as it meets it, so the tags of *roots*
+    share one scope and each must be defined before it is used, as the
+    reader requires of a term; a term that uses a tag first, or defines
+    one twice, raises the reader's ``TermError``."""
+    ids = h.ids
+    arities = h.arities
+    Node, BackRef = terms.Node, terms.BackRef
+    defs = {}               # tag -> its node
+    offset = {}             # id() of a node -> its offset in the copy
+    cells = []
+    out = []
+    # each stack entry is (the arc cell of the copy that points at the
+    # term, or -1 for a root, term); roots, and a node's arguments, are
+    # popped in order, as snapshot_regs pops addresses
+    stack = [(-1, r) for r in reversed(roots)]
+    while stack:
+        arc, x = stack.pop()
+        if type(x) is BackRef:
+            try:
+                x = defs[x.tag]
+            except KeyError:
+                raise terms.TermError(f"tag #{x.tag} used before its definition") from None
+        o = offset.get(id(x))
+        if o is None:
+            o = offset[id(x)] = len(cells)
+            if x.tag and defs.setdefault(x.tag, x) is not x:
+                raise terms.TermError(f"tag #{x.tag} defined twice")
+            try:
+                t = ids[x.type]
+            except KeyError:
+                raise _unknown_type(x.type) from None
+            if type(x) is Node:
+                n = len(x.args)
+                if n != arities[t]:
+                    raise _arity_error("put_node", n, x.type)
+                cells += [(STR, t)] + [None] * n
+                stack += zip(range(o + n, o, -1), reversed(x.args))
+            else:
+                cells.append((VAR, t))
+        if arc < 0:
+            out.append(o)
+        else:
+            cells[arc] = (REF, o)
+    return RegSnapshot(tuple(cells), tuple(out))
 
 
 class MachineState:

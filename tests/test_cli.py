@@ -124,6 +124,29 @@ def test_compile_disasm(capsys, tmp_path):
     check_compile_goldens(capsys, tmp_path, "disasm", "--disasm")
 
 
+def test_a_byte_order_mark_changes_nothing(capsys, tmp_path):
+    # a file saved with a UTF-8 byte-order mark was refused with
+    # "unexpected character '\\ufeff' (line 1, column 1)"
+    bad_first = "$" + readme_grammar()
+    bad_later = readme_grammar() + "lex w3 => zz.\n"
+    for name, text in [("readme", readme_grammar()), ("bad_first", bad_first),
+                       ("bad_later", bad_later)]:
+        plain, marked = tmp_path / f"{name}.grammar", tmp_path / f"{name}.bom.grammar"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for argv in [["check"], ["compile"], ["compile", "--disasm"], ["parse", "w1 w2"],
+                     ["unify", "a(#1 d1,#1)", "b(b(#2 d,#2),d)"]]:
+            command, *rest = argv
+            want = run(capsys, command, str(plain), *rest)
+            assert run(capsys, command, str(marked), *rest) == want, (name, argv)
+            assert want[0] == 0 or name != "readme", argv
+    assert run(capsys, "check", str(tmp_path / "bad_first.bom.grammar")) == (
+        1, "", "error: unexpected character '$' (line 1, column 1)\n")
+    assert run(capsys, "compile", str(tmp_path / "bad_later.bom.grammar")) == (
+        1, "", f"error: unknown type 'zz' (line {bad_later.count(chr(10))}, column 11)\n")
+
+
 def test_compile_disasm_lists_a_most_general_leaf(capsys, tmp_path):
     p = tmp_path / "loop.grammar"
     p.write_text(LOOP_SPEC + "lex w => t(~t).\nstart => ~t.\n", encoding="utf-8")

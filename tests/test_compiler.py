@@ -13,6 +13,7 @@ from tfsam.compiler import (
     compile_program, compile_query, compile_rule_with_info,
     disassemble, rule_listing,
 )
+from tfsam.parser import ChartParser
 from tfsam.terms import flatten, parse_mrs, parse_term
 
 
@@ -248,6 +249,65 @@ def test_homonym_labels_leave_room_for_other_words(example_hierarchy):
     labels = [label for entries in code.lexicon.values() for _, label in entries]
     assert labels == ["lex_w.1", "lex_w.2", "lex_w_1"]
     assert list(code.labels) == ["rule0"] + labels
+
+
+def _eager_listing(g):
+    """The listing of grammar *g* and its labels, made as the code area
+    once made them on load: each rule's pieces in their control
+    instructions, then each lexical entry's query code, in file order."""
+    instrs, labels = [], {}
+    for i, rule in enumerate(g.rules):
+        labels[f"rule{i}"] = len(instrs)
+        info = compile_rule_with_info(rule, i, f"rule{i}")
+        instrs += rule_listing(info.body_code, info.head_code)
+    for word, entries in g.lexicon.items():
+        for k, term in enumerate(entries):
+            labels[f"lex_{word}" if len(entries) == 1 else f"lex_{word}.{k + 1}"] = len(instrs)
+            instrs += compile_query(flatten(term))
+    return instrs, labels
+
+
+def test_the_listing_is_made_when_first_read(monkeypatch):
+    # a load compiles query code for rule heads only, a parse for nothing,
+    # and the first read of the listing or its labels makes both, equal to
+    # the eager listing; machine.term_copy copies the lexical entries and
+    # the start term as query code and snapshot_regs would
+    from test_cli import PARSE_GRAMMARS, PARSE_SENTENCES
+    texts = [(text, PARSE_SENTENCES[name].split()) for name, text in PARSE_GRAMMARS.items()]
+    for seed in range(40):
+        text = oracle.random_grammar(random.Random(seed), allow_loops=seed % 2 == 1)
+        words = [line.split()[1] for line in text.splitlines() if line.startswith("lex ")]
+        if len(set(words)) < len(words):
+            texts.append((text, None))
+    calls = []
+    real = compiler.compile_query
+    monkeypatch.setattr(compiler, "compile_query", lambda eqs: calls.append(1) or real(eqs))
+    homonyms = 0
+    for n, (text, words) in enumerate(texts):
+        calls.clear()
+        g = grammar.load_grammar(text)
+        assert len(calls) == len(g.rules), text
+        if words:
+            ChartParser(g).parse(words)
+            assert len(calls) == len(g.rules), text
+        entries = sum(len(v) for v in g.lexicon.values())
+        homonyms += entries > len(g.lexicon)
+        eager = _eager_listing(g)
+        calls.clear()
+        if n % 2:
+            labels, instrs = g.code.labels, g.code.instrs
+        else:
+            instrs, labels = g.code.instrs, g.code.labels
+        assert len(calls) == entries, text
+        assert (instrs, labels) == eager, text
+        # made once: later reads see the same list and dict
+        assert g.code.instrs is instrs and g.code.labels is labels and len(calls) == entries
+        for word, entries in g.lexicon.items():
+            for (copy, _), term in zip(g.code.lexicon[word], entries, strict=True):
+                assert copy == _lexical_copy(g.hierarchy, term), text
+        m = machine.MachineState(g.hierarchy)
+        assert g.code.start == m.snapshot_regs({0: m.build_term(g.start)}, [0]), text
+    assert homonyms == len(texts) - len(PARSE_GRAMMARS) >= 30
 
 
 def test_disassemble_golden(example_hierarchy):

@@ -55,6 +55,133 @@ def test_build_preserves_sharing_across_roots(example_hierarchy):
     assert m.deref(addrs[0]) == m.deref(addrs[1] + 1)
 
 
+def _tree(t):
+    """Every term object of *t*'s tree, back references included, in
+    preorder."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        if type(x) is terms.Node:
+            stack += reversed(x.args)
+    return out
+
+
+def _leaf_slots(t):
+    """(node, argument index) of each argument of *t* that a back
+    reference can replace without dropping a tag's definition."""
+    return [(x, k) for x in _tree(t) if type(x) is terms.Node
+            for k, a in enumerate(x.args)
+            if type(a) is terms.BackRef or not (a.tag or getattr(a, "args", None))]
+
+
+def _scoped_roots(rng, h):
+    """Random roots in one tag scope, with ~t leaves where a term's node
+    budget ran out, a cycle closed in the first root, a later root's arc
+    into the first and a last root that is a back reference into the
+    first two.  Each tag is defined before it is used, as the reader
+    requires."""
+    a, b = oracle.random_pair(rng, h, max_nodes=5)
+    roots = [a, b, oracle.random_term(rng, h, max_nodes=3)]
+    for prefix, root in zip("abc", roots):
+        for x in _tree(root):
+            if x.tag:
+                x.tag = prefix + x.tag
+    parents = [x for x in _tree(a) if type(x) is terms.Node and x.args]
+    if parents:
+        x = rng.choice(parents)
+        x.tag = x.tag or "x"
+        slots = _leaf_slots(x)
+        if slots:
+            y, k = rng.choice(slots)
+            y.args[k] = terms.BackRef(x.tag)
+    slots = _leaf_slots(roots[2])
+    if slots:
+        y, k = rng.choice(slots)
+        z = rng.choice([x for x in _tree(a) if type(x) is not terms.BackRef])
+        z.tag = z.tag or "z"
+        y.args[k] = terms.BackRef(z.tag)
+    z = rng.choice([x for x in _tree(a) + _tree(b) if type(x) is not terms.BackRef])
+    z.tag = z.tag or "s"
+    roots.append(terms.BackRef(z.tag))
+    return roots
+
+
+def _has_cycle(copy, h):
+    """Whether a node of *copy* over *h* reaches itself."""
+    state = {}      # offset -> 1 while its node's arcs are walked, then 2
+    stack = [(o, False) for o in copy.roots]
+    while stack:
+        o, done = stack.pop()
+        if done:
+            state[o] = 2
+        elif state.get(o) == 1:
+            return True
+        elif o not in state:
+            state[o] = 1
+            stack.append((o, True))
+            tag, t = copy.cells[o]
+            if tag is STR:
+                stack += [(copy.cells[o + k][1], False) for k in range(1, h.arities[t] + 1)]
+    return False
+
+
+def test_a_term_copy_is_the_copy_of_what_build_builds():
+    # machine.term_copy walks the terms once; build runs their query code
+    # and snapshot_regs copies the cells it built
+    rng = random.Random(36)
+    seen = {"var": 0, "cycle": 0}
+    for _ in range(60):
+        h, _ = oracle.random_hierarchy(rng, allow_loops=True)
+        for _ in range(4):
+            roots = _scoped_roots(rng, h)
+            m = fresh(h)
+            addrs = m.build(roots)
+            want = m.snapshot_regs(dict(enumerate(addrs)), list(range(len(roots))))
+            assert machine.term_copy(roots, h) == want
+            seen["var"] += any(c[0] is VAR for c in want.cells)
+            seen["cycle"] += _has_cycle(want, h)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_a_term_copy_of_a_deep_chain_without_recursion(loop_hierarchy):
+    h = loop_hierarchy
+    depth = 100_000
+    term = terms.MostGeneral("u")
+    for _ in range(depth):
+        term = terms.Node("t", [term])
+    t = h.tid("t")
+    cells = []
+    for k in range(depth):
+        cells += [(STR, t), (REF, 2 * k + 2)]
+    assert machine.term_copy([term], h) == ((*cells, (VAR, h.tid("u"))), (0,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda T: T.Node("a", [T.Node("zz"), T.Node("d")]),
+    lambda T: T.Node("a", [T.Node("d"), T.MostGeneral("zz")]),
+    lambda T: T.Node("a", [T.Node("d")]),
+    lambda T: T.Node("b", [T.Node("d"), T.Node("d", [T.Node("d")])]),
+], ids=["unknown type", "unknown ~type", "arity", "arity below the root"])
+def test_a_term_copy_refuses_what_build_refuses(example_hierarchy, make):
+    with pytest.raises(Exception) as built:
+        fresh(example_hierarchy).build([make(terms)])
+    assert type(built.value) in (MachineError, typesys.SpecError)
+    with pytest.raises(type(built.value)) as copied:
+        machine.term_copy([make(terms)], example_hierarchy)
+    assert str(copied.value) == str(built.value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda T: [T.Node("a", [T.BackRef("x"), T.Node("d", tag="x")])],
+     "tag #x used before its definition"),
+    (lambda T: [T.Node("d", tag="x"), T.Node("d", tag="x")], "tag #x defined twice"),
+], ids=["used first", "defined twice"])
+def test_a_term_copy_refuses_a_tag_the_reader_refuses(example_hierarchy, make, message):
+    with pytest.raises(terms.TermError, match=message):
+        machine.term_copy(make(terms), example_hierarchy)
+
+
 def test_extract_expands_unexpanded_leaves(loop_hierarchy):
     h = loop_hierarchy
     m = fresh(h)
